@@ -37,8 +37,8 @@ class FunctionUnit:
         ``"<module>"``.
     nodes:
         Every AST node in the unit **including** nested functions/lambdas —
-        the view durability/cache rules want (a nested helper's
-        ``os.replace`` still belongs to the enclosing operation).
+        the view most rules want (a nested helper's cache write still
+        belongs to the enclosing operation).
     direct_nodes:
         Every AST node in the unit **excluding** nested function and lambda
         bodies — the view the asyncio rule wants (a blocking call inside a
@@ -148,7 +148,7 @@ class ModuleContext:
 
         ``np.random.default_rng`` → ``numpy.random.default_rng`` under
         ``import numpy as np``; ``sync_dir`` → the full
-        ``repro.serving.integrity.sync_dir`` under a ``from`` import.
+        ``repro.utils.durable.sync_dir`` under a ``from`` import.
         """
         dotted = self.dotted(node)
         if dotted is None:

@@ -23,7 +23,6 @@ __all__ = ["BlockingCallInAsyncRule"]
 _BLOCKING_EXACT = {
     "time.sleep": "use asyncio.sleep",
     "os.fsync": "ship the fsync to an executor",
-    "os.replace": "ship the publish to an executor",
 }
 
 #: Qualified-name prefixes that block (file/process I/O).
@@ -36,6 +35,9 @@ _BLOCKING_PREFIXES = {
 #: Repo-specific synchronous primitives (disk + verification I/O).
 _BLOCKING_SUFFIXES = {
     "sync_dir": "ship the directory fsync to an executor",
+    "atomic_write": "ship the durable write to an executor",
+    "atomic_dir": "ship the durable directory build to an executor",
+    "durable_rename": "ship the durable rename to an executor",
     "published_session": "load the session via run_in_executor",
     "recover_from_wal": "replay the WAL via run_in_executor",
     "set_current": "publish the pointer via run_in_executor",

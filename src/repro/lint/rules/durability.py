@@ -1,15 +1,12 @@
-"""Durability rules: the crash-consistent publish contract.
+"""Durability rule: one module owns every rename.
 
-Serving publishes (PR 6/8) follow one idiom, modelled on
-``repro.serving.integrity.write_manifest``:
-
-1. write to a temp path, ``flush()`` + ``os.fsync()`` the file contents;
-2. ``os.replace(tmp, final)`` for an atomic rename;
-3. ``sync_dir(final.parent)`` so the *rename itself* survives power loss.
-
-Skipping step 3 can lose the rename; skipping the fsync in step 1 can
-atomically publish a file full of zeroes.  Both failure modes only show up
-under the chaos drills — this rule catches them at review time.
+A crash-consistent publish is a fixed sequence — write a temp file, fsync
+it, rename it onto the final name, fsync the directory — and a mistake in
+any step only shows up after a crash.  :mod:`repro.utils.durable` owns that
+sequence, so the rule is simply that nothing else renames files: every
+other module calls its primitives (``atomic_write``, ``atomic_dir``,
+``durable_rename``), whose tests pin the fsync-before-rename order and
+whose crash-point tests enumerate every failure along the way.
 """
 
 from __future__ import annotations
@@ -17,153 +14,47 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lint.context import FunctionUnit, ModuleContext
+from repro.lint.context import ModuleContext
 from repro.lint.rules import LintRule, RawFinding, rules
+from repro.utils.durable import RENAME_CALLS
 
-__all__ = ["RenameWithoutDirsyncRule", "WriteRenameWithoutFsyncRule"]
-
-_RENAME_FNS = {"os.replace", "os.rename"}
-
-#: Call shapes that put bytes on disk inside the same operation.
-_WRITE_PREFIXES = ("numpy.save",)  # save / savez / savez_compressed
-_WRITE_FNS = {"json.dump", "pickle.dump"}
-_WRITE_METHODS = (".write_text", ".write_bytes", ".tofile")
+__all__ = ["RenameOutsideDurableRule"]
 
 
-def _unit_calls(ctx: ModuleContext, unit: FunctionUnit) -> list[tuple[ast.Call, str | None, str | None]]:
-    """``(call, qualified, dotted)`` for every call in the unit."""
-    out = []
-    for call in unit.calls():
-        out.append((call, ctx.qualified(call.func), ctx.dotted(call.func)))
-    return out
-
-
-def _rename_calls(calls) -> list[ast.Call]:
-    return [call for call, qualified, _ in calls if qualified in _RENAME_FNS]
-
-
-def _has_suffix_call(calls, suffix: str) -> bool:
-    for _, qualified, dotted in calls:
-        for name in (qualified, dotted):
-            if name and (name == suffix or name.endswith(f".{suffix}")):
-                return True
-    return False
-
-
-def _has_fsync_call(calls) -> bool:
-    """``os.fsync`` or a helper wrapping it (``_fsync_file``, ``fsync_path``…)."""
-    for _, qualified, dotted in calls:
-        for name in (qualified, dotted):
-            if name and "fsync" in name.split(".")[-1]:
-                return True
-    return False
-
-
-@rules.register("rep-u201", aliases=("rename-without-dirsync",))
-class RenameWithoutDirsyncRule(LintRule):
+@rules.register("rep-u201", aliases=("rename-outside-durable",))
+class RenameOutsideDurableRule(LintRule):
     id = "REP-U201"
-    name = "rename-without-dirsync"
+    name = "rename-outside-durable"
     severity = "error"
     category = "durability"
     invariant = (
-        "Every atomic rename publish is followed by a parent-directory "
-        "fsync (serving.integrity.sync_dir) so the rename survives a crash."
+        "Files are renamed only in repro/utils/durable.py, whose primitives "
+        "fsync contents before the rename and the directory after it."
     )
+    exempt = ("utils/durable.py",)
     example_path = "repro/serving/example.py"
     bad_example = (
-        "import os\n"
+        "from os import replace\n"
         "\n"
         "def publish(tmp, final):\n"
-        "    os.replace(tmp, final)\n"
+        "    replace(tmp, final)\n"
     )
     good_example = (
-        "import os\n"
+        "from repro.utils.durable import atomic_write\n"
         "\n"
-        "from repro.serving.integrity import sync_dir\n"
-        "\n"
-        "def publish(tmp, final):\n"
-        "    os.replace(tmp, final)\n"
-        "    sync_dir(os.path.dirname(final))\n"
+        "def publish(final, payload):\n"
+        "    atomic_write(final, payload)\n"
     )
 
     def check(self, ctx: ModuleContext) -> Iterable[RawFinding]:
-        for unit in ctx.function_units():
-            calls = _unit_calls(ctx, unit)
-            renames = _rename_calls(calls)
-            if not renames or _has_suffix_call(calls, "sync_dir"):
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
                 continue
-            for call in renames:
-                target = ctx.qualified(call.func)
+            target = ctx.qualified(node.func)
+            if target in RENAME_CALLS:
                 yield self.at(
-                    call,
-                    f"{target} without a parent-directory fsync can lose the "
-                    "publish on crash; call serving.integrity.sync_dir on the "
-                    "destination directory",
-                )
-
-
-@rules.register("rep-u202", aliases=("write-rename-without-fsync",))
-class WriteRenameWithoutFsyncRule(LintRule):
-    id = "REP-U202"
-    name = "write-rename-without-fsync"
-    severity = "error"
-    category = "durability"
-    invariant = (
-        "File contents are flushed and fsynced before the atomic rename, "
-        "or the publish can atomically install a truncated file."
-    )
-    example_path = "repro/serving/example.py"
-    bad_example = (
-        "import json\n"
-        "import os\n"
-        "\n"
-        "from repro.serving.integrity import sync_dir\n"
-        "\n"
-        "def save(path, payload):\n"
-        "    tmp = f'{path}.tmp'\n"
-        "    with open(tmp, 'w', encoding='utf-8') as fh:\n"
-        "        json.dump(payload, fh)\n"
-        "    os.replace(tmp, path)\n"
-        "    sync_dir(os.path.dirname(path))\n"
-    )
-    good_example = (
-        "import json\n"
-        "import os\n"
-        "\n"
-        "from repro.serving.integrity import sync_dir\n"
-        "\n"
-        "def save(path, payload):\n"
-        "    tmp = f'{path}.tmp'\n"
-        "    with open(tmp, 'w', encoding='utf-8') as fh:\n"
-        "        json.dump(payload, fh)\n"
-        "        fh.flush()\n"
-        "        os.fsync(fh.fileno())\n"
-        "    os.replace(tmp, path)\n"
-        "    sync_dir(os.path.dirname(path))\n"
-    )
-
-    def _writes(self, calls) -> bool:
-        for _, qualified, dotted in calls:
-            if qualified and (
-                qualified.startswith(_WRITE_PREFIXES) or qualified in _WRITE_FNS
-            ):
-                return True
-            if dotted and dotted.endswith(_WRITE_METHODS):
-                return True
-        return False
-
-    def check(self, ctx: ModuleContext) -> Iterable[RawFinding]:
-        for unit in ctx.function_units():
-            calls = _unit_calls(ctx, unit)
-            renames = _rename_calls(calls)
-            if not renames or not self._writes(calls):
-                continue
-            if _has_fsync_call(calls):
-                continue
-            for call in renames:
-                yield self.at(
-                    call,
-                    "rename after writing without flush+fsync can publish a "
-                    "truncated file; fsync the written file before "
-                    "os.replace (see serving.integrity.write_manifest)",
+                    node,
+                    f"{target} outside repro/utils/durable.py; publish through "
+                    "atomic_write / atomic_dir / durable_rename, which fsync "
+                    "before and after the rename",
                 )

@@ -5,9 +5,10 @@ first, so tracing a long-running server cannot grow memory without bound
 (the oldest spans are dropped and counted).  :class:`TraceSink` drains the
 collector into an append-only JSON Lines file following the repo's
 durability idiom — contents are flushed and ``fsync``-ed before every
-rotation, and the rotated file is renamed with ``os.replace`` plus a
-parent-directory fsync, exactly like a serving publish
-(:mod:`repro.serving.integrity`).
+rotation, the rotated file is renamed with
+:func:`~repro.utils.durable.durable_rename` (rename plus parent-directory
+fsync), and the fresh live file appears with its header already in place
+(:func:`~repro.utils.durable.atomic_write`).
 
 Writes are *batched*: spans accumulate in the ring buffer and hit the file
 only when ``flush_every`` spans are pending (or on an explicit
@@ -17,16 +18,16 @@ of tracing an async serving path to a deque append.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from collections import deque
 from pathlib import Path
 
 from repro.obs.spans import Span, header_record
+from repro.utils.durable import atomic_write, durable_rename
 
 __all__ = ["SpanCollector", "TraceSink"]
-
-import json
 
 #: default ring-buffer capacity (spans)
 DEFAULT_CAPACITY = 65536
@@ -95,9 +96,9 @@ class TraceSink:
     The sink owns its file handle; a header record is written on open (and
     after every rotation) so each physical file is independently decodable
     by :func:`repro.obs.spans.read_trace`.  ``max_bytes`` bounds the live
-    file: when exceeded, the current file is fsync-ed, atomically renamed
-    to ``<path>.<n>`` (with a parent-directory fsync so the rename itself
-    is durable), and a fresh file is started.
+    file: when exceeded, the current file is fsync-ed, durably renamed to
+    ``<path>.<n>``, and a fresh file holding only the header is published
+    in its place, so a crash mid-rotation never leaves a headerless file.
     """
 
     def __init__(
@@ -118,12 +119,12 @@ class TraceSink:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "a", encoding="utf-8")
         if self._handle.tell() == 0:
-            self._write_header()
+            self._handle.write(self._header_line())
+            self._handle.flush()
 
-    def _write_header(self) -> None:
+    def _header_line(self) -> str:
         record = header_record(self.trace_id, scope=self.scope)
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
+        return json.dumps(record, sort_keys=True) + "\n"
 
     def write(self, spans) -> int:
         """Append ``spans``; rotate first if the live file is over budget."""
@@ -139,22 +140,21 @@ class TraceSink:
             return self.spans_written
 
     def _rotate_locked(self) -> None:
-        # Durability: contents reach disk before the rename, and the rename
-        # reaches disk via the parent-directory fsync — the same
-        # write/fsync/replace/dirsync sequence as a serving publish.  The
-        # import is deferred because repro.serving imports repro.obs at the
-        # package level; by the time a sink rotates, both are initialised.
-        from repro.serving.integrity import sync_dir
-
+        # Contents reach disk before the rename, the rename reaches disk via
+        # the directory fsync, and the new live file is published complete
+        # with its header — the same sequence as a serving publish.
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._handle.close()
         self.rotations += 1
-        rotated = self.path.with_name(f"{self.path.name}.{self.rotations}")
-        os.replace(self.path, rotated)
-        sync_dir(self.path.parent)
+        # Numbers already taken — by an earlier sink on this path, or one
+        # that crashed mid-rotation — are skipped, never overwritten.
+        index = self.rotations
+        while (rotated := self.path.with_name(f"{self.path.name}.{index}")).exists():
+            index += 1
+        durable_rename(self.path, rotated)
+        atomic_write(self.path, self._header_line().encode("utf-8"))
         self._handle = open(self.path, "a", encoding="utf-8")
-        self._write_header()
 
     def flush(self) -> None:
         with self._lock:

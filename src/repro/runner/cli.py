@@ -248,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="edge fraction above which a delta recondenses from "
                           "scratch (default: 0.05)")
     srv.add_argument("--bundle-store", default=None, metavar="DIR",
-                     help="ModelStore directory: warm-start from a stored bundle "
-                          "and persist one after cold start and every retrain")
+                     help="published-version store: warm-start from the stored "
+                          "bundle and publish one after cold start and every "
+                          "retrain")
     rep = serve.add_argument_group("replication")
     rep.add_argument("--workers", type=int, default=0, metavar="N",
                      help="run the replicated tier: N predictor worker "
@@ -473,11 +474,20 @@ def _trace_paths(base: str | Path) -> list[Path]:
 
     Sidecars are ``<base>.<scope>`` (per-process) and ``<base>.<n>``
     (rotation) files; all carry the same trace and merge into one forest.
+    Temp files of an unfinished rotation are not part of the trace, and a
+    rotation that crashed before recreating ``<base>`` leaves its spans in
+    the sidecars.
     """
+    from repro.utils.durable import is_temp
+
     base = Path(base)
-    if not base.exists():
+    sidecars = sorted(
+        p for p in base.parent.glob(f"{base.name}.*") if p.is_file() and not is_temp(p.name)
+    )
+    paths = [base, *sidecars] if base.exists() else sidecars
+    if not paths:
         raise ReproError(f"no trace file at {base}")
-    return [base, *sorted(p for p in base.parent.glob(f"{base.name}.*") if p.is_file())]
+    return paths
 
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
@@ -922,8 +932,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.core.condenser import FreeHGC
+    from repro.errors import ServingError
     from repro.evaluation.pipeline import make_model_factory
-    from repro.serving import ModelStore, ServingController, ServingServer
+    from repro.serving import ServingController, ServingServer, artifacts
 
     config = ServeConfig(
         dataset=args.dataset,
@@ -977,28 +988,47 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=config.seed,
         cache_size=config.cache_size,
     )
-    store = ModelStore(config.bundle_store) if config.bundle_store else None
+    # Each bundle key owns one lineage of published version dirs; its
+    # version numbers only ever grow, so no run overwrites an earlier one.
     key = config.bundle_key()
-    warm_bundle = store.load(key) if store is not None and key in store else None
+    lineage = artifacts.lineage_dir(config.bundle_store, key) if config.bundle_store else None
+    published = artifacts.published_versions(lineage) if lineage is not None else []
+    warm_bundle = None
+    if published:
+        try:
+            stored_version, vdir = artifacts.current_version(lineage)
+            artifacts.verify_version_dir(vdir)
+            warm_bundle = artifacts.published_bundle(vdir)
+        except ServingError as exc:
+            log(f"stored bundle unusable ({exc}); starting cold")
 
     log(f"condensing {config.dataset} @ ratio {config.ratio:g} and training {config.model}...")
     controller.start(warm_bundle=warm_bundle)
-    log(
-        "warm-started from stored bundle"
-        if controller.warm_started
-        else "cold start: trained a fresh model"
-    )
+    if controller.warm_started:
+        controller.adopt_version(stored_version)
+        log("warm-started from stored bundle")
+    else:
+        if published:
+            controller.adopt_version(published[0][0] + 1)
+        log("cold start: trained a fresh model")
 
     def persist(swap_report=None) -> None:
-        if store is None:
+        if lineage is None:
             return
         if swap_report is not None and not swap_report.retrained:
-            return  # unchanged weights: the stored revision is still current
+            return  # unchanged weights: the stored version is still current
         metadata = {"dataset": config.dataset, "ratio": config.ratio, "seed": config.seed}
         if swap_report is not None:
             metadata["step"] = swap_report.step
-        store.put(key, controller.export_bundle(metadata=metadata))
-        log(f"persisted bundle {key!r} revision {store.revision_of(key)}")
+        version = controller.version
+        artifacts.publish_version(
+            lineage,
+            version=version,
+            bundle=controller.export_bundle(metadata=metadata),
+            logits=controller.session._logits,
+        )
+        artifacts.set_current(lineage, version)
+        log(f"persisted bundle {key!r} version {version}")
 
     if not controller.warm_started:
         persist()
@@ -1336,7 +1366,6 @@ _SERVING_COMPONENTS = {
     "engine": "InferenceSession — micro-batched prediction over pre-computed features",
     "controller": "ServingController — zero-downtime hot-swap on streaming deltas",
     "server": "ServingServer — stdlib asyncio HTTP endpoint (python -m repro serve)",
-    "model-store": "ModelStore — versioned .npz model bundles (weights + condensed graph)",
     "wal": "DeltaWAL — durable write-ahead delta log with snapshot checkpoints",
     "replicated": "ReplicatedServer — coordinator + SO_REUSEPORT worker pool over "
                   "mmap-shared model versions (python -m repro serve --workers N)",

@@ -401,7 +401,7 @@ class ServeConfig:
         return resolve_max_hops(self.dataset, self.max_hops)
 
     def bundle_key(self) -> str:
-        """Stable model-store key of this deployment's bundle lineage."""
+        """Stable key of this deployment's bundle lineage under ``--bundle-store``."""
         return (
             f"{self.dataset.lower()}:{self.model.lower()}:r{self.ratio:g}"
             f":s{self.scale:g}:seed{self.seed}:h{self.resolved_max_hops()}"

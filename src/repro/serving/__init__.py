@@ -4,10 +4,10 @@ The paper's pitch is that a condensed graph is cheap enough to train and
 *deploy* on; this package is the deployment layer.  It turns a condensed
 graph kept fresh by :mod:`repro.streaming` into low-latency predictions:
 
-* :mod:`repro.serving.artifacts` — :class:`ModelBundle` (one versioned
-  ``.npz`` holding trained weights + propagation state + the condensed
-  graph) and :class:`ModelStore` (an append-only, resumable bundle
-  registry keyed like the runner's artifact store);
+* :mod:`repro.serving.artifacts` — :class:`ModelBundle` (trained weights +
+  propagation state + the condensed graph, stored as a directory of raw
+  ``.npy`` files) and the published version-dir layout both tiers persist
+  models in (``versions/vNNNNNN/`` + ``CURRENT``);
 * :mod:`repro.serving.engine` — :class:`InferenceSession`, the
   micro-batched prediction engine: propagated features are pre-computed
   once per model epoch, batched prediction is byte-identical to
@@ -21,7 +21,7 @@ graph kept fresh by :mod:`repro.streaming` into low-latency predictions:
   vectorised batches and hot-swaps in the background with zero dropped
   requests;
 * :mod:`repro.serving.integrity` — per-file SHA-256 manifests for every
-  published artifact directory, verified before load with last-good
+  published version directory, verified before load with last-good
   fallback;
 * :mod:`repro.serving.canary` — the swap gate: candidates are scored on a
   pinned canary query set and rejected (previous version keeps serving)
@@ -35,18 +35,15 @@ zero-error hot-swap under concurrent load.
 from repro.serving.artifacts import (
     BUNDLE_FORMAT,
     ModelBundle,
-    ModelStore,
+    last_good_version,
     load_bundle,
     save_bundle,
+    verify_version_dir,
 )
 from repro.serving.canary import CanaryConfig, CanaryReport
 from repro.serving.engine import InferenceSession, LRUCache
 from repro.serving.hotswap import ServingController, SwapReport
-from repro.serving.integrity import (
-    last_good_version,
-    verify_version_dir,
-    write_manifest,
-)
+from repro.serving.integrity import write_manifest
 from repro.serving.server import MicroBatcher, ServingServer
 
 __all__ = [
@@ -57,7 +54,6 @@ __all__ = [
     "LRUCache",
     "MicroBatcher",
     "ModelBundle",
-    "ModelStore",
     "ServingController",
     "ServingServer",
     "SwapReport",

@@ -1,4 +1,4 @@
-"""Model-bundle persistence: one versioned ``.npz`` per deployable model.
+"""Model bundles and the published version-dir layout of both serving tiers.
 
 A *bundle* is everything the serving layer needs to answer predictions
 without re-running condensation or training:
@@ -11,55 +11,81 @@ without re-running condensation or training:
   :func:`repro.hetero.io.graph_to_arrays` codec under a ``graph__`` prefix),
 * free-form provenance metadata (dataset, ratio, accuracy, stream step).
 
-Bundles are written atomically (temp file + rename) so a reader never sees
-a half-written archive, and carry a format version that is checked on load.
+On disk a bundle is a directory of raw ``.npy`` files plus a ``header.json``
+(format version, model, state, metadata, and the array-key → file-name
+manifest), built with :func:`~repro.utils.durable.atomic_dir` so a reader
+sees the whole bundle or none of it.  Raw ``.npy`` files can be
+memory-mapped, which is what lets every worker of the replicated tier share
+one page-cache copy of the published arrays.
 
-Two on-disk layouts share one logical format:
+Published versions
+------------------
+Both tiers persist models as *published version directories* under a root:
+the replicated tier's WAL directory, or one lineage per
+:meth:`~repro.runner.plan.ServeConfig.bundle_key` under
+``serve --bundle-store`` (:func:`lineage_dir`)::
 
-* ``layout="npz"`` (the cold-storage default) — one compressed ``.npz``
-  archive, smallest on disk;
-* ``layout="dir"`` — an *uncompressed* directory of raw ``.npy`` files plus
-  a JSON header/manifest.  Compressed zip members cannot be memory-mapped,
-  so this is the layout the replicated serving tier publishes: every worker
-  process opens the same arrays with ``np.load(..., mmap_mode="r")`` and the
-  kernel shares one physical copy of the pages across the whole pool.
+    <root>/versions/v000007/
+        bundle/          # the ModelBundle directory above
+        logits.npy       # the session's pre-computed logits
+        manifest.json    # SHA-256 of every payload file (serving.integrity)
+        meta.json        # {"version": 7, "targets": N, "classes": C}
+    <root>/CURRENT       # {"version": 7, "dir": "versions/v000007"}
 
-:func:`load_bundle` auto-detects the layout (directory vs. archive), so
-callers never need to know which one they were handed.
-
-:class:`ModelStore` organises bundles on disk the same way the runner's
-:class:`~repro.runner.cache.ArtifactStore` organises results: an
-append-only JSONL index keyed by a caller-chosen stable key, latest record
-wins, safe to resume after interruption.  Each ``put`` bumps the key's
-revision and writes a new archive next to the index.
+This module is the one that knows that layout.  ``meta.json`` is written
+last, so a directory without it is an unfinished publish; the manifest
+makes a damaged one detectable, and :func:`last_good_version` finds the
+newest version that still verifies.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
-import os
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from zipfile import BadZipFile
 
 import numpy as np
 
 from repro import registry
-from repro.errors import ServingError
+from repro.errors import IntegrityError, ServingError
 from repro.hetero.graph import HeteroGraph
 from repro.hetero.io import graph_from_arrays, graph_to_arrays, json_default
 from repro.models.base import HGNNClassifier
-from repro.runner.cache import ArtifactStore
-from repro.serving.integrity import sync_dir
+from repro.serving import integrity
+from repro.utils import faults
+from repro.utils.durable import atomic_dir, atomic_write, sync_dir
 
-__all__ = ["ModelBundle", "ModelStore", "save_bundle", "load_bundle", "BUNDLE_FORMAT"]
+__all__ = [
+    "BUNDLE_FORMAT",
+    "ModelBundle",
+    "current_version",
+    "last_good_version",
+    "lineage_dir",
+    "load_bundle",
+    "publish_version",
+    "published_bundle",
+    "published_logits",
+    "published_versions",
+    "save_bundle",
+    "set_current",
+    "verify_version_dir",
+    "version_dir",
+]
 
-#: bump when the archive layout changes incompatibly
+#: bump when the bundle layout changes incompatibly
 BUNDLE_FORMAT = 1
 
 _GRAPH_PREFIX = "graph__"
 _WEIGHT_PREFIX = "weight__"
+_HEADER = "header.json"
+
+_VERSIONS = "versions"
+_CURRENT = "CURRENT"
+_META = "meta.json"
+_BUNDLE = "bundle"
+_LOGITS = "logits.npy"
 
 
 @dataclass
@@ -101,289 +127,248 @@ class ModelBundle:
         return model
 
 
-def _bundle_header(bundle: ModelBundle) -> dict:
-    return {
+def _npy_bytes(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, np.ascontiguousarray(array))
+    return buffer.getvalue()
+
+
+def save_bundle(bundle: ModelBundle, path: str | Path) -> Path:
+    """Write ``bundle`` as directory ``path``, atomically.
+
+    Array keys (which may contain characters unsafe for filenames) map to
+    ``a0000.npy``-style names through the manifest inside ``header.json``.
+    An existing bundle at ``path`` is replaced only once the new one is
+    durable (see :func:`~repro.utils.durable.atomic_dir`).
+    """
+    arrays: dict[str, np.ndarray] = {
+        f"{_WEIGHT_PREFIX}{name}": np.asarray(value, dtype=np.float64)
+        for name, value in bundle.weights.items()
+    }
+    arrays.update(graph_to_arrays(bundle.condensed, prefix=_GRAPH_PREFIX))
+    files: dict[str, bytes] = {}
+    manifest: dict[str, str] = {}
+    for index, key in enumerate(sorted(arrays)):
+        filename = f"a{index:04d}.npy"
+        manifest[key] = filename
+        files[filename] = _npy_bytes(arrays[key])
+    header = {
         "format": BUNDLE_FORMAT,
         "model": bundle.model_name,
         "state": bundle.state,
         "metadata": bundle.metadata,
+        "manifest": manifest,
     }
+    files[_HEADER] = json.dumps(
+        header, sort_keys=True, indent=1, default=json_default
+    ).encode("utf-8")
+    return atomic_dir(path, files)
 
 
-def _bundle_arrays(bundle: ModelBundle) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
-    for name, value in bundle.weights.items():
-        arrays[f"{_WEIGHT_PREFIX}{name}"] = np.asarray(value, dtype=np.float64)
-    arrays.update(graph_to_arrays(bundle.condensed, prefix=_GRAPH_PREFIX))
-    return arrays
+def load_bundle(path: str | Path) -> ModelBundle:
+    """Load a bundle written by :func:`save_bundle`.
 
-
-def _bundle_from_parts(
-    path: Path, header: dict, data, files: list[str]
-) -> ModelBundle:
-    fmt = int(header.get("format", -1))
-    if fmt > BUNDLE_FORMAT or fmt < 1:
-        raise ServingError(
-            f"bundle {path} has format {fmt}; this library supports "
-            f"<= {BUNDLE_FORMAT}"
-        )
-    weights = {
-        key[len(_WEIGHT_PREFIX) :]: data[key]
-        for key in files
-        if key.startswith(_WEIGHT_PREFIX)
-    }
-    condensed = graph_from_arrays(data, prefix=_GRAPH_PREFIX)
-    return ModelBundle(
-        model_name=str(header["model"]),
-        state=dict(header["state"]),
-        weights=weights,
-        condensed=condensed,
-        metadata=dict(header.get("metadata", {})),
-    )
-
-
-def _fsync_file(path: Path) -> None:
-    """Force ``path``'s already-written bytes to stable storage."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def save_bundle(
-    bundle: ModelBundle, path: str | Path, *, layout: str = "npz"
-) -> Path:
-    """Write ``bundle`` to ``path`` atomically.
-
-    ``layout="npz"`` (default) writes one compressed archive —
-    the cold-storage format of :class:`ModelStore`.  ``layout="dir"``
-    writes an uncompressed directory of raw ``.npy`` files that
-    :func:`load_bundle` can open with ``mmap=True`` so many processes
-    share one physical copy of the arrays.
+    Raises :class:`~repro.errors.ServingError` when ``path`` is not a bundle
+    directory (a missing path, a legacy ``.npz`` archive, a foreign file),
+    when its header is unreadable, or when its format version is newer than
+    this library understands.
     """
     path = Path(path)
-    if layout == "dir":
-        return _save_bundle_dir(bundle, path)
-    if layout != "npz":
-        raise ServingError(f"unknown bundle layout {layout!r}: use 'npz' or 'dir'")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    arrays: dict[str, np.ndarray] = {
-        "bundle_json": np.frombuffer(
-            json.dumps(
-                _bundle_header(bundle), sort_keys=True, default=json_default
-            ).encode("utf-8"),
-            dtype=np.uint8,
-        )
-    }
-    arrays.update(_bundle_arrays(bundle))
-    # np.savez appends ".npz" to names lacking it, so the temp name keeps it.
-    tmp = path.with_name(f".{path.stem}.tmp{os.getpid()}.npz")
-    try:
-        np.savez_compressed(tmp, **arrays)
-        _fsync_file(tmp)
-        os.replace(tmp, path)
-        # The rename is atomic against process death but not power loss
-        # until the directory entry itself is durable.
-        sync_dir(path.parent)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
-
-
-def _save_bundle_dir(bundle: ModelBundle, path: Path) -> Path:
-    """Uncompressed directory layout: ``header.json`` + one ``.npy`` per array.
-
-    Array keys (which may contain characters unsafe for filenames) are
-    mapped to ``a0000.npy``-style names through the manifest inside
-    ``header.json``.  The directory is staged under a temp name and
-    committed with one ``os.replace`` — a reader either sees the whole
-    bundle or none of it, never a partial write.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir(parents=True)
-    try:
-        arrays = _bundle_arrays(bundle)
-        manifest: dict[str, str] = {}
-        for index, key in enumerate(sorted(arrays)):
-            filename = f"a{index:04d}.npy"
-            manifest[key] = filename
-            np.save(tmp / filename, np.ascontiguousarray(arrays[key]))
-        header = dict(_bundle_header(bundle), manifest=manifest)
-        (tmp / "header.json").write_text(
-            json.dumps(header, sort_keys=True, indent=1, default=json_default)
-        )
-        # Flush file contents (and the staged directory's entries) to disk
-        # before the rename, or a crash can atomically publish truncated
-        # arrays — the same idiom as integrity.write_manifest.
-        for staged in sorted(tmp.iterdir()):
-            _fsync_file(staged)
-        sync_dir(tmp)
-        if path.exists():
-            shutil.rmtree(path)
-        os.replace(tmp, path)
-        sync_dir(path.parent)
-    finally:
-        if tmp.exists():
-            shutil.rmtree(tmp, ignore_errors=True)
-    return path
-
-
-class _DirArrays:
-    """Lazy ``key -> array`` view over a directory-layout bundle."""
-
-    def __init__(self, root: Path, manifest: dict[str, str], mmap: bool) -> None:
-        self.root = root
-        self.manifest = manifest
-        self.mmap_mode = "r" if mmap else None
-
-    @property
-    def files(self) -> list[str]:
-        return list(self.manifest)
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return np.load(
-            self.root / self.manifest[key],
-            mmap_mode=self.mmap_mode,
-            allow_pickle=False,
-        )
-
-
-def load_bundle(path: str | Path, *, mmap: bool = False) -> ModelBundle:
-    """Load a bundle written by :func:`save_bundle` (either layout).
-
-    A directory is read as the uncompressed layout, anything else as the
-    compressed archive.  With ``mmap=True`` a directory bundle's arrays are
-    opened read-only with ``np.load(mmap_mode="r")`` — weights and condensed
-    -graph arrays stay on disk and every process mapping them shares one
-    page-cache copy.  ``mmap`` is ignored for compressed archives (zip
-    members cannot be mapped).
-
-    Raises :class:`~repro.errors.ServingError` on a missing file, a foreign
-    archive, or a format version newer than this library understands.
-    """
-    path = Path(path)
-    if path.is_dir():
-        return _load_bundle_dir(path, mmap=mmap)
-    if not path.exists():
-        raise ServingError(f"model bundle {path} does not exist")
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            if "bundle_json" not in data.files:
-                raise ServingError(f"{path} is not a model bundle (no header)")
-            header = json.loads(bytes(data["bundle_json"]).decode("utf-8"))
-            return _bundle_from_parts(path, header, data, list(data.files))
-    except (BadZipFile, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise ServingError(f"failed to read model bundle {path}: {exc}") from exc
-
-
-def _load_bundle_dir(path: Path, *, mmap: bool) -> ModelBundle:
-    header_path = path / "header.json"
-    if not header_path.exists():
-        raise ServingError(f"{path} is not a model bundle (no header.json)")
+    header_path = path / _HEADER
+    if not header_path.is_file():
+        raise ServingError(f"{path} is not a model bundle directory (no {_HEADER})")
     try:
         header = json.loads(header_path.read_text())
-        manifest = {
-            str(key): str(name) for key, name in dict(header["manifest"]).items()
+        fmt = int(header.get("format", -1))
+        if fmt > BUNDLE_FORMAT or fmt < 1:
+            raise ServingError(
+                f"bundle {path} has format {fmt}; this library supports "
+                f"<= {BUNDLE_FORMAT}"
+            )
+        data = {
+            str(key): np.load(path / str(name), allow_pickle=False)
+            for key, name in dict(header["manifest"]).items()
         }
-        data = _DirArrays(path, manifest, mmap)
-        return _bundle_from_parts(path, header, data, data.files)
+        return ModelBundle(
+            model_name=str(header["model"]),
+            state=dict(header["state"]),
+            weights={
+                key[len(_WEIGHT_PREFIX) :]: value
+                for key, value in data.items()
+                if key.startswith(_WEIGHT_PREFIX)
+            },
+            condensed=graph_from_arrays(data, prefix=_GRAPH_PREFIX),
+            metadata=dict(header.get("metadata", {})),
+        )
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise ServingError(f"failed to read model bundle {path}: {exc}") from exc
 
 
-class ModelStore:
-    """Versioned on-disk registry of model bundles, keyed like the runner's store.
+# ---------------------------------------------------------------------- #
+# Published version directories
+# ---------------------------------------------------------------------- #
+def version_dir(root: str | Path, version: int) -> Path:
+    """``<root>/versions/vNNNNNN``: where ``version`` is (or will be) published."""
+    return Path(root) / _VERSIONS / f"v{int(version):06d}"
 
-    Layout::
 
-        <root>/artifacts.jsonl          # append-only index (ArtifactStore)
-        <root>/bundles/<key>-r0001.npz  # one archive per revision
+def lineage_dir(store: str | Path, key: str) -> Path:
+    """The publish root of bundle lineage ``key`` under a bundle store.
 
-    ``put`` appends an index record ``{"key": ..., "cell": {...}, "result":
-    {"path": ..., "revision": ...}}``; the latest record per key wins, so
-    interrupted writes at worst leave an orphaned archive that is never
-    referenced.
+    The name is filesystem-safe and distinct per key: the readable part is
+    sanitised, and a digest of the exact key keeps keys that sanitise alike
+    apart.
 
-    Examples
-    --------
-    >>> import tempfile
-    >>> store = ModelStore(tempfile.mkdtemp())
-    >>> store.latest_record("missing") is None
-    True
+    >>> lineage_dir("store", "acm:heterosgc:r0.1").name
+    'acm_heterosgc_r0.1-2897db4202ca'
     """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.index = ArtifactStore(self.root)
-
-    @property
-    def bundle_dir(self) -> Path:
-        """Directory holding the ``.npz`` archives."""
-        return self.root / "bundles"
-
-    def keys(self) -> set[str]:
-        """Every key with at least one stored bundle."""
-        return self.index.completed_keys()
-
-    def latest_record(self, key: str) -> dict | None:
-        """The newest index record for ``key`` (or ``None``)."""
-        return self.index.get(key)
-
-    def revision_of(self, key: str) -> int:
-        """Latest stored revision of ``key`` (0 when absent)."""
-        record = self.latest_record(key)
-        if record is None:
-            return 0
-        result = record.get("result", {})
-        return int(result.get("revision", 0)) if isinstance(result, dict) else 0
-
-    def put(
-        self,
-        key: str,
-        bundle: ModelBundle,
-        *,
-        elapsed_s: float = 0.0,
-    ) -> dict:
-        """Persist ``bundle`` as the next revision of ``key``."""
-        revision = self.revision_of(key) + 1
-        filename = f"{_safe_stem(key)}-r{revision:04d}.npz"
-        path = save_bundle(bundle, self.bundle_dir / filename)
-        return self.index.put(
-            key,
-            {
-                "kind": "model-bundle",
-                "model": bundle.model_name,
-                "metadata": bundle.metadata,
-            },
-            {
-                "path": str(path.relative_to(self.root)),
-                "revision": revision,
-                "num_weights": len(bundle.weights),
-            },
-            elapsed_s=elapsed_s,
-        )
-
-    def load(self, key: str) -> ModelBundle:
-        """Load the latest revision of ``key``."""
-        record = self.latest_record(key)
-        if record is None:
-            raise ServingError(
-                f"no model bundle stored under key {key!r} in {self.root}"
-            )
-        result = record.get("result", {})
-        return load_bundle(self.root / str(result.get("path", "")))
-
-    def __contains__(self, key: str) -> bool:
-        return self.latest_record(key) is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ModelStore(root={str(self.root)!r}, keys={len(self.keys())})"
+    readable = "".join(c if c.isalnum() or c in "-_." else "_" for c in key)[:64]
+    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
+    return Path(store) / f"{readable}-{digest}"
 
 
-def _safe_stem(key: str) -> str:
-    """Filesystem-safe archive stem for an arbitrary store key."""
-    return "".join(c if c.isalnum() or c in "-_." else "_" for c in key)[:80]
+def published_versions(root: str | Path) -> list[tuple[int, Path]]:
+    """``(version, dir)`` of every version dir under ``root``, newest first.
+
+    Complete or not: a cold start publishes above all of them, so it never
+    overwrites a directory an earlier run left behind.
+    """
+    versions: list[tuple[int, Path]] = []
+    parent = Path(root) / _VERSIONS
+    if parent.is_dir():
+        for entry in parent.iterdir():
+            if entry.is_dir() and entry.name.startswith("v"):
+                try:
+                    versions.append((int(entry.name[1:]), entry))
+                except ValueError:
+                    continue
+    return sorted(versions, reverse=True)
+
+
+def publish_version(
+    root: str | Path,
+    *,
+    version: int,
+    bundle: ModelBundle,
+    logits: np.ndarray,
+) -> Path:
+    """Write one version directory (bundle + logits + manifest + meta).
+
+    Write order is the integrity contract: payload files first, then
+    ``manifest.json`` with their SHA-256 digests, then ``meta.json`` — so a
+    directory missing meta is an unfinished publish (never pointed to by
+    ``CURRENT``) and a directory whose bytes don't match its manifest is a
+    corrupt one (detected by :func:`verify_version_dir` before any load).
+    The ``publish.corrupt_file`` / ``publish.truncate_manifest`` fault sites
+    strike between manifest and meta, the window real partial writes land
+    in.  Every file is written with :mod:`repro.utils.durable`, and the
+    ``versions`` directory is fsynced last, so the publish survives power
+    loss, not just process death.
+    """
+    vdir = version_dir(root, version)
+    vdir.mkdir(parents=True, exist_ok=True)
+    save_bundle(bundle, vdir / _BUNDLE)
+    atomic_write(vdir / _LOGITS, _npy_bytes(logits))
+    integrity.write_manifest(vdir)
+    corrupt = faults.fire("publish.corrupt_file")
+    if corrupt is not None:
+        # Fault site: damage a published payload file *after* its digest
+        # was recorded — the shape of bit rot or a torn write.
+        needle = str(corrupt.get("filename", _LOGITS))
+        victims = [p for p in sorted(vdir.rglob("*")) if p.is_file() and needle in p.name]
+        for victim in victims[:1]:
+            with open(victim, "r+b") as handle:
+                handle.seek(int(corrupt.get("flip_at", 0)))
+                byte = handle.read(1)
+                handle.seek(int(corrupt.get("flip_at", 0)))
+                handle.write(bytes([byte[0] ^ 0xFF]) if byte else b"\xff")
+    truncate = faults.fire("publish.truncate_manifest")
+    if truncate is not None:
+        # Fault site: tear the manifest itself mid-write.
+        manifest_path = vdir / integrity.MANIFEST_NAME
+        size = manifest_path.stat().st_size
+        keep = int(truncate.get("keep_bytes", size // 2))
+        with open(manifest_path, "r+b") as handle:
+            handle.truncate(max(0, min(keep, size)))
+    meta = {
+        "version": int(version),
+        "targets": int(logits.shape[0]),
+        "classes": int(logits.shape[1]),
+    }
+    atomic_write(vdir / _META, json.dumps(meta, sort_keys=True).encode("utf-8"))
+    sync_dir(vdir.parent)
+    return vdir
+
+
+def set_current(root: str | Path, version: int) -> None:
+    """Atomically point ``CURRENT`` at ``version`` (replace, never truncate).
+
+    The root directory is fsynced after the rename: without it the rename
+    is atomic against process death but not power loss, and a rebooted
+    machine could come back pointing at the *previous* version of an
+    already-acknowledged publish.
+    """
+    pointer = {
+        "version": int(version),
+        "dir": version_dir("", version).as_posix(),
+    }
+    atomic_write(
+        Path(root) / _CURRENT, json.dumps(pointer, sort_keys=True).encode("utf-8")
+    )
+
+
+def current_version(root: str | Path) -> tuple[int, Path]:
+    """``(version, version dir)`` that ``CURRENT`` points to."""
+    root = Path(root)
+    pointer_path = root / _CURRENT
+    if not pointer_path.exists():
+        raise ServingError(f"no published version under {root} (missing {_CURRENT})")
+    pointer = json.loads(pointer_path.read_text())
+    return int(pointer["version"]), root / str(pointer["dir"])
+
+
+def verify_version_dir(vdir: str | Path) -> dict:
+    """Full trust check for a published version dir: complete AND verified.
+
+    ``meta.json`` present (the publish completed) and every manifest-listed
+    file digest-matches.  This is what loaders call before mmap'ing.
+    """
+    vdir = Path(vdir)
+    if not (vdir / _META).is_file():
+        raise IntegrityError(f"incomplete publish (no {_META}): {vdir}")
+    return integrity.verify_manifest(vdir)
+
+
+def last_good_version(
+    root: str | Path, *, below: int | None = None, exclude: tuple = ()
+) -> tuple[int, Path]:
+    """Newest published version under ``root`` that passes verification.
+
+    Scans ``<root>/versions/v*`` newest-first, skipping versions in
+    ``exclude`` and (when ``below`` is given) any version ``>= below``.
+    Raises :class:`ServingError` when nothing verifiable remains — at that
+    point there is genuinely nothing safe to serve.
+    """
+    excluded = {int(v) for v in exclude}
+    for number, vdir in published_versions(root):
+        if number in excluded or (below is not None and number >= below):
+            continue
+        try:
+            verify_version_dir(vdir)
+        except IntegrityError:
+            continue
+        return number, vdir
+    raise ServingError(f"no verifiable published version under {root}")
+
+
+def published_logits(vdir: str | Path) -> tuple[int, np.ndarray]:
+    """``(version, logits)`` of a published dir; the logits are mmapped read-only."""
+    vdir = Path(vdir)
+    meta = json.loads((vdir / _META).read_text())
+    logits = np.load(vdir / _LOGITS, mmap_mode="r", allow_pickle=False)
+    return int(meta["version"]), logits
+
+
+def published_bundle(vdir: str | Path) -> ModelBundle:
+    """The :class:`ModelBundle` a published version dir holds."""
+    return load_bundle(Path(vdir) / _BUNDLE)

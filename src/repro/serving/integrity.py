@@ -1,19 +1,22 @@
-"""Published-artifact integrity: per-file SHA-256 manifests and last-good scan.
+"""Published-artifact integrity: per-file SHA-256 manifests.
 
 A published version directory is only trustworthy if every byte in it is the
 byte the publisher wrote: a truncated ``logits.npy`` memory-maps happily and
 serves garbage labels with a straight face.  This module makes corruption
 *detectable* — every publish writes a ``manifest.json`` with per-file SHA-256
-digests **before** the ``meta.json`` completion marker — and *survivable* —
-loaders verify the manifest and fall back to the newest version that still
-verifies (:func:`last_good_version`) instead of serving a corrupt one.
+digests **before** the ``meta.json`` completion marker — and
+:mod:`repro.serving.artifacts` makes it *survivable*: loaders verify the
+manifest (:func:`~repro.serving.artifacts.verify_version_dir`) and fall back
+to the newest version that still verifies
+(:func:`~repro.serving.artifacts.last_good_version`) instead of serving a
+corrupt one.
 
-It is shared by every artifact path in the serving tier: the coordinator's
-publish (:func:`repro.serving.replicated.pool.publish_version` writes and
-self-verifies manifests), worker session loads
+It is shared by every artifact path in the serving tier: every publish
+(:func:`repro.serving.artifacts.publish_version` writes the manifest, and the
+coordinator self-verifies it), worker session loads
 (:func:`repro.serving.replicated.pool.published_session` verifies before
-mmap), and WAL snapshot records (which embed :func:`file_digest` digests that
-replay verifies before trusting a snapshot).
+mmap), and WAL snapshot replay (which trusts a snapshot's version dir only
+once it verifies).
 
 Two fault sites live in the publish path so corruption is deterministically
 injectable: ``publish.corrupt_file`` flips bytes in a freshly published file
@@ -25,10 +28,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
-from repro.errors import IntegrityError, ServingError
+from repro.errors import IntegrityError
+from repro.utils.durable import atomic_write, is_temp
 
 __all__ = [
     "MANIFEST_NAME",
@@ -36,9 +39,6 @@ __all__ = [
     "write_manifest",
     "read_manifest",
     "verify_manifest",
-    "verify_version_dir",
-    "last_good_version",
-    "sync_dir",
 ]
 
 #: manifest filename inside a published version directory
@@ -63,32 +63,16 @@ def file_digest(path: Path | str) -> str:
     return digest.hexdigest()
 
 
-def sync_dir(path: Path | str) -> None:
-    """fsync a directory so a just-``os.replace``'d entry survives power loss.
-
-    ``os.replace`` makes the rename atomic against *process* death, but the
-    directory entry itself lives in the parent's data blocks — without a
-    directory fsync a power cut can roll the rename back.  Best effort on
-    platforms that refuse ``O_DIRECTORY`` opens or directory fsync.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-    except OSError:  # pragma: no cover - platform dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform dependent
-        pass
-    finally:
-        os.close(fd)
-
-
 def _listed_files(vdir: Path) -> list[Path]:
-    files = []
-    for path in sorted(vdir.rglob("*")):
-        if path.is_file() and path.name not in _UNLISTED:
-            files.append(path)
-    return files
+    # Temp names are a crashed write's leftovers, never payload: listing one
+    # would make the next publish of this dir fail its own verification.
+    return [
+        path
+        for path in sorted(vdir.rglob("*"))
+        if path.is_file()
+        and path.name not in _UNLISTED
+        and not any(is_temp(part) for part in path.relative_to(vdir).parts)
+    ]
 
 
 def write_manifest(vdir: Path | str) -> dict:
@@ -96,9 +80,10 @@ def write_manifest(vdir: Path | str) -> dict:
 
     Must run *before* the ``meta.json`` completion marker is written: a
     version directory with meta but no (valid) manifest is indistinguishable
-    from tampering and is refused by :func:`verify_version_dir`.  The
-    manifest is written via tmp + ``os.replace`` + fsync so it is itself
-    atomic, then the directory is fsynced.
+    from tampering and is refused by
+    :func:`~repro.serving.artifacts.verify_version_dir`.  Temp files of an
+    unfinished write are skipped, and the manifest itself is written with
+    :func:`~repro.utils.durable.atomic_write`.
     """
     vdir = Path(vdir)
     files = {
@@ -106,14 +91,8 @@ def write_manifest(vdir: Path | str) -> dict:
         for path in _listed_files(vdir)
     }
     manifest = {"algorithm": "sha256", "files": files}
-    target = vdir / MANIFEST_NAME
-    tmp = target.with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
-    sync_dir(vdir)
+    payload = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
+    atomic_write(vdir / MANIFEST_NAME, payload)
     return manifest
 
 
@@ -151,47 +130,3 @@ def verify_manifest(vdir: Path | str) -> dict:
     if bad:
         raise IntegrityError(f"version dir {vdir} failed verification: {'; '.join(bad)}")
     return manifest
-
-
-def verify_version_dir(vdir: Path | str) -> dict:
-    """Full trust check for a published version dir: complete AND verified.
-
-    ``meta.json`` present (the publish completed) and every manifest-listed
-    file digest-matches.  This is what loaders call before mmap'ing.
-    """
-    vdir = Path(vdir)
-    if not (vdir / "meta.json").is_file():
-        raise IntegrityError(f"incomplete publish (no meta.json): {vdir}")
-    return verify_manifest(vdir)
-
-
-def last_good_version(
-    root: Path | str, *, below: int | None = None, exclude: tuple = ()
-) -> tuple[int, Path]:
-    """Newest published version under ``root`` that passes verification.
-
-    Scans ``<root>/versions/v*`` newest-first, skipping versions in
-    ``exclude`` and (when ``below`` is given) any version ``>= below``.
-    Raises :class:`ServingError` when nothing verifiable remains — at that
-    point there is genuinely nothing safe to serve.
-    """
-    versions_dir = Path(root) / "versions"
-    candidates: list[tuple[int, Path]] = []
-    if versions_dir.is_dir():
-        for entry in versions_dir.iterdir():
-            if entry.is_dir() and entry.name.startswith("v"):
-                try:
-                    number = int(entry.name[1:])
-                except ValueError:
-                    continue
-                candidates.append((number, entry))
-    excluded = {int(v) for v in exclude}
-    for number, vdir in sorted(candidates, reverse=True):
-        if number in excluded or (below is not None and number >= below):
-            continue
-        try:
-            verify_version_dir(vdir)
-        except IntegrityError:
-            continue
-        return number, vdir
-    raise ServingError(f"no verifiable published version under {root}")

@@ -16,9 +16,10 @@ on restart.  This package removes both limits:
   instead of unbounded queues;
 * :mod:`repro.serving.replicated.pool` — N predictor worker processes, each
   running the existing :class:`~repro.serving.engine.InferenceSession` over
-  *memory-mapped* published model state (an uncompressed
-  :func:`~repro.serving.artifacts.save_bundle` directory plus the
-  pre-computed logits), all accepting on one ``SO_REUSEPORT`` socket;
+  *memory-mapped* published model state (a
+  :func:`~repro.serving.artifacts.publish_version` directory: the bundle
+  plus the pre-computed logits), all accepting on one ``SO_REUSEPORT``
+  socket;
 * :mod:`repro.serving.replicated.coordinator` — the single writer: it
   applies each delta exactly once through
   :class:`~repro.serving.hotswap.ServingController`, commits it to the WAL,

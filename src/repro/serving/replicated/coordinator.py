@@ -7,7 +7,7 @@ One :class:`ReplicatedServer` owns the whole deployment:
 * the :class:`~repro.serving.replicated.wal.DeltaWAL` — a delta is durable
   *before* its effects are applied or acknowledged;
 * the published version directories and the ``CURRENT`` pointer
-  (:mod:`~repro.serving.replicated.pool`);
+  (:mod:`~repro.serving.artifacts`);
 * the unix-socket control channel workers register on, and the
   :class:`~repro.serving.replicated.pool.WorkerPool` supervisor that
   respawns killed workers.
@@ -24,11 +24,11 @@ registered worker answers with a stale version after the client sees the
 delta response.
 
 Recovery (:func:`recover_from_wal`) is pure replay: rebuild the base state
-from the genesis recipe (or restore the newest usable snapshot's graph +
-bundle) and re-apply the logged deltas.  Condensation and training are
-deterministic, so the recovered model state is byte-identical to what the
-crashed process had — the property ``benchmarks/bench_serving.py
---replicated`` gates on.
+from the genesis recipe (or restore the newest usable snapshot's graph and
+the bundle of the version dir it names) and re-apply the logged deltas.
+Condensation and training are deterministic, so the recovered model state
+is byte-identical to what the crashed process had — the property
+``benchmarks/bench_serving.py --replicated`` gates on.
 
 Self-healing (this PR's layer over the pipeline):
 
@@ -51,10 +51,14 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from repro import obs
 from repro.errors import (
@@ -65,22 +69,22 @@ from repro.errors import (
     WALError,
 )
 from repro.hetero.graph import HeteroGraph
-from repro.hetero.io import load_graph, save_graph
+from repro.hetero.io import graph_to_arrays, load_graph
 from repro.obs.propagate import extract_delta, stamp_delta
-from repro.serving import integrity
-from repro.serving.artifacts import load_bundle, save_bundle
+from repro.serving.artifacts import (
+    publish_version,
+    published_bundle,
+    set_current,
+    verify_version_dir,
+    version_dir,
+)
 from repro.serving.hotswap import ServingController, SwapReport
 from repro.serving.server import (
     DEFAULT_MAX_BODY_BYTES,
     ServingServer,
     _parse_json,
 )
-from repro.serving.replicated.pool import (
-    WorkerPool,
-    make_listen_socket,
-    publish_version,
-    set_current,
-)
+from repro.serving.replicated.pool import WorkerPool, make_listen_socket
 from repro.serving.replicated.wal import (
     KIND_DELTA,
     KIND_POISON,
@@ -91,6 +95,7 @@ from repro.serving.replicated.wal import (
 )
 from repro.streaming.delta import GraphDelta
 from repro.utils import faults
+from repro.utils.durable import atomic_write
 
 __all__ = ["ReplicatedConfig", "ReplicatedServer", "recover_from_wal"]
 
@@ -116,7 +121,6 @@ class ReplicatedConfig:
     cache_size: int = 4096
     max_batch: int = 256
     batch_window_seconds: float = 0.002
-    fsync: bool = True
     #: how long the commit waits for each worker's swap ack
     ack_timeout_seconds: float = 15.0
     wal_filename: str = "wal.log"
@@ -188,7 +192,7 @@ def _replay_plan(
             )
         if snapshot is not None:
             graph = load_graph(root / str(snapshot.payload["graph_path"]))
-            bundle = load_bundle(root / str(snapshot.payload["bundle_path"]))
+            bundle = published_bundle(root / str(snapshot.payload["bundle_path"]))
             controller = make_controller(graph)
             controller.start(warm_bundle=bundle)
             controller.adopt_version(int(snapshot.payload["version"]))
@@ -247,7 +251,6 @@ def recover_from_wal(
     root: str | Path,
     make_controller: Callable[[HeteroGraph | None], ServingController],
     genesis_config: dict | None = None,
-    fsync: bool = True,
 ) -> tuple[ServingController, DeltaWAL, dict]:
     """Open (repairing a torn tail) and replay the WAL at ``wal_path``.
 
@@ -271,7 +274,7 @@ def recover_from_wal(
     (``quarantined`` total vs ``quarantined_now`` this boot).
     """
     root = Path(root)
-    wal, records = DeltaWAL.open(wal_path, fsync=fsync)
+    wal, records = DeltaWAL.open(wal_path)
     try:
         if not records:
             wal.append_genesis(dict(genesis_config or {}))
@@ -430,7 +433,6 @@ class ReplicatedServer:
             root=root,
             make_controller=self.make_controller,
             genesis_config=self.genesis,
-            fsync=cfg.fsync,
         )
         self.controller, self.wal, self.recovery = controller, wal, recovery
         self.deltas_committed = int(recovery["deltas_logged"])
@@ -512,13 +514,13 @@ class ReplicatedServer:
 
         vdir = write()
         try:
-            integrity.verify_version_dir(vdir)
+            verify_version_dir(vdir)
         except IntegrityError:
             self.publish_repairs += 1
             if self.http is not None:
                 self.http.metrics.observe_integrity_fallback()
             vdir = write()
-            integrity.verify_version_dir(vdir)
+            verify_version_dir(vdir)
 
     # ------------------------------------------------------------------ #
     async def _handle_control(
@@ -739,28 +741,29 @@ class ReplicatedServer:
             self.http.metrics.set_version(controller.version)
 
     def _write_snapshot(self, report: SwapReport) -> None:
-        """Checkpoint the live graph + bundle, then log the snapshot record.
+        """Checkpoint the live graph, then log the snapshot record.
 
-        The snapshot files are digested (and their directory fsynced)
-        before the WAL record commits, so replay can verify the checkpoint
-        it is about to trust and fall back when the bytes rotted.
+        The model needs no second copy: the record points at the version
+        dir this commit already published and verified.  The graph is
+        written durably (fsync, rename, directory fsync) *before* the WAL
+        record that carries its digest commits, so replay can verify the
+        checkpoint it is about to trust and fall back when the bytes rotted.
         """
         assert self.controller is not None and self.wal is not None
         root = self.config.root_path
-        name = f"snap-{report.version:06d}"
-        graph_rel = f"snapshots/{name}-graph.npz"
-        bundle_rel = f"snapshots/{name}-bundle.npz"
-        save_graph(self.controller.graph, root / graph_rel)
-        save_bundle(self.controller.export_bundle(), root / bundle_rel)
-        integrity.sync_dir(root / "snapshots")
+        graph_rel = f"snapshots/snap-{report.version:06d}-graph.npz"
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **graph_to_arrays(self.controller.graph))
+        graph = buffer.getvalue()
+        (root / "snapshots").mkdir(exist_ok=True)
+        atomic_write(root / graph_rel, graph)
         self.wal.append_snapshot(
             step=report.step,
             version=report.version,
             graph_path=graph_rel,
-            bundle_path=bundle_rel,
+            bundle_path=version_dir("", report.version).as_posix(),
             deltas_applied=self.deltas_committed,
-            graph_sha256=integrity.file_digest(root / graph_rel),
-            bundle_sha256=integrity.file_digest(root / bundle_rel),
+            graph_sha256=hashlib.sha256(graph).hexdigest(),
         )
 
     # ------------------------------------------------------------------ #

@@ -4,13 +4,9 @@ Replication model
 -----------------
 The coordinator is the only process that condenses, trains or mutates the
 graph.  After every committed delta it *publishes* the new model epoch as a
-version directory::
-
-    <root>/versions/v000007/
-        bundle/          # ModelBundle, uncompressed dir layout (mmap-able)
-        logits.npy       # the session's pre-computed logits, raw .npy
-        meta.json        # {"version": 7, "targets": N, "classes": C}
-    <root>/CURRENT       # JSON pointer to the newest version (atomic replace)
+version directory and flips the ``CURRENT`` pointer to it
+(:func:`~repro.serving.artifacts.publish_version` /
+:func:`~repro.serving.artifacts.set_current`, which own the on-disk layout).
 
 Workers never run the model: :func:`published_session` opens ``logits.npy``
 with ``np.load(mmap_mode="r")`` and wraps it in
@@ -56,13 +52,20 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro import obs
 from repro.errors import IntegrityError, ServingError
 from repro.obs.propagate import inject_headers
-from repro.serving import integrity
-from repro.serving.artifacts import ModelBundle, save_bundle
+# publish_version, set_current and current_version are re-exported as part
+# of this module's public surface.
+from repro.serving.artifacts import (
+    current_version,
+    last_good_version,
+    publish_version,
+    published_logits,
+    set_current,
+    verify_version_dir,
+    version_dir,
+)
 from repro.utils import faults
 from repro.serving.engine import InferenceSession
 from repro.serving.server import (
@@ -80,9 +83,6 @@ __all__ = [
     "forward_delta",
     "backoff_delays",
 ]
-
-_VERSIONS_DIR = "versions"
-_CURRENT = "CURRENT"
 
 
 def make_listen_socket(host: str, port: int) -> socket.socket:
@@ -106,104 +106,9 @@ def make_listen_socket(host: str, port: int) -> socket.socket:
     return sock
 
 
-def _version_name(version: int) -> str:
-    return f"v{int(version):06d}"
-
-
-def publish_version(
-    root: str | Path,
-    *,
-    version: int,
-    bundle: ModelBundle,
-    logits: np.ndarray,
-) -> Path:
-    """Write one version directory (bundle + logits + manifest + meta).
-
-    Write order is the integrity contract: payload files first, then
-    ``manifest.json`` with their SHA-256 digests, then ``meta.json`` — so a
-    directory missing meta is an unfinished publish (never pointed to by
-    ``CURRENT``) and a directory whose bytes don't match its manifest is a
-    corrupt one (detected by :func:`published_session` before mmap).  The
-    ``publish.corrupt_file`` / ``publish.truncate_manifest`` fault sites
-    strike between manifest and meta, the window real partial writes land
-    in.  The version directory is fsynced so the publish survives power
-    loss, not just process death.
-    """
-    root = Path(root)
-    vdir = root / _VERSIONS_DIR / _version_name(version)
-    vdir.mkdir(parents=True, exist_ok=True)
-    save_bundle(bundle, vdir / "bundle", layout="dir")
-    np.save(vdir / "logits.npy", np.ascontiguousarray(logits))
-    integrity.write_manifest(vdir)
-    corrupt = faults.fire("publish.corrupt_file")
-    if corrupt is not None:
-        # Fault site: damage a published payload file *after* its digest
-        # was recorded — the shape of bit rot or a torn write.
-        needle = str(corrupt.get("filename", "logits.npy"))
-        victims = [p for p in sorted(vdir.rglob("*")) if p.is_file() and needle in p.name]
-        for victim in victims[:1]:
-            with open(victim, "r+b") as handle:
-                handle.seek(int(corrupt.get("flip_at", 0)))
-                byte = handle.read(1)
-                handle.seek(int(corrupt.get("flip_at", 0)))
-                handle.write(bytes([byte[0] ^ 0xFF]) if byte else b"\xff")
-    truncate = faults.fire("publish.truncate_manifest")
-    if truncate is not None:
-        # Fault site: tear the manifest itself mid-write.
-        manifest_path = vdir / integrity.MANIFEST_NAME
-        size = manifest_path.stat().st_size
-        keep = int(truncate.get("keep_bytes", size // 2))
-        with open(manifest_path, "r+b") as handle:
-            handle.truncate(max(0, min(keep, size)))
-    meta = {
-        "version": int(version),
-        "targets": int(logits.shape[0]),
-        "classes": int(logits.shape[1]),
-    }
-    (vdir / "meta.json").write_text(json.dumps(meta, sort_keys=True))
-    integrity.sync_dir(vdir)
-    integrity.sync_dir(vdir.parent)
-    return vdir
-
-
-def set_current(root: str | Path, version: int) -> None:
-    """Atomically point ``CURRENT`` at ``version`` (replace, never truncate).
-
-    The parent directory is fsynced after the replace: without it the
-    rename is atomic against process death but not power loss, and a
-    rebooted machine could come back pointing at the *previous* version of
-    an already-acknowledged publish.
-    """
-    root = Path(root)
-    pointer = {
-        "version": int(version),
-        "dir": f"{_VERSIONS_DIR}/{_version_name(version)}",
-    }
-    tmp = root / f".{_CURRENT}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(pointer, sort_keys=True))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, root / _CURRENT)
-    integrity.sync_dir(root)
-
-
-def current_version(root: str | Path) -> tuple[int, Path]:
-    """``(version, version dir)`` that ``CURRENT`` points to."""
-    root = Path(root)
-    pointer_path = root / _CURRENT
-    if not pointer_path.exists():
-        raise ServingError(f"no published version under {root} (missing {_CURRENT})")
-    pointer = json.loads(pointer_path.read_text())
-    return int(pointer["version"]), root / str(pointer["dir"])
-
-
 def _open_session(vdir: Path, *, cache_size: int) -> InferenceSession:
-    meta = json.loads((vdir / "meta.json").read_text())
-    logits = np.load(vdir / "logits.npy", mmap_mode="r", allow_pickle=False)
-    return InferenceSession.from_logits(
-        logits, version=int(meta["version"]), cache_size=cache_size
-    )
+    version, logits = published_logits(vdir)
+    return InferenceSession.from_logits(logits, version=version, cache_size=cache_size)
 
 
 def published_session(
@@ -223,18 +128,17 @@ def published_session(
     :class:`~repro.errors.IntegrityError` instead).  Callers detect a
     fallback by comparing ``session.version`` to what they asked for.
     """
-    root = Path(root)
     if version is None:
         version, vdir = current_version(root)
     else:
-        vdir = root / _VERSIONS_DIR / _version_name(version)
+        vdir = version_dir(root, version)
     try:
-        integrity.verify_version_dir(vdir)
+        verify_version_dir(vdir)
     except IntegrityError:
         if not fallback:
             raise
         # Serve the newest verifiable version rather than garbage bytes.
-        _, vdir = integrity.last_good_version(root, exclude=(int(version),))
+        _, vdir = last_good_version(root, exclude=(int(version),))
     return _open_session(vdir, cache_size=cache_size)
 
 

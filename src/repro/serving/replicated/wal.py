@@ -24,10 +24,12 @@ Four record kinds appear in a log:
     One committed :meth:`GraphDelta.to_payload` in arrival order.
 ``snapshot``
     A checkpoint: paths (relative to the log) of a saved live-graph archive
-    and a :class:`~repro.serving.artifacts.ModelBundle`, written *before*
-    the record is appended.  Records may carry SHA-256 digests of both
-    files; replay resumes from the newest snapshot whose files still exist
-    *and verify*, and only re-applies the deltas logged after it.
+    and of the published version directory that holds the model at that
+    point, both durable *before* the record is appended.  The record carries
+    the graph's SHA-256; replay resumes from the newest snapshot whose graph
+    still matches it and whose version dir passes
+    :func:`~repro.serving.artifacts.verify_version_dir`, and only re-applies
+    the deltas logged after it.
 ``poison``
     A quarantine marker: the ``delta`` record at ``target_offset`` crashed
     its commit and must be skipped on replay.  The full payload and the
@@ -58,10 +60,12 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import WALError
+from repro.errors import IntegrityError, WALError
+from repro.serving.artifacts import verify_version_dir
 from repro.serving.integrity import file_digest
 from repro.streaming.delta import GraphDelta
 from repro.utils import faults
+from repro.utils.durable import sync_dir
 
 __all__ = [
     "WALRecord",
@@ -109,22 +113,21 @@ class DeltaWAL:
     Use :meth:`DeltaWAL.open` to (re)open an existing log on boot — it
     repairs a torn trailing record and returns the surviving records — and
     the ``append_*`` methods to commit new ones.  Every append is flushed
-    and ``os.fsync`` ed before returning (disable via ``fsync=False`` for
-    tests/benchmarks that measure everything but the disk).
+    and ``os.fsync`` ed before returning.
     """
 
-    def __init__(self, path: str | Path, *, fsync: bool = True) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.fsync = bool(fsync)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         existed = self.path.exists()
         self._file = open(self.path, "ab")
         if not existed:
-            self._sync_parent()
+            # Make the new directory entry itself durable, not just the bytes.
+            sync_dir(self.path.parent)
         self.appended = 0
 
     @classmethod
-    def open(cls, path: str | Path, *, fsync: bool = True) -> tuple["DeltaWAL", list[WALRecord]]:
+    def open(cls, path: str | Path) -> tuple["DeltaWAL", list[WALRecord]]:
         """Open ``path`` for appending, repairing a torn tail first.
 
         Returns the writer positioned at the end of the last good record
@@ -134,7 +137,7 @@ class DeltaWAL:
         records: list[WALRecord] = []
         if path.exists():
             records = read_wal(path, repair=True)
-        wal = cls(path, fsync=fsync)
+        wal = cls(path)
         return wal, records
 
     # ------------------------------------------------------------------ #
@@ -159,8 +162,7 @@ class DeltaWAL:
             )
         self._file.write(encoded)
         self._file.flush()
-        if self.fsync:
-            os.fsync(self._file.fileno())
+        os.fsync(self._file.fileno())
         self.appended += 1
         return offset
 
@@ -181,13 +183,13 @@ class DeltaWAL:
         bundle_path: str,
         deltas_applied: int,
         graph_sha256: str | None = None,
-        bundle_sha256: str | None = None,
     ) -> int:
         """Record a checkpoint whose files were already written durably.
 
-        When digests are given, replay verifies the snapshot files against
-        them and falls back to an older snapshot (or genesis) on mismatch —
-        a half-written checkpoint must not poison recovery.
+        ``bundle_path`` is the published version dir holding the model.
+        Replay verifies it, and the graph against ``graph_sha256`` when
+        given, and falls back to an older snapshot (or genesis) when either
+        fails — a half-written checkpoint must not poison recovery.
         """
         payload = {
             "kind": KIND_SNAPSHOT,
@@ -199,8 +201,6 @@ class DeltaWAL:
         }
         if graph_sha256 is not None:
             payload["graph_sha256"] = str(graph_sha256)
-        if bundle_sha256 is not None:
-            payload["bundle_sha256"] = str(bundle_sha256)
         return self.append(payload)
 
     def append_poison(
@@ -238,8 +238,7 @@ class DeltaWAL:
         with open(sidecar, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
             handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         self.append_poison(
             target_offset=record.offset,
             reason=reason,
@@ -251,20 +250,8 @@ class DeltaWAL:
         """Flush and close the underlying file."""
         if not self._file.closed:
             self._file.flush()
-            if self.fsync:
-                os.fsync(self._file.fileno())
+            os.fsync(self._file.fileno())
             self._file.close()
-
-    def _sync_parent(self) -> None:
-        # Make the new directory entry itself durable, not just the bytes.
-        try:
-            fd = os.open(self.path.parent, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform without dir-open
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     def __enter__(self) -> "DeltaWAL":
         return self
@@ -368,13 +355,18 @@ def read_deadletter(wal_path: str | Path) -> list[dict]:
 
 def _snapshot_verifies(record: WALRecord, root: Path) -> bool:
     graph_path = root / str(record.payload["graph_path"])
-    bundle_path = root / str(record.payload["bundle_path"])
-    if not (graph_path.exists() and bundle_path.exists()):
+    if not graph_path.is_file():
         return False
-    for path, key in ((graph_path, "graph_sha256"), (bundle_path, "bundle_sha256")):
-        expected = record.payload.get(key)
-        if expected is not None and file_digest(path) != expected:
-            return False
+    expected = record.payload.get("graph_sha256")
+    if expected is not None and file_digest(graph_path) != expected:
+        return False
+    try:
+        # A record from before version-dir snapshots names an .npz bundle,
+        # which cannot verify: replay falls back to an older snapshot or
+        # genesis, and the log still holds every delta.
+        verify_version_dir(root / str(record.payload["bundle_path"]))
+    except IntegrityError:
+        return False
     return True
 
 
@@ -383,11 +375,11 @@ def plan_replay_records(
 ) -> tuple[dict | None, WALRecord | None, list[WALRecord], frozenset]:
     """Full replay plan: ``(genesis, snapshot, delta records, poisoned offsets)``.
 
-    The snapshot is the newest one whose referenced files (paths relative
-    to ``root``, the WAL's directory) still exist and match their recorded
-    digests.  The delta records are exactly the ones logged after it (after
-    genesis when no snapshot is usable), in commit order, minus every record
-    named by a ``poison`` marker — quarantined deltas are skipped
+    The snapshot is the newest one whose graph (path relative to ``root``,
+    the WAL's directory) still matches its recorded digest and whose version
+    dir still verifies.  The delta records are exactly the ones logged after
+    it (after genesis when no snapshot is usable), in commit order, minus
+    every record named by a ``poison`` marker — quarantined deltas are skipped
     deterministically no matter when their marker was appended.
     """
     root = Path(root)

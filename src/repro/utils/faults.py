@@ -29,13 +29,13 @@ Wired sites
     ``seconds`` just before publishing the new session, widening the
     hot-swap window that concurrent readers race against.
 ``publish.corrupt_file``
-    :func:`repro.serving.replicated.pool.publish_version` flips bytes in a
+    :func:`repro.serving.artifacts.publish_version` flips bytes in a
     freshly published file *after* its manifest digest was recorded — the
     on-disk shape of a partial write or bit rot.  Action keys: ``filename``
     (substring selecting the victim file, default ``logits.npy``),
     ``flip_at`` (byte offset, default 0).
 ``publish.truncate_manifest``
-    :func:`repro.serving.replicated.pool.publish_version` truncates the
+    :func:`repro.serving.artifacts.publish_version` truncates the
     just-written ``manifest.json`` to ``keep_bytes`` (default half), so
     verification sees an unparseable manifest rather than a clean one.
 ``hotswap.poison_commit``

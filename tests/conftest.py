@@ -8,6 +8,9 @@ datasets.
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -106,3 +109,34 @@ def tiny_dblp():
 @pytest.fixture(scope="session")
 def tiny_imdb():
     return load_imdb(scale=0.25, seed=1)
+
+
+@pytest.fixture()
+def io_log(monkeypatch):
+    """Record every fsync (file or directory) and rename, in call order.
+
+    Entries are ``("fsync" | "dirsync" | "rename", path)``; a rename records
+    its source, including a directory exchange by ``repro.utils.durable``.
+    """
+    from repro.utils import durable
+
+    log: list[tuple[str, str]] = []
+    real_fsync, real_replace, real_exchange = os.fsync, os.replace, durable._exchange
+
+    def fsync(fd: int) -> None:
+        kind = "dirsync" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync"
+        log.append((kind, os.readlink(f"/proc/self/fd/{fd}")))
+        real_fsync(fd)
+
+    def replace(src, dst) -> None:
+        log.append(("rename", os.fspath(src)))
+        real_replace(src, dst)
+
+    def exchange(staged, path) -> None:
+        log.append(("rename", os.fspath(staged)))
+        real_exchange(staged, path)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(durable, "_exchange", exchange)
+    return log

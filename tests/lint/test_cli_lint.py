@@ -75,7 +75,7 @@ def test_lint_selftest_ok(bad_tree, capsys):
 def test_lint_list_rules(bad_tree, capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "REP-D101" in out and "REP-U202" in out
+    assert "REP-D101" in out and "REP-U201" in out
 
 
 def test_lint_list_rules_json(bad_tree, capsys):

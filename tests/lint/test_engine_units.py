@@ -7,18 +7,20 @@ from repro.lint.context import ModuleContext
 
 
 def test_nested_def_belongs_to_enclosing_function():
-    """The run_in_executor pattern: a nested closure's os.replace counts as
-    part of the enclosing handler, so the handler's sync_dir keeps it clean."""
+    """The run_in_executor pattern: a nested closure's calls count as part
+    of the enclosing function's unit, which gets no unit of its own."""
     source = (
         "import os\n"
-        "from repro.serving.integrity import sync_dir\n"
         "def publish(tmp, final):\n"
         "    def commit():\n"
-        "        os.replace(tmp, final)\n"
+        "        os.fsync(3)\n"
         "    commit()\n"
-        "    sync_dir(os.path.dirname(final))\n"
     )
-    assert lint_source(source, rules=["REP-U201"]) == []
+    ctx = ModuleContext("repro/serving/x.py", source)
+    units = {unit.qualname: unit for unit in ctx.function_units()}
+    assert "publish.commit" not in units
+    called = {ctx.qualified(call.func) for call in units["publish"].calls()}
+    assert "os.fsync" in called
 
 
 def test_blocking_call_inside_executor_closure_is_exempt():

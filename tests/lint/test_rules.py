@@ -76,6 +76,26 @@ def test_determinism_exemption_for_rng_module():
     assert lint_source(source, path="repro/core/x.py", rules=["REP-D101"]) != []
 
 
+def test_durability_exemption_for_durable_module():
+    """utils/durable.py is the one module allowed to rename — REP-U201 skips it."""
+    source = "import os\ndef publish(tmp, final):\n    os.replace(tmp, final)\n"
+    assert lint_source(source, path="repro/utils/durable.py", rules=["REP-U201"]) == []
+    assert lint_source(source, path="repro/obs/x.py", rules=["REP-U201"]) != []
+
+
+def test_durable_primitives_block_the_event_loop():
+    """Moving fsyncs behind repro.utils.durable must not hide them from REP-A401."""
+    source = (
+        "from repro.utils.durable import atomic_dir, atomic_write, durable_rename\n"
+        "async def handler(path):\n"
+        "    atomic_write(path, b'')\n"
+        "    atomic_dir(path, {})\n"
+        "    durable_rename(path, path)\n"
+    )
+    hits = lint_source(source, path="repro/serving/x.py", rules=["REP-A401"])
+    assert [hit.line for hit in hits] == [3, 4, 5]
+
+
 def test_rules_resolve_by_alias():
     from repro.lint.rules import resolve_rules
 

@@ -77,6 +77,20 @@ class TestTraceSink:
             total += len(decoded)
         assert total == sink.spans_written == 40
 
+    def test_rotation_never_overwrites_an_earlier_sinks_files(self, tmp_path):
+        """A restarted sink on the same path rotates to the next free number."""
+        path = tmp_path / "trace.jsonl"
+        spans = [make_span(f"main:{i}", "x" * 30) for i in range(10)]
+        for _ in range(2):
+            sink = TraceSink(path, "t", max_bytes=400)
+            sink.write(spans)
+            sink.write(spans)
+            sink.close()
+        rotated = sorted(tmp_path.glob("trace.jsonl.*"))
+        assert [p.name for p in rotated] == [f"trace.jsonl.{n}" for n in (1, 2, 3)]
+        total = sum(len(read_trace(file)[1]) for file in [path, *rotated])
+        assert total == 40
+
     def test_write_after_close_is_a_noop(self, tmp_path):
         sink = TraceSink(tmp_path / "t.jsonl", "t")
         sink.close()

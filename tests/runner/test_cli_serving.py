@@ -150,3 +150,26 @@ class TestServeSelftest:
         code, out = run_cli(args, capsys)
         assert code == 0
         assert "warm-started from stored bundle" in out
+
+    def test_bundle_store_versions_never_go_backwards(self, tmp_path, capsys):
+        """A cold start over a non-empty store publishes above every stored
+        version instead of overwriting one, and a warm start adopts the
+        stored version number."""
+        store = tmp_path / "bundles"
+        args = SELFTEST_ARGS + ["--bundle-store", str(store)]
+        code, out = run_cli(args, capsys)
+        assert code == 0 and "version 1" in out
+        (lineage,) = store.iterdir()
+        first = lineage / "versions" / "v000001"
+        logits = first / "logits.npy"
+        damaged = bytearray(logits.read_bytes())
+        damaged[-1] ^= 0xFF  # bit rot
+        logits.write_bytes(bytes(damaged))
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert "starting cold" in out and "persisted bundle" in out and "version 2" in out
+        assert logits.read_bytes() == damaged  # the earlier run's dir is untouched
+        assert json.loads((lineage / "CURRENT").read_text())["version"] == 2
+        code, out = run_cli(args, capsys)
+        assert code == 0 and "warm-started from stored bundle" in out
+        assert "persisted bundle" not in out

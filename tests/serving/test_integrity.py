@@ -19,13 +19,12 @@ from repro.datasets import load_acm
 from repro.errors import IntegrityError, ServingError
 from repro.models.hetero_sgc import HeteroSGC
 from repro.serving import ServingController
+from repro.serving.artifacts import last_good_version, verify_version_dir
 from repro.serving.integrity import (
     MANIFEST_NAME,
     file_digest,
-    last_good_version,
     read_manifest,
     verify_manifest,
-    verify_version_dir,
     write_manifest,
 )
 from repro.serving.replicated.pool import (
@@ -70,6 +69,15 @@ class TestManifestRoundtrip:
         assert sorted(manifest["files"]) == ["a.bin", "sub/b.bin"]
         assert manifest["files"]["a.bin"] == file_digest(vdir / "a.bin")
         assert read_manifest(vdir) == manifest
+
+    def test_manifest_skips_temp_leftovers(self, tmp_path):
+        # A crashed durable write leaves temp names behind; they are never
+        # payload, so they must not be digested.
+        vdir = self.populate(tmp_path / "v1")
+        (vdir / "a.bin.4242.tmp").write_bytes(b"half a write")
+        (vdir / "bundle.4242.tmp").mkdir()
+        (vdir / "bundle.4242.tmp" / "a0000.npy").write_bytes(b"staged")
+        assert sorted(write_manifest(vdir)["files"]) == ["a.bin", "sub/b.bin"]
 
     def test_verify_passes_on_untouched_dir(self, tmp_path):
         vdir = self.populate(tmp_path / "v1")
@@ -211,6 +219,20 @@ class TestPublishFaultSites:
         vdir = publish_version(tmp_path, version=1, bundle=bundle, logits=logits)
         manifest = verify_version_dir(vdir)
         assert "logits.npy" in manifest["files"]
+
+    def test_republish_over_a_crashed_publish_verifies(self, tmp_path, publishable):
+        """Temp files a crashed publish left in the dir must not break the
+        next publish of the same version (coordinator recovery republishes
+        the recovered version into the same dir)."""
+        bundle, logits = publishable
+        vdir = publish_version(tmp_path, version=1, bundle=bundle, logits=logits)
+        (vdir / "manifest.json.tmp").write_text("{")
+        (vdir / "logits.npy.4242.tmp").write_bytes(b"torn")
+        (vdir / "bundle.4242.tmp").mkdir()
+        (vdir / "bundle.4242.tmp" / "a0000.npy").write_bytes(b"staged")
+        publish_version(tmp_path, version=1, bundle=bundle, logits=logits)
+        manifest = verify_version_dir(vdir)
+        assert not any(".tmp" in name for name in manifest["files"])
 
 
 class TestPublishedSessionFallback:

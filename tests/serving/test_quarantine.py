@@ -74,7 +74,7 @@ def poison_delta(step):
 class TestDeadLetterSidecar:
     def test_quarantine_writes_sidecar_then_poison_record(self, tmp_path):
         path = tmp_path / "wal.log"
-        with DeltaWAL(path, fsync=False) as wal:
+        with DeltaWAL(path) as wal:
             wal.append_genesis(GENESIS)
             wal.append_delta(poison_delta(1))
             victim = read_wal(path)[1]
@@ -103,7 +103,7 @@ class TestDeadLetterSidecar:
     def test_replay_plan_skips_poisoned_records(self, tmp_path):
         path = tmp_path / "wal.log"
         graph = load_acm(scale=0.1, seed=0)
-        with DeltaWAL(path, fsync=False) as wal:
+        with DeltaWAL(path) as wal:
             wal.append_genesis(GENESIS)
             wal.append_delta(churn_delta(graph, 1))
             wal.append_delta(poison_delta(2))
@@ -129,7 +129,7 @@ class TestRecoveryConvergence:
         wal_path = tmp_path / "wal.log"
         graph = load_acm(scale=0.1, seed=0)
         good1, bad, good2 = churn_delta(graph, 1), poison_delta(2), churn_delta(graph, 3)
-        with DeltaWAL(wal_path, fsync=False) as wal:
+        with DeltaWAL(wal_path) as wal:
             wal.append_genesis(GENESIS)
             wal.append_delta(good1)
             wal.append_delta(bad)  # bypasses commit-time validation on purpose
@@ -138,7 +138,7 @@ class TestRecoveryConvergence:
         # Boot 1: replay trips on the poison, dead-letters it, and finishes.
         controller, wal, report = recover_from_wal(
             wal_path, root=tmp_path, make_controller=make_controller,
-            genesis_config=GENESIS, fsync=False,
+            genesis_config=GENESIS,
         )
         wal.close()
         assert report["mode"] == "genesis"
@@ -165,7 +165,7 @@ class TestRecoveryConvergence:
         # dead-letter lines — this is what breaks the crash loop.
         controller2, wal2, report2 = recover_from_wal(
             wal_path, root=tmp_path, make_controller=make_controller,
-            genesis_config=GENESIS, fsync=False,
+            genesis_config=GENESIS,
         )
         wal2.close()
         assert report2["quarantined"] == 1
@@ -181,12 +181,12 @@ class TestRecoveryConvergence:
         # Degenerate shape: the *only* delta is poison — recovery must land
         # on the genesis state rather than refusing to serve at all.
         wal_path = tmp_path / "wal.log"
-        with DeltaWAL(wal_path, fsync=False) as wal:
+        with DeltaWAL(wal_path) as wal:
             wal.append_genesis(GENESIS)
             wal.append_delta(poison_delta(1))
         controller, wal, report = recover_from_wal(
             wal_path, root=tmp_path, make_controller=make_controller,
-            genesis_config=GENESIS, fsync=False,
+            genesis_config=GENESIS,
         )
         wal.close()
         assert report["deltas_replayed"] == 0

@@ -161,7 +161,7 @@ class TestWALRecovery:
 
         async def run():
             config = ReplicatedConfig(
-                root=tmp_path, port=0, workers=1, snapshot_every=1, fsync=False
+                root=tmp_path, port=0, workers=1, snapshot_every=1
             )
             server = ReplicatedServer(factory, config=config, genesis=genesis)
             host, port = await server.start()
@@ -193,7 +193,7 @@ class TestWALRecovery:
         genesis = {"dataset": "acm"}
 
         async def run():
-            config = ReplicatedConfig(root=tmp_path, port=0, workers=1, fsync=False)
+            config = ReplicatedConfig(root=tmp_path, port=0, workers=1)
             server = ReplicatedServer(factory, config=config, genesis=genesis)
             await server.start()
             good = churn_delta(server.controller.graph, 1)
@@ -255,7 +255,7 @@ class TestLivePool:
 
         async def scenario():
             config = ReplicatedConfig(
-                root=tmp_path, port=0, workers=2, fsync=False,
+                root=tmp_path, port=0, workers=2,
                 batch_window_seconds=0.001,
             )
             server = ReplicatedServer(

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.errors import WALError
+from repro.serving.artifacts import version_dir
+from repro.serving.integrity import write_manifest
 from repro.serving.replicated.wal import DeltaWAL, plan_replay, read_wal
 from repro.streaming.delta import GraphDelta
 
@@ -20,6 +22,16 @@ def make_delta(step: int = 1) -> GraphDelta:
         remove_edges={"paper-author": (np.array([4]), np.array([5]))},
         step=step,
     )
+
+
+def make_version_dir(root, version: int) -> str:
+    """A minimal published version dir that verifies; returns its WAL-relative path."""
+    vdir = version_dir(root, version)
+    vdir.mkdir(parents=True)
+    (vdir / "logits.npy").write_bytes(b"l")
+    write_manifest(vdir)
+    (vdir / "meta.json").write_text(json.dumps({"version": version}))
+    return vdir.relative_to(root).as_posix()
 
 
 def frame(payload: dict) -> bytes:
@@ -156,13 +168,13 @@ class TestPlanReplay:
     def test_snapshot_cuts_replay_to_suffix(self, tmp_path):
         path = tmp_path / "wal.log"
         (tmp_path / "snap-graph.npz").write_bytes(b"g")
-        (tmp_path / "snap-bundle.npz").write_bytes(b"b")
+        bundle_path = make_version_dir(tmp_path, 2)
         with DeltaWAL(path) as wal:
             wal.append_genesis({"dataset": "acm"})
             wal.append_delta(make_delta(1))
             wal.append_snapshot(
                 step=1, version=2, graph_path="snap-graph.npz",
-                bundle_path="snap-bundle.npz", deltas_applied=1,
+                bundle_path=bundle_path, deltas_applied=1,
             )
             wal.append_delta(make_delta(2))
             wal.append_delta(make_delta(3))
@@ -183,3 +195,32 @@ class TestPlanReplay:
         genesis, snapshot, deltas = plan_replay(read_wal(path), root=tmp_path)
         assert snapshot is None
         assert [d.step for d in deltas] == [1, 2]
+
+    def test_snapshot_with_npz_bundle_is_skipped(self, tmp_path):
+        """A record written before snapshots pointed at version dirs names an
+        ``.npz`` bundle: unverifiable, so replay falls back to an older
+        snapshot (or genesis) and the log's deltas rebuild the same state."""
+        path = tmp_path / "wal.log"
+        (tmp_path / "snap-1-graph.npz").write_bytes(b"g")
+        (tmp_path / "snap-2-graph.npz").write_bytes(b"g")
+        (tmp_path / "snap-2-bundle.npz").write_bytes(b"b")
+        with DeltaWAL(path) as wal:
+            wal.append_genesis({"dataset": "acm"})
+            wal.append_delta(make_delta(1))
+            wal.append_snapshot(
+                step=1, version=2, graph_path="snap-1-graph.npz",
+                bundle_path=make_version_dir(tmp_path, 2), deltas_applied=1,
+            )
+            wal.append_delta(make_delta(2))
+            wal.append_snapshot(
+                step=2, version=3, graph_path="snap-2-graph.npz",
+                bundle_path="snap-2-bundle.npz", deltas_applied=2,
+            )
+            wal.append_delta(make_delta(3))
+        _, snapshot, deltas = plan_replay(read_wal(path), root=tmp_path)
+        assert snapshot is not None and snapshot.payload["version"] == 2
+        assert [d.step for d in deltas] == [2, 3]
+        # with the verifiable snapshot gone too, replay starts from genesis
+        (tmp_path / "snap-1-graph.npz").unlink()
+        _, snapshot, deltas = plan_replay(read_wal(path), root=tmp_path)
+        assert snapshot is None and [d.step for d in deltas] == [1, 2, 3]
