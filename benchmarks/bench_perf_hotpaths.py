@@ -128,13 +128,8 @@ def bench_coverage(context: CondensationContext, errors: list[str]) -> list[dict
         )
         packed = context.packed_receptive_field(path)
         fast_s, fast = _best_of(lambda: greedy_max_coverage(packed, pool, budget))
-        celf_s, celf = _best_of(
-            lambda: greedy_max_coverage_packed(packed, pool, budget, lazy=True)
-        )
-        eager_s, eager = _best_of(
-            lambda: greedy_max_coverage_packed(packed, pool, budget, lazy=False)
-        )
-        identical = all(_same_coverage(r, reference) for r in (fast, celf, eager))
+        celf_s, celf = _best_of(lambda: greedy_max_coverage_packed(packed, pool, budget))
+        identical = all(_same_coverage(r, reference) for r in (fast, celf))
         if not identical:
             errors.append(f"greedy_max_coverage diverges from reference on {path}")
         rows.append(
@@ -146,7 +141,6 @@ def bench_coverage(context: CondensationContext, errors: list[str]) -> list[dict
                 "reference_s": round(ref_s, 5),
                 "vectorized_s": round(fast_s, 5),
                 "celf_s": round(celf_s, 5),
-                "eager_s": round(eager_s, 5),
                 "speedup": round(ref_s / max(fast_s, 1e-9), 2),
                 "identical": identical,
             }

@@ -66,11 +66,10 @@ for _entry in (str(_ROOT), str(_ROOT / "src")):
 import numpy as np
 
 from benchmarks.common import EPOCHS, SCALE, emit, emit_json
-from repro.core import FreeHGC
 from repro.datasets.base import NodeTypeSpec, RelationSpec, SyntheticHINConfig
 from repro.datasets.generators import generate_delta_schedule, generate_hin
-from repro.evaluation.pipeline import make_model_factory
 from repro.evaluation.timing import summarize_latencies
+from repro.runner.plan import ServeConfig
 from repro.serving import InferenceSession, ServingController, ServingServer
 
 SPEEDUP_FACTOR = 5.0
@@ -280,23 +279,18 @@ LOAD_SECONDS = float(os.environ.get("REPRO_BENCH_LOAD_SECONDS", "2.0"))
 GENESIS = {"benchmark": "bench_serving", "shape": "acm-serve", "seed": 7}
 
 
+#: the served deployment every phase builds; the graph is the bench's own
+#: ``acm-serve`` HIN, so the dataset name is only a label
+BENCH_SERVE = ServeConfig(
+    dataset="acm-serve", ratio=RATIO, max_hops=MAX_HOPS, model="heterosgc", epochs=EPOCHS
+)
+
+
 def _make_bench_controller(graph=None, canary=None) -> ServingController:
-    """The deterministic controller recipe shared by every tier process."""
+    """The deterministic controller shared by every tier process."""
     if graph is None:
         graph = generate_hin(serving_config(), scale=SCALE, seed=7)
-    return ServingController(
-        graph,
-        make_model_factory(
-            "heterosgc", hidden_dim=32, epochs=EPOCHS, max_hops=MAX_HOPS, seed=0
-        ),
-        model_name="heterosgc",
-        ratio=RATIO,
-        condenser=FreeHGC(max_hops=MAX_HOPS),
-        recondense_threshold=0.05,
-        seed=0,
-        cache_size=4096,
-        canary=canary,
-    )
+    return BENCH_SERVE.build_controller(graph, canary=canary)
 
 
 def _chaos_controller(graph=None) -> ServingController:
@@ -501,8 +495,10 @@ async def replicated_kill_phase(workers: int) -> dict:
     rng = np.random.default_rng(31)
     id_pool = rng.integers(0, num_targets, size=(1024, IDS_PER_REQUEST)).astype(np.int64)
 
-    async def request(method: str, path: str, payload: dict) -> tuple[int, dict]:
-        reader, writer = await asyncio.open_connection(host, port)
+    async def request(
+        method: str, path: str, payload: dict, *, to: tuple[str, int] = (host, port)
+    ) -> tuple[int, dict]:
+        reader, writer = await asyncio.open_connection(*to)
         body = json.dumps(payload).encode()
         writer.write(
             f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
@@ -559,7 +555,13 @@ async def replicated_kill_phase(workers: int) -> dict:
                 victim = server.pool._processes[1]
                 killed_pid = victim.pid
                 os.kill(victim.pid, _signal.SIGKILL)
-            status, payload = await request("POST", "/delta", delta.to_payload())
+            # Deltas go to the coordinator's loopback admin listener (the
+            # handler workers forward to): on the shared SO_REUSEPORT port
+            # the kernel can queue this connection on the just-killed
+            # worker's socket, which then resets it.
+            status, payload = await request(
+                "POST", "/delta", delta.to_payload(), to=("127.0.0.1", server.admin_port)
+            )
             if status != 200:
                 raise RuntimeError(f"delta {index} failed: {payload}")
             expected[payload["version"]] = snapshot()
@@ -1144,19 +1146,7 @@ def replicated_main(workers: int, phases: set[str], inject_faults: bool = False)
 def main() -> int:
     graph = generate_hin(serving_config(), scale=SCALE, seed=7)
     num_targets = graph.num_nodes[graph.schema.target_type]
-    factory = make_model_factory(
-        "heterosgc", hidden_dim=32, epochs=EPOCHS, max_hops=MAX_HOPS, seed=0
-    )
-    controller = ServingController(
-        graph,
-        factory,
-        model_name="heterosgc",
-        ratio=RATIO,
-        condenser=FreeHGC(max_hops=MAX_HOPS),
-        recondense_threshold=0.05,
-        seed=0,
-        cache_size=4096,
-    )
+    controller = _make_bench_controller(graph)
     start = time.perf_counter()
     controller.start()
     cold_seconds = time.perf_counter() - start

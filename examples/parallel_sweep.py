@@ -51,7 +51,7 @@ def main() -> None:
     resumed = execute_plan(plan, workers=4, store=store, progress=progress)
     assert all(outcome.cached for outcome in resumed)
 
-    rows = [outcome.evaluation.as_row() for outcome in outcomes]
+    rows = [outcome.result.as_row() for outcome in outcomes]
     print()
     print(format_table(rows, columns=sweep_columns(), title="Ratio sweep on ACM"))
     print(f"\nartifacts: {store.path}")

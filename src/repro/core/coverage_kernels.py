@@ -215,18 +215,16 @@ def greedy_max_coverage_packed(
     pool: np.ndarray,
     budget: int,
     *,
-    lazy: bool = True,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> CoverageResult:
     """Greedy max coverage over ``pool`` on a packed adjacency (Eq. 3).
 
-    ``lazy=True`` runs the *batched CELF* strategy: cached gains are upper
-    bounds (coverage is submodular, so gains only shrink), and each round the
-    top-``batch_size`` stale bounds that could still beat the best fresh
-    candidate are re-evaluated in one vectorized pass.  ``lazy=False``
-    re-evaluates every remaining candidate each round (one vectorized pass
-    per round).  Both return the exact greedy selection with deterministic
-    tie-breaking (highest current gain, then lowest node id).
+    The *batched CELF* strategy: cached gains are upper bounds (coverage is
+    submodular, so gains only shrink), and each round the top-``batch_size``
+    stale bounds that could still beat the best fresh candidate are
+    re-evaluated in one vectorized pass.  Returns the exact greedy
+    selection with deterministic tie-breaking (highest current gain, then
+    lowest node id).
     """
     pool = np.asarray(pool, dtype=np.int64)
     budget = int(min(budget, pool.size))
@@ -246,7 +244,6 @@ def greedy_max_coverage_packed(
         [],
         [],
         budget,
-        lazy=lazy,
         batch_size=batch_size,
         evaluations=int(candidates.size),
         round_id=0,
@@ -263,12 +260,11 @@ def _packed_greedy_loop(
     gains: list[float],
     budget: int,
     *,
-    lazy: bool,
     batch_size: int,
     evaluations: int,
     round_id: int,
 ) -> CoverageResult:
-    """Run the (batched-CELF / eager) greedy loop from an arbitrary state.
+    """Run the batched-CELF greedy loop from an arbitrary state.
 
     ``candidates`` must be sorted ascending (lowest-id tie-breaking relies
     on it) and ``upper`` must hold valid gain upper bounds — exact gains at
@@ -281,12 +277,9 @@ def _packed_greedy_loop(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     while len(selected) < budget and alive.any():
-        if round_id == 0 or not lazy:
-            # All bounds exact (round 0) or eagerly recomputed: plain argmax.
+        if round_id == 0:
+            # All bounds exact: plain argmax.
             remaining = np.flatnonzero(alive)
-            if round_id > 0:
-                upper[remaining] = packed.marginal_gains(candidates[remaining], covered)
-                evaluations += int(remaining.size)
             best_pos = int(remaining[np.argmax(upper[remaining])])
             best_gain = int(upper[best_pos])
         else:

@@ -39,14 +39,11 @@ __all__ = [
     "receptive_field_size",
 ]
 
-#: strategies accepted by :func:`greedy_max_coverage`
-_METHODS = ("auto", "decremental", "celf", "eager")
-
-#: mean receptive-field size above which ``method="auto"`` prefers batched
-#: CELF over the decremental kernel: the decremental update walks the full
-#: inverted index of every newly covered column (amortized O(nnz)), which
-#: loses to vectorized word-ops once rows are dense
-_AUTO_DENSITY_CUTOFF = 48.0
+#: mean receptive-field size above which :func:`greedy_max_coverage` uses
+#: batched CELF instead of the decremental kernel: the decremental update
+#: walks the full inverted index of every newly covered column (amortized
+#: O(nnz)), which loses to vectorized word-ops once rows are dense
+_DENSITY_CUTOFF = 48.0
 
 
 def receptive_field_size(
@@ -68,15 +65,16 @@ def greedy_max_coverage(
     pool: np.ndarray,
     budget: int,
     *,
-    lazy: bool = True,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    method: str = "auto",
 ) -> CoverageResult:
     """Greedy maximisation of ``|RF(S)|`` over candidates in ``pool`` (Eq. 3).
 
-    Every strategy returns the *identical* selection — highest current
-    marginal gain per round, ties broken by the lowest node id — so the
-    choice is purely about speed.
+    The kernel follows the input's density: the decremental inverted-index
+    kernel for sparse receptive fields, batched CELF for dense ones (mean
+    row size above ~48) or a packed adjacency built without its CSR.  Both
+    return the *identical* selection — highest current marginal gain per
+    round, ties broken by the lowest node id — so the choice is purely
+    about speed.
 
     Parameters
     ----------
@@ -94,20 +92,10 @@ def greedy_max_coverage(
         ``V_train`` of Algorithm 1).
     budget:
         Maximum number of nodes to select (``B`` in Eq. 2).
-    lazy:
-        Back-compat switch: ``lazy=False`` forces the eager strategy that
-        re-evaluates every remaining candidate each round.
     batch_size:
         Stale entries re-evaluated per vectorized pass by the batched CELF
-        strategy.
-    method:
-        ``"auto"`` (default) picks the decremental inverted-index kernel
-        for sparse receptive fields and batched CELF for dense ones (mean
-        row size above ~48) or packed-only input; ``"decremental"``,
-        ``"celf"`` and ``"eager"`` force a specific kernel.
+        kernel.
     """
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if isinstance(adjacency, PackedAdjacency):
         packed, csr = adjacency, adjacency.source
     elif sp.issparse(adjacency):
@@ -115,23 +103,8 @@ def greedy_max_coverage(
     else:
         packed, csr = None, sp.csr_matrix(np.asarray(adjacency))
 
-    if method == "auto":
-        if not lazy:
-            method = "eager"
-        elif csr is None:
-            method = "celf"
-        else:
-            mean_row_size = csr.nnz / max(csr.shape[0], 1)
-            method = "decremental" if mean_row_size <= _AUTO_DENSITY_CUTOFF else "celf"
-    if method == "decremental":
-        if csr is None:
-            raise ValueError(
-                "the decremental strategy needs a CSR adjacency; this "
-                "PackedAdjacency was built without one"
-            )
+    if csr is not None and csr.nnz / max(csr.shape[0], 1) <= _DENSITY_CUTOFF:
         return greedy_max_coverage_decremental(csr, pool, budget)
     if packed is None:
         packed = PackedAdjacency.from_csr_cached(csr)
-    return greedy_max_coverage_packed(
-        packed, pool, budget, lazy=(method != "eager"), batch_size=batch_size
-    )
+    return greedy_max_coverage_packed(packed, pool, budget, batch_size=batch_size)

@@ -169,7 +169,7 @@ def run_ratio_sweep(
     # behaviour) — don't require it to name a registered dataset.
     plan = plan_ratio_sweep(config, validate_dataset=graph is None)
     outcomes = execute_plan(plan, graph=graph, workers=workers, store=store, force=force)
-    return [outcome.evaluation for outcome in outcomes]
+    return [outcome.result for outcome in outcomes]
 
 
 def run_generalization_study(
@@ -220,5 +220,5 @@ def run_generalization_study(
     )
     plan = plan_generalization(config, validate_dataset=graph is None)
     outcomes = execute_plan(plan, graph=graph, workers=workers, store=store, force=force)
-    evaluations = {key: outcome.evaluation for key, outcome in zip(plan.keys(), outcomes)}
+    evaluations = {key: outcome.result for key, outcome in zip(plan.keys(), outcomes)}
     return assemble_generalization_rows(config, evaluations, plan=plan)

@@ -36,11 +36,8 @@ from repro.runner.gates import (
 from repro.runner.matrix import (
     MatrixCell,
     MatrixConfig,
-    MatrixOutcome,
-    MatrixPlan,
     consolidate,
     plan_matrix,
-    run_matrix,
     run_matrix_cell,
 )
 from repro.runner.plan import (
@@ -63,8 +60,6 @@ __all__ = [
     "GeneralizationConfig",
     "MatrixCell",
     "MatrixConfig",
-    "MatrixOutcome",
-    "MatrixPlan",
     "StreamConfig",
     "assemble_generalization_rows",
     "consolidate",
@@ -75,6 +70,5 @@ __all__ = [
     "plan_matrix",
     "plan_ratio_sweep",
     "read_baseline",
-    "run_matrix",
     "run_matrix_cell",
 ]

@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -62,7 +63,10 @@ from repro.evaluation.reporting import (
 from repro.evaluation.timing import Stopwatch
 from repro.runner.cache import ArtifactStore
 from repro.runner.executor import CellOutcome, execute_plan
+from repro.runner.gates import derive_matrix_gates
+from repro.runner.matrix import MatrixConfig, consolidate, plan_matrix
 from repro.runner.plan import (
+    ExperimentPlan,
     GeneralizationConfig,
     ServeConfig,
     StreamConfig,
@@ -88,22 +92,168 @@ def _csv_floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}: {exc}") from exc
 
 
+#: Every option that sets a config field, declared once and keyed by that
+#: field (its argparse ``dest``).  No default is written here:
+#: :func:`_add_options` reads each from the subcommand's config dataclass.
+_OPTIONS: dict[str, tuple[str, dict]] = {
+    # the experiment group, shared by every subcommand whose config has the field
+    "dataset": ("--dataset", dict(help="registered dataset name (see `list`)")),
+    "ratio": ("--ratio", dict(type=float, help="condensation ratio")),
+    "scale": ("--scale", dict(type=float, help="synthetic graph size multiplier")),
+    "seed": ("--seed", dict(type=int, help="schedule, condensation and training seed")),
+    "max_hops": ("--max-hops", dict(
+        type=int, metavar="K",
+        help="meta-path hop limit (default: the dataset's paper value, capped at 3)")),
+    "model": ("--model", dict(help="evaluation model trained on the condensed graph")),
+    "hidden_dim": ("--hidden-dim", dict(type=int, help="evaluation-model hidden dimension")),
+    "epochs": ("--epochs", dict(type=int, help="evaluation-model training epochs")),
+    "recondense_threshold": ("--recondense-threshold", dict(
+        type=float, help="edge fraction above which a step recondenses from scratch")),
+    # trials
+    "seeds": ("--seeds", dict(type=int, metavar="N", help="repeated trials per cell")),
+    "base_seed": ("--base-seed", dict(type=int, help="root random seed")),
+    "fast_optimization": ("--paper-loops", dict(
+        action="store_false",
+        help="use paper-scale optimisation loops for GCond/HGCond (slow)")),
+    "methods": ("--methods", dict(type=_csv, metavar="M1,M2,...", help="condenser names")),
+    "models": ("--models", dict(type=_csv, metavar="M1,M2,...", help="evaluation models")),
+    "include_whole": ("--no-whole", dict(
+        action="store_false", help="skip the whole-graph reference row")),
+    # delta replay
+    "steps": ("--steps", dict(type=int, help="delta steps to replay")),
+    "verify_every": ("--verify-every", dict(
+        type=int, metavar="N",
+        help="every N steps, recondense fully and check the incremental result is "
+             "byte-identical; 0 checks never in stream, the final step in matrix")),
+    "eval_every": ("--eval-every", dict(
+        type=int, metavar="N",
+        help="every N steps, train a model on the condensed graph and report "
+             "full-graph test accuracy (0 = off)")),
+    "edge_churn": ("--edge-churn", dict(
+        type=float, help="per-step churned edge fraction per relation")),
+    "relations": ("--relations", dict(
+        type=_csv, metavar="R1,R2,...", help="relations to churn (default: all)")),
+    "node_arrival_every": ("--arrivals-every", dict(
+        type=int, metavar="N", help="insert nodes every N steps (0 = disabled)")),
+    "arrival_count": ("--arrival-count", dict(
+        type=int, help="nodes inserted per type per arrival step")),
+    "removal_every": ("--removals-every", dict(
+        type=int, metavar="N", help="tombstone nodes every N steps (0 = disabled)")),
+    "removal_count": ("--removal-count", dict(
+        type=int, help="nodes tombstoned per type per removal step")),
+    # serving
+    "host": ("--host", dict(help="bind address")),
+    "port": ("--port", dict(type=int, help="TCP port; 0 picks an ephemeral port")),
+    "cache_size": ("--cache-size", dict(
+        type=int, help="LRU prediction-cache capacity, 0 disables")),
+    "max_batch": ("--max-batch", dict(type=int, help="micro-batch flush size")),
+    "batch_window_ms": ("--batch-window-ms", dict(
+        type=float, help="micro-batch flush window in ms")),
+    "bundle_store": ("--bundle-store", dict(
+        metavar="DIR",
+        help="published-version store: warm-start from the stored bundle and "
+             "publish one after cold start and every retrain")),
+    "workers": ("--workers", dict(
+        type=int, metavar="N",
+        help="run the replicated tier: N predictor worker processes sharing the "
+             "port via SO_REUSEPORT, plus a coordinator owning all writes "
+             "(0 = single process)")),
+    "wal": ("--wal", dict(
+        metavar="PATH",
+        help="write-ahead log file for the replicated tier; its parent directory "
+             "holds published model versions, snapshots and the shared metrics "
+             "board (required when --workers > 0)")),
+    "snapshot_every": ("--snapshot-every", dict(
+        type=int, metavar="N",
+        help="checkpoint a model snapshot into the WAL every N committed deltas, "
+             "bounding replay time after a crash (0 = never, replay from genesis)")),
+    "max_pending": ("--max-pending", dict(
+        type=int, metavar="N",
+        help="per-process admission limit: shed /predict with 429 beyond N "
+             "in-flight requests (0 = unbounded)")),
+    "max_body_bytes": ("--max-body-bytes", dict(
+        type=int, help="reject request bodies larger than this with 413")),
+    # matrix axes
+    "datasets": ("--datasets", dict(
+        type=_csv, metavar="D1,D2,...", help="registered dataset names")),
+    "scales": ("--scales", dict(
+        type=_csv_floats, metavar="S1,S2,...", help="graph size multipliers")),
+    "regimes": ("--regimes", dict(
+        type=_csv, metavar="R1,R2,...", help="churn regimes")),
+    "loads": ("--loads", dict(
+        type=_csv, metavar="L1,L2,...", help="serving loads: none, light, heavy")),
+    "inject_faults": ("--inject-faults", dict(
+        action="store_true",
+        help="install the deterministic fault injector in serving-load cells")),
+}
+
+#: the experiment group: every subcommand takes the ones its config has
+_EXPERIMENT = (
+    "dataset", "ratio", "scale", "seed", "max_hops", "model", "hidden_dim",
+    "epochs", "recondense_threshold",
+)
+
+#: the output group, not config-backed
+_OUTPUT_OPTIONS: dict[str, tuple[str, dict]] = {
+    "markdown": ("--markdown", dict(action="store_true", help="render a Markdown table")),
+    "no_timings": ("--no-timings", dict(
+        action="store_true", help="omit wall-clock columns (byte-stable across runs)")),
+    "output": ("--output", dict(metavar="PATH", help="also write the table to PATH")),
+    "quiet": ("--quiet", dict(action="store_true", help="suppress progress lines")),
+}
+
+
+def _add_options(parser, title: str, config: type, names: Sequence[str]):
+    """Add the named :data:`_OPTIONS` of ``config`` as one argument group.
+
+    A field without a default makes its option required; otherwise the
+    field's default is the option's, shown in the help.
+    """
+    group = parser.add_argument_group(title)
+    defaults = {spec.name: spec.default for spec in fields(config)}
+    for name in names:
+        flag, kwargs = _OPTIONS[name]
+        kwargs = dict(kwargs, dest=name)
+        if defaults[name] is MISSING:
+            kwargs["required"] = True
+        else:
+            kwargs["default"] = defaults[name]
+            if defaults[name] is not None and "action" not in kwargs:
+                kwargs["help"] += " (default: %(default)s)"
+        group.add_argument(flag, **kwargs)
+    return group
+
+
+def _add_experiment_options(parser, config: type, *extra: str):
+    """The experiment group: the shared options ``config`` has, then ``extra``."""
+    names = {spec.name for spec in fields(config)}
+    return _add_options(
+        parser, "experiment", config, [n for n in _EXPERIMENT if n in names] + list(extra)
+    )
+
+
+def _add_output_options(parser, names: Sequence[str] = tuple(_OUTPUT_OPTIONS)) -> None:
+    out = parser.add_argument_group("output")
+    for name in names:
+        flag, kwargs = _OUTPUT_OPTIONS[name]
+        out.add_argument(flag, **kwargs)
+
+
+def _add_store_option(group) -> None:
+    group.add_argument("--store", default="runs", metavar="DIR",
+                       help="artifact store directory (default: %(default)s)")
+
+
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     run = parser.add_argument_group("run control")
     run.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="worker processes (default: 1, serial)")
-    run.add_argument("--store", default="runs", metavar="DIR",
-                     help="artifact store directory (default: ./runs)")
+                     help="worker processes (default: %(default)s, serial)")
+    _add_store_option(run)
     run.add_argument("--no-store", action="store_true",
                      help="disable the artifact store (no caching, no resume)")
     run.add_argument("--force", action="store_true",
                      help="re-run cells even when the store already has them")
-    run.add_argument("--quiet", action="store_true", help="suppress per-cell progress lines")
-    out = parser.add_argument_group("output")
-    out.add_argument("--markdown", action="store_true", help="render a Markdown table")
-    out.add_argument("--no-timings", action="store_true",
-                     help="omit wall-clock columns (byte-stable across runs)")
-    out.add_argument("--output", metavar="PATH", help="also write the table to PATH")
+    _add_output_options(parser)
 
 
 def _add_trace_option(parser: argparse.ArgumentParser) -> None:
@@ -112,24 +262,6 @@ def _add_trace_option(parser: argparse.ArgumentParser) -> None:
         help="record a span-tree trace of this run to PATH (JSONL; inspect "
              "with `python -m repro trace report PATH`)",
     )
-
-
-def _add_experiment_options(parser: argparse.ArgumentParser, *, default_seeds: int) -> None:
-    exp = parser.add_argument_group("experiment")
-    exp.add_argument("--dataset", required=True, help="registered dataset name (see `list`)")
-    exp.add_argument("--scale", type=float, default=0.35,
-                     help="synthetic graph size multiplier (default: 0.35)")
-    exp.add_argument("--seeds", type=int, default=default_seeds, metavar="N",
-                     help=f"repeated trials per cell (default: {default_seeds})")
-    exp.add_argument("--base-seed", type=int, default=0, help="root random seed (default: 0)")
-    exp.add_argument("--hidden-dim", type=int, default=32,
-                     help="evaluation-model hidden dimension (default: 32)")
-    exp.add_argument("--epochs", type=int, default=80,
-                     help="evaluation-model training epochs (default: 80)")
-    exp.add_argument("--max-hops", type=int, default=None, metavar="K",
-                     help="meta-path hop limit (default: the dataset's paper value, capped at 3)")
-    exp.add_argument("--paper-loops", action="store_true",
-                     help="use paper-scale optimisation loops for GCond/HGCond (slow)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,14 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="Table III ratio sweep: (method, ratio) grid + whole-graph reference",
     )
-    _add_experiment_options(sweep, default_seeds=2)
-    sweep.add_argument("--ratios", type=_csv_floats, default=None, metavar="R1,R2,...",
-                       help="condensation ratios (default: the dataset's paper ratios)")
-    sweep.add_argument("--methods", type=_csv, default=("random-hg", "herding-hg", "hgcond", "freehgc"),
-                       metavar="M1,M2,...", help="condenser names (default: random-hg,herding-hg,hgcond,freehgc)")
-    sweep.add_argument("--model", default="sehgnn", help="evaluation model (default: sehgnn)")
-    sweep.add_argument("--no-whole", action="store_true",
-                       help="skip the whole-graph reference row")
+    exp = _add_experiment_options(
+        sweep, ExperimentConfig,
+        "seeds", "base_seed", "fast_optimization", "methods", "include_whole",
+    )
+    exp.add_argument("--ratios", type=_csv_floats, default=None, metavar="R1,R2,...",
+                     help="condensation ratios (default: the dataset's paper ratios)")
     _add_run_options(sweep)
     _add_trace_option(sweep)
     sweep.set_defaults(func=_cmd_sweep)
@@ -160,12 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
         "generalize",
         help="Table IV grid: each method's condensed graph trains every model",
     )
-    _add_experiment_options(generalize, default_seeds=1)
-    generalize.add_argument("--ratio", type=float, required=True, help="condensation ratio")
-    generalize.add_argument("--methods", type=_csv, default=("herding-hg", "hgcond", "freehgc"),
-                            metavar="M1,M2,...", help="condenser names (default: herding-hg,hgcond,freehgc)")
-    generalize.add_argument("--models", type=_csv, default=("hgb", "hgt", "han", "sehgnn"),
-                            metavar="M1,M2,...", help="evaluation models (default: hgb,hgt,han,sehgnn)")
+    _add_experiment_options(
+        generalize, GeneralizationConfig,
+        "seeds", "base_seed", "fast_optimization", "methods", "models",
+    )
     _add_run_options(generalize)
     generalize.set_defaults(func=_cmd_generalize)
 
@@ -173,48 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
         "stream",
         help="replay an evolving-graph delta schedule through incremental condensation",
     )
-    exp = stream.add_argument_group("experiment")
-    exp.add_argument("--dataset", required=True, help="registered dataset name (see `list`)")
-    exp.add_argument("--ratio", type=float, required=True, help="condensation ratio")
-    exp.add_argument("--steps", type=int, default=20, help="delta steps to replay (default: 20)")
-    exp.add_argument("--scale", type=float, default=0.35,
-                     help="synthetic graph size multiplier (default: 0.35)")
-    exp.add_argument("--seed", type=int, default=0, help="schedule + condensation seed (default: 0)")
-    exp.add_argument("--max-hops", type=int, default=None, metavar="K",
-                     help="meta-path hop limit (default: the dataset's paper value, capped at 3)")
-    sched = stream.add_argument_group("delta schedule")
-    sched.add_argument("--edge-churn", type=float, default=0.002,
-                       help="per-step churned edge fraction per relation (default: 0.002)")
-    sched.add_argument("--relations", type=_csv, default=None, metavar="R1,R2,...",
-                       help="relations to churn (default: all)")
-    sched.add_argument("--arrivals-every", type=int, default=0, metavar="N",
-                       help="insert nodes every N steps (default: 0, disabled)")
-    sched.add_argument("--arrival-count", type=int, default=4,
-                       help="nodes inserted per type per arrival step (default: 4)")
-    sched.add_argument("--removals-every", type=int, default=0, metavar="N",
-                       help="tombstone nodes every N steps (default: 0, disabled)")
-    sched.add_argument("--removal-count", type=int, default=2,
-                       help="nodes tombstoned per type per removal step (default: 2)")
-    cond = stream.add_argument_group("condensation")
-    cond.add_argument("--recondense-threshold", type=float, default=0.05,
-                      help="edge fraction above which a step recondenses from "
-                           "scratch (default: 0.05)")
-    cond.add_argument("--verify-every", type=int, default=0, metavar="N",
-                      help="every N steps, recondense fully and assert the "
-                           "incremental result is byte-identical (default: 0, off)")
-    cond.add_argument("--eval-every", type=int, default=0, metavar="N",
-                      help="every N steps, train a model on the condensed graph "
-                           "and report full-graph test accuracy (default: 0, off)")
-    cond.add_argument("--model", default="heterosgc",
-                      help="evaluation model for --eval-every (default: heterosgc)")
-    cond.add_argument("--hidden-dim", type=int, default=32)
-    cond.add_argument("--epochs", type=int, default=40)
-    out = stream.add_argument_group("output")
-    out.add_argument("--markdown", action="store_true", help="render a Markdown table")
-    out.add_argument("--no-timings", action="store_true",
-                     help="omit wall-clock columns (byte-stable across runs)")
-    out.add_argument("--output", metavar="PATH", help="also write the table to PATH")
-    out.add_argument("--quiet", action="store_true", help="suppress per-step progress lines")
+    _add_experiment_options(stream, StreamConfig, "steps", "verify_every", "eval_every")
+    _add_options(stream, "delta schedule", StreamConfig, (
+        "edge_churn", "relations", "node_arrival_every", "arrival_count",
+        "removal_every", "removal_count",
+    ))
+    _add_output_options(stream)
     _add_trace_option(stream)
     stream.set_defaults(func=_cmd_stream)
 
@@ -222,61 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="online inference endpoint with micro-batching and hot-swap on deltas",
     )
-    exp = serve.add_argument_group("experiment")
-    exp.add_argument("--dataset", required=True, help="registered dataset name (see `list`)")
-    exp.add_argument("--ratio", type=float, required=True, help="condensation ratio")
-    exp.add_argument("--scale", type=float, default=0.35,
-                     help="synthetic graph size multiplier (default: 0.35)")
-    exp.add_argument("--seed", type=int, default=0, help="condensation + training seed (default: 0)")
-    exp.add_argument("--max-hops", type=int, default=None, metavar="K",
-                     help="meta-path hop limit (default: the dataset's paper value, capped at 3)")
-    exp.add_argument("--model", default="heterosgc",
-                     help="served evaluation model (default: heterosgc)")
-    exp.add_argument("--hidden-dim", type=int, default=32)
-    exp.add_argument("--epochs", type=int, default=80)
-    srv = serve.add_argument_group("serving")
-    srv.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
-    srv.add_argument("--port", type=int, default=8765,
-                     help="TCP port; 0 picks an ephemeral port (default: 8765)")
-    srv.add_argument("--cache-size", type=int, default=4096,
-                     help="LRU prediction-cache capacity, 0 disables (default: 4096)")
-    srv.add_argument("--max-batch", type=int, default=256,
-                     help="micro-batch flush size (default: 256)")
-    srv.add_argument("--batch-window-ms", type=float, default=2.0,
-                     help="micro-batch flush window in ms (default: 2.0)")
-    srv.add_argument("--recondense-threshold", type=float, default=0.05,
-                     help="edge fraction above which a delta recondenses from "
-                          "scratch (default: 0.05)")
-    srv.add_argument("--bundle-store", default=None, metavar="DIR",
-                     help="published-version store: warm-start from the stored "
-                          "bundle and publish one after cold start and every "
-                          "retrain")
-    rep = serve.add_argument_group("replication")
-    rep.add_argument("--workers", type=int, default=0, metavar="N",
-                     help="run the replicated tier: N predictor worker "
-                          "processes sharing the port via SO_REUSEPORT, plus "
-                          "a coordinator owning all writes (0 = single "
-                          "process, the default)")
-    rep.add_argument("--wal", default=None, metavar="PATH",
-                     help="write-ahead log file for the replicated tier; its "
-                          "parent directory holds published model versions, "
-                          "snapshots and the shared metrics board (required "
-                          "when --workers > 0)")
-    rep.add_argument("--snapshot-every", type=int, default=0, metavar="N",
-                     help="checkpoint a model snapshot into the WAL every N "
-                          "committed deltas, bounding replay time after a "
-                          "crash (0 = never, replay from genesis)")
-    rep.add_argument("--max-pending", type=int, default=0, metavar="N",
-                     help="per-process admission limit: shed /predict with "
-                          "429 beyond N in-flight requests (0 = unbounded)")
-    rep.add_argument("--max-body-bytes", type=int, default=16 * 1024 * 1024,
-                     help="reject request bodies larger than this with 413 "
-                          "(default: 16 MiB)")
+    _add_experiment_options(serve, ServeConfig)
+    srv = _add_options(serve, "serving", ServeConfig, (
+        "host", "port", "cache_size", "max_batch", "batch_window_ms", "bundle_store",
+    ))
     srv.add_argument("--selftest", type=int, default=0, metavar="STEPS",
                      help="do not serve: replay STEPS deltas against an "
                           "in-process server under concurrent load, verify "
                           "every response, then exit (0 = disabled)")
-    srv.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    _add_options(serve, "replication", ServeConfig, (
+        "workers", "wal", "snapshot_every", "max_pending", "max_body_bytes",
+    ))
+    _add_output_options(serve, ("quiet",))
     _add_trace_option(serve)
     serve.set_defaults(func=_cmd_serve)
 
@@ -284,36 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
         "matrix",
         help="run the scenario matrix: datasets x scales x churn regimes x loads",
     )
-    grid = matrix.add_argument_group("matrix axes")
-    grid.add_argument("--datasets", type=_csv, default=("acm",), metavar="D1,D2,...",
-                      help="registered dataset names (default: acm)")
-    grid.add_argument("--scales", type=_csv_floats, default=(0.1,), metavar="S1,S2,...",
-                      help="graph size multipliers (default: 0.1)")
-    grid.add_argument("--regimes", type=_csv, default=None, metavar="R1,R2,...",
-                      help="churn regimes (default: steady + every adversarial regime)")
-    grid.add_argument("--loads", type=_csv, default=("none",), metavar="L1,L2,...",
-                      help="serving loads: none, light, heavy (default: none)")
-    exp = matrix.add_argument_group("per-cell experiment")
-    exp.add_argument("--steps", type=int, default=4, help="delta steps per cell (default: 4)")
-    exp.add_argument("--ratio", type=float, default=0.2, help="condensation ratio (default: 0.2)")
-    exp.add_argument("--seed", type=int, default=0, help="schedule + condensation seed (default: 0)")
-    exp.add_argument("--max-hops", type=int, default=None, metavar="K",
-                     help="meta-path hop limit (default: the dataset's paper value, capped at 3)")
-    exp.add_argument("--recondense-threshold", type=float, default=0.05,
-                     help="edge fraction above which a step recondenses from scratch "
-                          "(default: 0.05)")
-    exp.add_argument("--verify-every", type=int, default=0, metavar="N",
-                     help="verify byte-identity every N steps (default: 0, final step only)")
-    exp.add_argument("--model", default="heterosgc",
-                     help="serving model for load cells (default: heterosgc)")
-    exp.add_argument("--hidden-dim", type=int, default=16)
-    exp.add_argument("--epochs", type=int, default=15)
-    exp.add_argument("--inject-faults", action="store_true",
-                     help="install the deterministic fault injector in serving-load cells")
+    _add_options(matrix, "matrix axes", MatrixConfig, ("datasets", "scales", "regimes", "loads"))
+    _add_experiment_options(matrix, MatrixConfig, "steps", "verify_every", "inject_faults")
     gating = matrix.add_argument_group("regression gates")
     gating.add_argument("--baselines", default=".", metavar="DIR",
                         help="directory holding the committed BENCH_*.json baselines "
-                             "(default: .)")
+                             "(default: %(default)s)")
     gating.add_argument("--no-gates", action="store_true",
                         help="skip baseline-derived regression gates")
     _add_run_options(matrix)
@@ -321,15 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.set_defaults(func=_cmd_matrix)
 
     report = sub.add_parser("report", help="render stored artifacts as a table, running nothing")
-    report.add_argument("--store", default="runs", metavar="DIR",
-                        help="artifact store directory (default: ./runs)")
+    _add_store_option(report)
     report.add_argument("--dataset", default=None, help="only rows for this dataset")
-    report.add_argument("--markdown", action="store_true", help="render a Markdown table")
-    report.add_argument("--no-timings", action="store_true",
-                        help="omit wall-clock columns (byte-stable across runs)")
-    report.add_argument("--output", metavar="PATH", help="also write the table to PATH")
+    _add_output_options(report, ("markdown", "no_timings", "output"))
     report.set_defaults(func=_cmd_report)
-
     lint = sub.add_parser(
         "lint",
         help="run the repo-invariant static-analysis pass (reprolint)",
@@ -376,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record", help="run another repro command with tracing enabled"
     )
     record.add_argument("--out", default="trace.jsonl", metavar="PATH",
-                        help="trace JSONL output file (default: trace.jsonl)")
+                        help="trace JSONL output file (default: %(default)s)")
     record.add_argument("--trace-id", default=None,
                         help="trace id (default: derived from the recorded command)")
     record.add_argument("--profile", action="store_true",
@@ -413,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
             "all", "datasets", "condensers", "models",
             "target-stages", "other-stages", "serving", "lint",
         ),
-        help="which registry to list (default: all)",
+        help="which registry to list (default: %(default)s)",
     )
     list_cmd.add_argument(
         "--json",
@@ -558,10 +578,11 @@ def _cmd_trace_flame(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_store(args: argparse.Namespace) -> ArtifactStore | None:
-    if getattr(args, "no_store", False):
-        return None
-    return ArtifactStore(args.store)
+def _config(cls: type, args: argparse.Namespace, **values: object):
+    """Build config ``cls`` from the parsed options named like its fields;
+    ``values`` take precedence."""
+    names = {spec.name for spec in fields(cls)}
+    return cls(**{**{k: v for k, v in vars(args).items() if k in names}, **values})
 
 
 def _render(rows: Sequence[dict], args: argparse.Namespace, *, title: str,
@@ -578,50 +599,31 @@ def _render(rows: Sequence[dict], args: argparse.Namespace, *, title: str,
     return text
 
 
-def _summarize(outcomes: list[CellOutcome], watch: Stopwatch, quiet: bool) -> None:
-    if quiet:
-        return
-    cached = sum(1 for o in outcomes if o.cached)
-    executed = len(outcomes) - cached
-    print(
-        f"{len(outcomes)} cells: {cached} cached, {executed} executed "
-        f"in {watch.get('run'):.2f}s\n"
-    )
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    ratios = args.ratios
-    if ratios is None:
-        entry = registry.datasets.get(args.dataset)
-        ratios = tuple(entry.paper_ratios)
-    config = ExperimentConfig(
-        dataset=args.dataset,
-        ratios=ratios,
-        methods=args.methods,
-        model=args.model,
-        scale=args.scale,
-        seeds=args.seeds,
-        base_seed=args.base_seed,
-        hidden_dim=args.hidden_dim,
-        epochs=args.epochs,
-        max_hops=args.max_hops,
-        include_whole=not args.no_whole,
-        fast_optimization=not args.paper_loops,
-    )
-    plan = plan_ratio_sweep(config)
+def _run_plan(plan: ExperimentPlan, args: argparse.Namespace) -> list[CellOutcome]:
+    """Execute ``plan`` under the run-control options and print the summary."""
     watch = Stopwatch()
     with watch.measure("run"):
         outcomes = execute_plan(
             plan,
             workers=args.workers,
-            store=_resolve_store(args),
+            store=None if args.no_store else args.store,
             force=args.force,
             progress=_progress_printer(args.quiet),
         )
-    _summarize(outcomes, watch, args.quiet)
-    rows = [outcome.evaluation.as_row() for outcome in outcomes]
+    if not args.quiet:
+        cached = sum(1 for o in outcomes if o.cached)
+        print(
+            f"{len(outcomes)} cells: {cached} cached, {len(outcomes) - cached} executed "
+            f"in {watch.get('run'):.2f}s\n"
+        )
+    return outcomes
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    ratios = args.ratios or tuple(registry.datasets.get(args.dataset).paper_ratios)
+    outcomes = _run_plan(plan_ratio_sweep(_config(ExperimentConfig, args, ratios=ratios)), args)
     _render(
-        rows,
+        [outcome.result.as_row() for outcome in outcomes],
         args,
         title=f"Ratio sweep — {args.dataset} ({args.model} test model)",
         columns=sweep_columns(include_timings=not args.no_timings),
@@ -630,31 +632,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_generalize(args: argparse.Namespace) -> int:
-    config = GeneralizationConfig(
-        dataset=args.dataset,
-        ratio=args.ratio,
-        methods=args.methods,
-        models=args.models,
-        scale=args.scale,
-        seeds=args.seeds,
-        base_seed=args.base_seed,
-        hidden_dim=args.hidden_dim,
-        epochs=args.epochs,
-        max_hops=args.max_hops,
-        fast_optimization=not args.paper_loops,
-    )
+    config = _config(GeneralizationConfig, args)
     plan = plan_generalization(config)
-    watch = Stopwatch()
-    with watch.measure("run"):
-        outcomes = execute_plan(
-            plan,
-            workers=args.workers,
-            store=_resolve_store(args),
-            force=args.force,
-            progress=_progress_printer(args.quiet),
-        )
-    _summarize(outcomes, watch, args.quiet)
-    evaluations = {key: o.evaluation for key, o in zip(plan.keys(), outcomes)}
+    outcomes = _run_plan(plan, args)
+    evaluations = {key: o.result for key, o in zip(plan.keys(), outcomes)}
     rows = assemble_generalization_rows(config, evaluations, plan=plan)
     _render(
         rows,
@@ -673,26 +654,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.evaluation.protocol import train_on_condensed
     from repro.streaming import IncrementalCondenser, graphs_equal
 
-    config = StreamConfig(
-        dataset=args.dataset,
-        ratio=args.ratio,
-        steps=args.steps,
-        scale=args.scale,
-        seed=args.seed,
-        max_hops=args.max_hops,
-        edge_churn=args.edge_churn,
-        relations=args.relations,
-        node_arrival_every=args.arrivals_every,
-        arrival_count=args.arrival_count,
-        removal_every=args.removals_every,
-        removal_count=args.removal_count,
-        recondense_threshold=args.recondense_threshold,
-        verify_every=args.verify_every,
-        eval_every=args.eval_every,
-        model=args.model,
-        hidden_dim=args.hidden_dim,
-        epochs=args.epochs,
-    )
+    config = _config(StreamConfig, args)
     entry = registry.datasets.get(config.dataset)
     graph = entry.loader(scale=config.scale, seed=config.seed)
     max_hops = config.resolved_max_hops()
@@ -828,50 +790,13 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     import json as _json
-    from pathlib import Path
 
-    from repro.datasets.adversarial import churn_regimes
-    from repro.runner.gates import derive_matrix_gates
-    from repro.runner.matrix import (
-        MatrixConfig,
-        consolidate,
-        plan_matrix,
-        run_matrix,
-    )
-
-    config = MatrixConfig(
-        datasets=args.datasets,
-        scales=args.scales,
-        regimes=args.regimes if args.regimes is not None else churn_regimes(),
-        loads=args.loads,
-        steps=args.steps,
-        ratio=args.ratio,
-        seed=args.seed,
-        max_hops=args.max_hops,
-        recondense_threshold=args.recondense_threshold,
-        verify_every=args.verify_every,
-        hidden_dim=args.hidden_dim,
-        epochs=args.epochs,
-        model=args.model,
-        inject_faults=args.inject_faults,
-    )
-    plan = plan_matrix(config)
-    store = _resolve_store(args)
+    plan = plan_matrix(_config(MatrixConfig, args))
     gates = () if args.no_gates else derive_matrix_gates(args.baselines)
     if not args.quiet:
         print(f"matrix: {len(plan)} cells ({plan.description}), "
               f"{len(gates)} baseline gates", flush=True)
-    watch = Stopwatch()
-    with watch.measure("run"):
-        outcomes = run_matrix(
-            plan,
-            store=store,
-            workers=args.workers,
-            force=args.force,
-            progress=_progress_printer(args.quiet),
-        )
-    _summarize(outcomes, watch, args.quiet)
-    report = consolidate(outcomes, gates)
+    report = consolidate(_run_plan(plan, args), gates)
 
     rows = []
     for entry in report["cells"]:
@@ -911,8 +836,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         title=f"Scenario matrix — {len(plan)} cells",
         columns=[c for c in columns if any(str(row.get(c, "")) for row in rows)],
     )
-    if store is not None:
-        report_path = Path(store.root) / "matrix_report.json"
+    if not args.no_store:
+        report_path = Path(args.store) / "matrix_report.json"
         report_path.write_text(_json.dumps(report, indent=2, sort_keys=True) + "\n")
         if not args.quiet:
             print(f"wrote {report_path}")
@@ -931,33 +856,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.core.condenser import FreeHGC
-    from repro.errors import ServingError
-    from repro.evaluation.pipeline import make_model_factory
-    from repro.serving import ServingController, ServingServer, artifacts
+    from repro.serving import ServingServer
+    from repro.serving.artifacts import BundleLineage
 
-    config = ServeConfig(
-        dataset=args.dataset,
-        ratio=args.ratio,
-        scale=args.scale,
-        seed=args.seed,
-        max_hops=args.max_hops,
-        model=args.model,
-        hidden_dim=args.hidden_dim,
-        epochs=args.epochs,
-        recondense_threshold=args.recondense_threshold,
-        cache_size=args.cache_size,
-        max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
-        host=args.host,
-        port=args.port,
-        bundle_store=args.bundle_store,
-        workers=args.workers,
-        wal=args.wal,
-        snapshot_every=args.snapshot_every,
-        max_pending=args.max_pending,
-        max_body_bytes=args.max_body_bytes,
-    )
+    config = _config(ServeConfig, args)
 
     def log(message: str) -> None:
         if not args.quiet:
@@ -968,71 +870,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise ReproError("--selftest runs in-process; drop --workers")
         return _serve_replicated(config, log)
 
-    entry = registry.datasets.get(config.dataset)
-    graph = entry.loader(scale=config.scale, seed=config.seed)
-    max_hops = config.resolved_max_hops()
-    factory = make_model_factory(
-        config.model,
-        hidden_dim=config.hidden_dim,
-        epochs=config.epochs,
-        max_hops=max_hops,
-        seed=config.seed,
+    controller = config.build_controller()
+    lineage = BundleLineage(
+        config.bundle_store,
+        config.bundle_key(),
+        controller,
+        metadata={"dataset": config.dataset, "ratio": config.ratio, "seed": config.seed},
+        log=log,
     )
-    controller = ServingController(
-        graph,
-        factory,
-        model_name=registry.models.canonical(config.model),
-        ratio=config.ratio,
-        condenser=FreeHGC(max_hops=max_hops),
-        recondense_threshold=config.recondense_threshold,
-        seed=config.seed,
-        cache_size=config.cache_size,
-    )
-    # Each bundle key owns one lineage of published version dirs; its
-    # version numbers only ever grow, so no run overwrites an earlier one.
-    key = config.bundle_key()
-    lineage = artifacts.lineage_dir(config.bundle_store, key) if config.bundle_store else None
-    published = artifacts.published_versions(lineage) if lineage is not None else []
-    warm_bundle = None
-    if published:
-        try:
-            stored_version, vdir = artifacts.current_version(lineage)
-            artifacts.verify_version_dir(vdir)
-            warm_bundle = artifacts.published_bundle(vdir)
-        except ServingError as exc:
-            log(f"stored bundle unusable ({exc}); starting cold")
-
     log(f"condensing {config.dataset} @ ratio {config.ratio:g} and training {config.model}...")
-    controller.start(warm_bundle=warm_bundle)
-    if controller.warm_started:
-        controller.adopt_version(stored_version)
-        log("warm-started from stored bundle")
-    else:
-        if published:
-            controller.adopt_version(published[0][0] + 1)
-        log("cold start: trained a fresh model")
-
-    def persist(swap_report=None) -> None:
-        if lineage is None:
-            return
-        if swap_report is not None and not swap_report.retrained:
-            return  # unchanged weights: the stored version is still current
-        metadata = {"dataset": config.dataset, "ratio": config.ratio, "seed": config.seed}
-        if swap_report is not None:
-            metadata["step"] = swap_report.step
-        version = controller.version
-        artifacts.publish_version(
-            lineage,
-            version=version,
-            bundle=controller.export_bundle(metadata=metadata),
-            logits=controller.session._logits,
-        )
-        artifacts.set_current(lineage, version)
-        log(f"persisted bundle {key!r} version {version}")
-
-    if not controller.warm_started:
-        persist()
-
+    lineage.start()
     server = ServingServer(
         controller,
         host=config.host,
@@ -1041,7 +888,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batch_window_seconds=config.batch_window_ms / 1e3,
         # selftest deltas are synthetic: persisting their bundles would
         # shadow the cold-start bundle the next deployment warm-starts from
-        on_swap=None if args.selftest else persist,
+        on_swap=None if args.selftest else lineage.persist,
     )
     if args.selftest:
         return asyncio.run(_serve_selftest(server, controller, config, args.selftest, log))
@@ -1070,64 +917,12 @@ def _serve_replicated(config: ServeConfig, log) -> int:
     model versions, all sharing ``config.port`` via ``SO_REUSEPORT``.
     """
     import asyncio
-    from pathlib import Path
 
-    from repro.core.condenser import FreeHGC
-    from repro.evaluation.pipeline import make_model_factory
-    from repro.serving import ServingController
-    from repro.serving.replicated import ReplicatedConfig, ReplicatedServer
-
-    entry = registry.datasets.get(config.dataset)
-    max_hops = config.resolved_max_hops()
-
-    def make_controller(graph=None):
-        if graph is None:
-            graph = entry.loader(scale=config.scale, seed=config.seed)
-        return ServingController(
-            graph,
-            make_model_factory(
-                config.model,
-                hidden_dim=config.hidden_dim,
-                epochs=config.epochs,
-                max_hops=max_hops,
-                seed=config.seed,
-            ),
-            model_name=registry.models.canonical(config.model),
-            ratio=config.ratio,
-            condenser=FreeHGC(max_hops=max_hops),
-            recondense_threshold=config.recondense_threshold,
-            seed=config.seed,
-            cache_size=config.cache_size,
-        )
-
-    wal_path = Path(config.wal)
-    genesis = {
-        "dataset": config.dataset,
-        "scale": config.scale,
-        "seed": config.seed,
-        "ratio": config.ratio,
-        "model": config.model,
-        "hidden_dim": config.hidden_dim,
-        "epochs": config.epochs,
-        "max_hops": max_hops,
-    }
-    replicated = ReplicatedConfig(
-        root=wal_path.parent,
-        wal_filename=wal_path.name,
-        host=config.host,
-        port=config.port,
-        workers=config.workers,
-        snapshot_every=config.snapshot_every,
-        max_pending=config.max_pending,
-        max_body_bytes=config.max_body_bytes,
-        cache_size=config.cache_size,
-        max_batch=config.max_batch,
-        batch_window_seconds=config.batch_window_ms / 1e3,
-    )
-    server = ReplicatedServer(make_controller, config=replicated, genesis=genesis)
+    server = config.replicated_server()
+    wal = Path(config.wal)
 
     async def run() -> None:
-        log(f"recovering from WAL {wal_path} (condense + train on cold start)...")
+        log(f"recovering from WAL {wal} (condense + train on cold start)...")
         host, port = await server.start()
         recovery = server.recovery
         log(f"recovery: mode={recovery['mode']} "
@@ -1137,7 +932,7 @@ def _serve_replicated(config: ServeConfig, log) -> int:
             f"version={server.controller.version}")
         if recovery.get("quarantined_now"):
             log(f"quarantine: {recovery['quarantined_now']} poison delta(s) "
-                f"dead-lettered during this boot (see {wal_path}.deadletter)")
+                f"dead-lettered during this boot (see {wal}.deadletter)")
         log(f"serving {config.dataset} on http://{host}:{port} with "
             f"{config.workers} workers "
             "(endpoints: /healthz /stats /predict /delta /metrics)")
@@ -1380,95 +1175,81 @@ _SERVING_ENDPOINTS = (
 )
 
 
-def _registry_listing(reg: registry.Registry) -> dict[str, dict]:
-    return {name: {"aliases": list(reg.aliases_of(name))} for name in reg.names()}
+#: text-listing title of each ``list`` section
+_LIST_TITLES = {
+    "datasets": "datasets",
+    "condensers": "condensers",
+    "models": "models",
+    "target-stages": "target stages",
+    "other-stages": "father/leaf stages",
+    "serving": "serving",
+    "lint": "lint rules (python -m repro lint)",
+}
 
 
-def _lint_listing() -> dict:
-    from repro.lint import all_rules
+def _listing(what: str) -> dict[str, object]:
+    """The ``list`` payload: every requested section, as JSON-safe data."""
 
-    return {
-        "rules": {rule.id: rule.describe() for rule in all_rules()},
-        "subcommand": "python -m repro lint",
+    def names(reg: registry.Registry) -> dict[str, dict]:
+        return {name: {"aliases": list(reg.aliases_of(name))} for name in reg.names()}
+
+    def lint() -> dict:
+        from repro.lint import all_rules
+
+        return {
+            "rules": {rule.id: rule.describe() for rule in all_rules()},
+            "subcommand": "python -m repro lint",
+        }
+
+    sections: dict[str, Callable[[], object]] = {
+        "datasets": lambda: {
+            name: {
+                "aliases": list(registry.datasets.aliases_of(name)),
+                "paper_ratios": [float(r) for r in registry.datasets.get(name).paper_ratios],
+                "max_hops": int(registry.datasets.get(name).max_hops),
+            }
+            for name in registry.datasets.names()
+        },
+        "condensers": lambda: names(registry.condensers),
+        "models": lambda: names(registry.models),
+        "target-stages": lambda: names(registry.target_stages),
+        "other-stages": lambda: names(registry.other_stages),
+        "serving": lambda: {
+            "components": dict(_SERVING_COMPONENTS),
+            "endpoints": list(_SERVING_ENDPOINTS),
+            "subcommand": "python -m repro serve",
+        },
+        "lint": lint,
     }
+    wanted = sections if what == "all" else {what: sections[what]}
+    return {name: build() for name, build in wanted.items()}
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    if getattr(args, "json", False):
+    listing = _listing(args.what)
+    if args.json:
         import json as _json
 
-        payload: dict[str, object] = {}
-        sections: dict[str, Callable[[], object]] = {
-            "datasets": lambda: {
-                name: {
-                    "aliases": list(registry.datasets.aliases_of(name)),
-                    "paper_ratios": [float(r) for r in registry.datasets.get(name).paper_ratios],
-                    "max_hops": int(registry.datasets.get(name).max_hops),
-                }
-                for name in registry.datasets.names()
-            },
-            "condensers": lambda: _registry_listing(registry.condensers),
-            "models": lambda: _registry_listing(registry.models),
-            "target-stages": lambda: _registry_listing(registry.target_stages),
-            "other-stages": lambda: _registry_listing(registry.other_stages),
-            "serving": lambda: {
-                "components": dict(_SERVING_COMPONENTS),
-                "endpoints": list(_SERVING_ENDPOINTS),
-                "subcommand": "python -m repro serve",
-            },
-            "lint": _lint_listing,
-        }
-        wanted = sections if args.what == "all" else {args.what: sections[args.what]}
-        for name, build in wanted.items():
-            payload[name] = build()
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+        print(_json.dumps(listing, indent=2, sort_keys=True))
         return 0
-
-    def show(label: str, reg: registry.Registry, describe=None) -> None:
-        print(f"{label}:")
-        for name in reg.names():
-            aliases = reg.aliases_of(name)
-            suffix = f"  (aliases: {', '.join(aliases)})" if aliases else ""
-            extra = f"  {describe(name)}" if describe is not None else ""
-            print(f"  {name}{suffix}{extra}")
+    for section, entries in listing.items():
+        print(f"{_LIST_TITLES[section]}:")
+        if section == "serving":
+            for name, description in entries["components"].items():
+                print(f"  {name}  {description}")
+            print(f"  endpoints: {', '.join(entries['endpoints'])}")
+        elif section == "lint":
+            for rule in entries["rules"].values():
+                print(f"  {rule['id']}  {rule['name']}  [{rule['severity']}]")
+        else:
+            for name, entry in entries.items():
+                aliases = entry["aliases"]
+                line = f"  {name}  (aliases: {', '.join(aliases)})" if aliases else f"  {name}"
+                if "paper_ratios" in entry:
+                    ratios = ", ".join(f"{r:g}" for r in entry["paper_ratios"])
+                    line += f"  [paper ratios: {ratios}; max hops: {entry['max_hops']}]"
+                print(line)
         print()
-
-    def show_serving() -> None:
-        print("serving:")
-        for name, description in _SERVING_COMPONENTS.items():
-            print(f"  {name}  {description}")
-        print(f"  endpoints: {', '.join(_SERVING_ENDPOINTS)}")
-        print()
-
-    def show_lint() -> None:
-        from repro.lint import all_rules
-
-        print("lint rules (python -m repro lint):")
-        for rule in all_rules():
-            print(f"  {rule.id}  {rule.name}  [{rule.severity}]")
-        print()
-
-    sections = {
-        "datasets": lambda: show(
-            "datasets",
-            registry.datasets,
-            lambda name: (
-                f"[paper ratios: {', '.join(f'{r:g}' for r in registry.datasets.get(name).paper_ratios)}"
-                f"; max hops: {registry.datasets.get(name).max_hops}]"
-            ),
-        ),
-        "condensers": lambda: show("condensers", registry.condensers),
-        "models": lambda: show("models", registry.models),
-        "target-stages": lambda: show("target stages", registry.target_stages),
-        "other-stages": lambda: show("father/leaf stages", registry.other_stages),
-        "serving": show_serving,
-        "lint": show_lint,
-    }
-    if args.what == "all":
-        for section in sections.values():
-            section()
-    else:
-        sections[args.what]()
     return 0
 
 

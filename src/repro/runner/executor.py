@@ -1,8 +1,12 @@
 """Parallel, resumable execution of experiment plans.
 
-The executor turns :class:`~repro.runner.plan.Cell` records into
-:class:`~repro.evaluation.protocol.MethodEvaluation` results, either in the
-calling process or across a :class:`~concurrent.futures.ProcessPoolExecutor`.
+:func:`execute_plan` is the one executor for every cell type — sweep and
+generalization :class:`~repro.runner.plan.Cell` s and scenario-matrix
+:class:`~repro.runner.matrix.MatrixCell` s.  It owns store lookup and
+resume, process-pool fan-out, trace propagation (one ``runner.cell`` span
+per executed cell), per-cell timing, progress callbacks and plan-order
+results; each cell type brings only its ``run`` entry point (see
+:class:`~repro.runner.plan.HashedCell`).
 Three properties make a parallel run equivalent to the serial pipeline:
 
 * **Deterministic per-cell seeding** — each cell derives its trial RNGs from
@@ -15,7 +19,8 @@ Three properties make a parallel run equivalent to the serial pipeline:
 * **Result ordering** — results are reported in plan order no matter which
   worker finished first.
 
-Workers additionally memoise condensed artifacts per process (keyed by
+Sweep cells (:func:`evaluate_cell`) additionally memoise loaded graphs and
+condensed artifacts per process (keyed by
 :meth:`~repro.runner.plan.Cell.condense_key` plus the trial seed), so the
 models of one generalization row share a single condensation instead of
 re-condensing per model.
@@ -41,7 +46,7 @@ from repro.hetero.graph import HeteroGraph
 from repro.obs.propagate import continue_trace, extract_payload, inject_payload
 from repro.obs.spans import Span
 from repro.runner.cache import ArtifactStore
-from repro.runner.plan import KIND_WHOLE, Cell, ExperimentPlan
+from repro.runner.plan import KIND_WHOLE, Cell, ExperimentPlan, HashedCell
 from repro.utils.rng import spawn_seed_ints
 
 __all__ = ["CellOutcome", "execute_plan", "clear_worker_caches"]
@@ -75,10 +80,16 @@ def clear_worker_caches() -> None:
 
 @dataclass
 class CellOutcome:
-    """Result of one cell: its evaluation plus how it was obtained."""
+    """Result of one cell plus how it was obtained.
 
-    cell: Cell
-    evaluation: MethodEvaluation
+    ``result`` is what the cell type's ``load_result`` makes of its payload:
+    a :class:`~repro.evaluation.protocol.MethodEvaluation` for a
+    :class:`~repro.runner.plan.Cell`, the result dict for a matrix cell.
+    ``elapsed_s`` is the cell's own run time, measured where it ran.
+    """
+
+    cell: HashedCell
+    result: object
     cached: bool
     elapsed_s: float
 
@@ -138,10 +149,10 @@ class _MemoisingCondenser:
         return artifact
 
 
-def _execute_cell(
+def evaluate_cell(
     cell: Cell, graph: HeteroGraph | None = None, *, use_memo: bool = True
 ) -> MethodEvaluation:
-    """Run one cell to completion in this process.
+    """Run one sweep/generalization cell to completion in this process.
 
     ``use_memo=False`` (the ``force`` path) bypasses the condensed-artifact
     memo so a forced re-run re-measures condensation instead of replaying a
@@ -191,36 +202,34 @@ def _execute_cell(
     )
 
 
-def _cell_span(cell: Cell, index: int):
-    """The per-cell span — one spelling shared by the serial and pool paths,
-    so a parallel run's reassembled span tree matches the serial run's."""
-    return obs.span(
-        "runner.cell",
-        index=int(index),
-        dataset=cell.dataset,
-        method=cell.method or cell.kind,
-    )
+def _run_cell(
+    cell: HashedCell, index: int, graph: HeteroGraph | None = None, *, use_memo: bool
+) -> tuple[dict, float]:
+    """``cell.run`` under its ``runner.cell`` span and the per-cell clock —
+    one spelling shared by the serial and pool paths, so a parallel run's
+    reassembled span tree and timings match the serial run's."""
+    with obs.span("runner.cell", index=int(index), dataset=cell.dataset, label=cell.label()):
+        with timed() as clock:
+            payload = cell.run(graph, use_memo=use_memo)
+    return payload, clock[0]
 
 
 def _worker(payload: dict[str, object]) -> dict[str, object]:
-    """Pool entry point: dicts in, dicts out (cheap and version-stable to pickle)."""
-    cell = Cell.from_dict(payload["cell"])  # type: ignore[arg-type]
-    index = int(payload.get("index", 0))  # type: ignore[arg-type]
+    """Pool entry point: the cell travels pickled, its result as a JSON-safe dict."""
+    index = int(payload["index"])  # type: ignore[arg-type]
     # Continue the submitter's trace: the payload carries its TraceContext,
     # and this worker's spans parent to the submitting span.  Buffer-only
     # tracer — spans travel back in the result dict, not through a file.
     ctx = extract_payload(payload)
     tracer = obs.install(continue_trace(ctx, scope=f"cell-{index}")) if ctx else None
     try:
-        with _cell_span(cell, index):
-            with timed() as clock:
-                evaluation = _execute_cell(
-                    cell, use_memo=bool(payload.get("use_memo", True))
-                )
+        result, elapsed_s = _run_cell(
+            payload["cell"], index, use_memo=bool(payload["use_memo"])  # type: ignore[arg-type]
+        )
     finally:
         if tracer is not None:
             obs.uninstall()
-    out: dict[str, object] = {"result": evaluation.to_dict(), "elapsed_s": clock[0]}
+    out: dict[str, object] = {"result": result, "elapsed_s": elapsed_s}
     if tracer is not None:
         out["spans"] = [span.to_obj() for span in tracer.drain_spans()]
     return out
@@ -307,7 +316,7 @@ def execute_plan(
             continue
         outcome = CellOutcome(
             cell=cell,
-            evaluation=MethodEvaluation.from_dict(record["result"]),  # type: ignore[arg-type]
+            result=cell.load_result(record["result"]),  # type: ignore[arg-type]
             cached=True,
             elapsed_s=float(record.get("meta", {}).get("elapsed_s", 0.0)),  # type: ignore[union-attr]
         )
@@ -315,12 +324,14 @@ def execute_plan(
         if progress is not None:
             progress(outcome, index, total)
 
-    def finish(index: int, evaluation: MethodEvaluation, elapsed_s: float) -> None:
+    def finish(index: int, payload: dict, elapsed_s: float) -> None:
         cell = plan.cells[index]
-        outcome = CellOutcome(cell=cell, evaluation=evaluation, cached=False, elapsed_s=elapsed_s)
+        outcome = CellOutcome(
+            cell=cell, result=cell.load_result(payload), cached=False, elapsed_s=elapsed_s
+        )
         outcomes[index] = outcome
         if store is not None:
-            store.put(keys[index], cell.to_dict(), evaluation.to_dict(), elapsed_s=elapsed_s)
+            store.put(keys[index], cell.to_dict(), payload, elapsed_s=elapsed_s)
         if progress is not None:
             progress(outcome, index, total)
 
@@ -330,30 +341,17 @@ def execute_plan(
                 pool.submit(
                     _worker,
                     inject_payload(
-                        {
-                            "cell": plan.cells[index].to_dict(),
-                            "use_memo": not force,
-                            "index": index,
-                        }
+                        {"cell": plan.cells[index], "use_memo": not force, "index": index}
                     ),
                 ): index
                 for index in pending
             }
             for future in as_completed(futures):
-                payload = future.result()
-                _absorb_spans(payload.get("spans"))
-                finish(
-                    futures[future],
-                    MethodEvaluation.from_dict(payload["result"]),  # type: ignore[arg-type]
-                    float(payload["elapsed_s"]),  # type: ignore[arg-type]
-                )
+                out = future.result()
+                _absorb_spans(out.get("spans"))
+                finish(futures[future], out["result"], float(out["elapsed_s"]))  # type: ignore[arg-type]
     else:
         for index in pending:
-            with _cell_span(plan.cells[index], index):
-                with timed() as clock:
-                    evaluation = _execute_cell(
-                        plan.cells[index], graph=graph, use_memo=not force
-                    )
-            finish(index, evaluation, clock[0])
+            finish(index, *_run_cell(plan.cells[index], index, graph, use_memo=not force))
 
     return [outcome for outcome in outcomes if outcome is not None]

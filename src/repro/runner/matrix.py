@@ -2,13 +2,16 @@
 
 The three committed benches cover three hand-picked happy paths; the matrix
 covers the cross product.  A declarative :class:`MatrixConfig` expands into
-frozen, content-hashed :class:`MatrixCell` s (the same hashing contract as
-:class:`repro.runner.plan.Cell`), each cell replays an adversarial or
-steady delta schedule through the incremental condenser — optionally under
-a live :class:`~repro.serving.hotswap.ServingController` answering
-predictions between swaps — verifies byte-identity against a fresh full
-condensation, and lands its result in the shared
-:class:`~repro.runner.cache.ArtifactStore`.  Interrupting the suite and
+an :class:`~repro.runner.plan.ExperimentPlan` of frozen, content-hashed
+:class:`MatrixCell` s (hashed like :class:`repro.runner.plan.Cell`); each
+cell replays an adversarial or steady delta schedule through the
+incremental condenser — optionally under a live
+:class:`~repro.serving.hotswap.ServingController` answering predictions
+between swaps — and verifies byte-identity against a fresh full
+condensation.  Cells run through :func:`repro.runner.executor.execute_plan`
+like every other plan, so they land in the shared
+:class:`~repro.runner.cache.ArtifactStore`, fan out over ``--workers``,
+and trace under ``runner.cell`` spans.  Interrupting the suite and
 re-running it skips every completed cell (resume-zero-reexec), which is
 what lets CI kill a run mid-suite and assert nothing re-executes.
 
@@ -37,30 +40,24 @@ True
 
 from __future__ import annotations
 
-import hashlib
-import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterator
 
 import numpy as np
 
 from repro import registry
+from repro.datasets.adversarial import churn_regimes
 from repro.errors import CanaryRejectedError, ConfigurationError
-from repro.runner.cache import ArtifactStore
-from repro.runner.gates import Gate, GateOutcome, evaluate_cell_gates
-from repro.runner.plan import resolve_max_hops
+from repro.runner.executor import CellOutcome
+from repro.runner.gates import Gate, evaluate_cell_gates
+from repro.runner.plan import ExperimentPlan, HashedCell, ServeConfig, resolve_max_hops
 
 __all__ = [
     "LOADS",
     "MatrixConfig",
     "MatrixCell",
-    "MatrixPlan",
-    "MatrixOutcome",
     "plan_matrix",
     "run_matrix_cell",
-    "run_matrix",
     "consolidate",
 ]
 
@@ -76,13 +73,7 @@ class MatrixConfig:
 
     datasets: tuple[str, ...] = ("acm",)
     scales: tuple[float, ...] = (0.1,)
-    regimes: tuple[str, ...] = (
-        "steady",
-        "dirty-maximizer",
-        "hub-deletion",
-        "burst-arrival",
-        "skewed-types",
-    )
+    regimes: tuple[str, ...] = churn_regimes()
     loads: tuple[str, ...] = ("none",)
     steps: int = 4
     ratio: float = 0.2
@@ -98,8 +89,6 @@ class MatrixConfig:
     inject_faults: bool = False
 
     def __post_init__(self) -> None:
-        from repro.datasets.adversarial import churn_regimes
-
         if not self.datasets:
             raise ConfigurationError("matrix needs at least one dataset")
         if not self.scales or any(s <= 0 for s in self.scales):
@@ -124,7 +113,7 @@ class MatrixConfig:
 
 
 @dataclass(frozen=True)
-class MatrixCell:
+class MatrixCell(HashedCell):
     """One self-contained matrix cell; hashes like :class:`repro.runner.plan.Cell`."""
 
     dataset: str
@@ -143,26 +132,6 @@ class MatrixCell:
     inject_faults: bool
     kind: str = "matrix"
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-safe field dict (the canonical form :meth:`key` hashes)."""
-        payload: dict[str, object] = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, float):
-                value = float(value)
-            payload[spec.name] = value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "MatrixCell":
-        names = {spec.name for spec in fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in names})
-
-    def key(self) -> str:
-        """Stable 16-hex-digit content hash (same contract as ``Cell.key``)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
     def label(self) -> str:
         """Human-oriented progress label."""
         return (
@@ -170,26 +139,24 @@ class MatrixCell:
             + (" +faults" if self.inject_faults and self.load != "none" else "")
         )
 
+    def run(self, graph=None, *, use_memo: bool = True) -> dict:
+        """Run the cell (see :func:`run_matrix_cell`).
 
-@dataclass(frozen=True)
-class MatrixPlan:
-    """An ordered tuple of matrix cells plus a description."""
+        A matrix cell loads and mutates its own dataset, so it takes no
+        graph override; it keeps no per-process memo, so ``use_memo``
+        changes nothing.
+        """
+        if graph is not None:
+            raise ConfigurationError("matrix cells load their own dataset; pass no graph")
+        return run_matrix_cell(self)
 
-    cells: tuple[MatrixCell, ...]
-    description: str = ""
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self) -> Iterator[MatrixCell]:
-        return iter(self.cells)
-
-    def keys(self) -> tuple[str, ...]:
-        """The cell hashes, in plan order."""
-        return tuple(cell.key() for cell in self.cells)
+    @staticmethod
+    def load_result(payload: dict) -> dict:
+        """Matrix results are consumed as the JSON-safe dict itself."""
+        return dict(payload)
 
 
-def plan_matrix(config: MatrixConfig) -> MatrixPlan:
+def plan_matrix(config: MatrixConfig) -> ExperimentPlan:
     """Expand ``config`` into the full dataset × scale × regime × load grid."""
     cells = []
     for dataset in config.datasets:
@@ -219,7 +186,7 @@ def plan_matrix(config: MatrixConfig) -> MatrixPlan:
         f"{len(config.datasets)} datasets x {len(config.scales)} scales x "
         f"{len(config.regimes)} regimes x {len(config.loads)} loads"
     )
-    return MatrixPlan(cells=tuple(cells), description=description)
+    return ExperimentPlan(cells=tuple(cells), description=description)
 
 
 # --------------------------------------------------------------------------- #
@@ -270,25 +237,20 @@ def run_matrix_cell(cell: MatrixCell) -> dict:
             seed=cell.seed,
         )
     else:
-        from repro.evaluation.pipeline import make_model_factory
         from repro.serving.canary import CanaryConfig
-        from repro.serving.hotswap import ServingController
 
-        factory = make_model_factory(
-            cell.model,
+        controller = ServeConfig(
+            dataset=cell.dataset,
+            ratio=cell.ratio,
+            scale=cell.scale,
+            seed=cell.seed,
+            max_hops=cell.max_hops,
+            model=cell.model,
             hidden_dim=cell.hidden_dim,
             epochs=cell.epochs,
-            max_hops=cell.max_hops,
-            seed=cell.seed,
-        )
-        controller = ServingController(
-            graph,
-            factory,
-            model_name=cell.model,
-            ratio=cell.ratio,
-            condenser=FreeHGC(max_hops=cell.max_hops),
             recondense_threshold=cell.recondense_threshold,
-            seed=cell.seed,
+        ).build_controller(
+            graph,
             # Canary gate in blow-up-detection mode: adversarial regimes
             # legitimately move clean predictions after a retrain, so the
             # consistency floor is off; the finite check still rejects any
@@ -436,95 +398,7 @@ def run_matrix_cell(cell: MatrixCell) -> dict:
     return result
 
 
-def execute_matrix_payload(payload: dict) -> dict:
-    """Process-pool entry point: rebuild the cell and run it."""
-    return run_matrix_cell(MatrixCell.from_dict(payload))
-
-
-# --------------------------------------------------------------------------- #
-# Suite driver
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class MatrixOutcome:
-    """One cell's completion record (compatible with the CLI progress printer)."""
-
-    cell: MatrixCell
-    result: dict
-    cached: bool
-    elapsed_s: float
-
-
-def run_matrix(
-    plan: MatrixPlan,
-    *,
-    store: ArtifactStore | None = None,
-    workers: int = 1,
-    force: bool = False,
-    progress: Callable[[MatrixOutcome, int, int], None] | None = None,
-) -> list[MatrixOutcome]:
-    """Run every cell of ``plan``, resuming from ``store`` when possible.
-
-    Completed cells (present in ``store`` under their content hash) are
-    returned as ``cached`` outcomes without re-executing — the property the
-    CI matrix-smoke job asserts by killing a run mid-suite.  ``workers > 1``
-    fans the *remaining* cells over a process pool; results and store
-    contents are identical either way because each cell is deterministic.
-    """
-    total = len(plan.cells)
-    outcomes: dict[int, MatrixOutcome] = {}
-    pending: list[tuple[int, MatrixCell]] = []
-    for index, cell in enumerate(plan.cells):
-        record = None if (store is None or force) else store.get(cell.key())
-        if record is not None:
-            meta = record.get("meta", {})
-            outcomes[index] = MatrixOutcome(
-                cell=cell,
-                result=dict(record.get("result", {})),
-                cached=True,
-                elapsed_s=float(meta.get("elapsed_s", 0.0)) if isinstance(meta, dict) else 0.0,
-            )
-        else:
-            pending.append((index, cell))
-
-    if progress is not None:
-        # Report skipped (resumed) cells up front, in plan order — the
-        # resume-zero-reexec CI assertion counts these "cached" lines.
-        for index in sorted(outcomes):
-            progress(outcomes[index], index, total)
-
-    def record_outcome(index: int, cell: MatrixCell, result: dict, elapsed: float) -> None:
-        if store is not None:
-            store.put(cell.key(), cell.to_dict(), result, elapsed_s=elapsed)
-        outcomes[index] = MatrixOutcome(
-            cell=cell, result=result, cached=False, elapsed_s=elapsed
-        )
-
-    if workers <= 1 or len(pending) <= 1:
-        for index, cell in pending:
-            t0 = perf_counter()
-            result = run_matrix_cell(cell)
-            record_outcome(index, cell, result, perf_counter() - t0)
-            if progress is not None:
-                progress(outcomes[index], index, total)
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-            futures = {
-                pool.submit(execute_matrix_payload, cell.to_dict()): (index, cell)
-                for index, cell in pending
-            }
-            for future, (index, cell) in futures.items():
-                t0 = perf_counter()
-                result = future.result()
-                record_outcome(index, cell, result, perf_counter() - t0)
-                if progress is not None:
-                    progress(outcomes[index], index, total)
-
-    return [outcomes[index] for index in range(total)]
-
-
-def consolidate(
-    outcomes: list[MatrixOutcome], gates: tuple[Gate, ...]
-) -> dict:
+def consolidate(outcomes: list[CellOutcome], gates: tuple[Gate, ...]) -> dict:
     """Assemble the consolidated suite report (JSON-safe).
 
     Per cell: the cell spec, its result, and every gate outcome.  The

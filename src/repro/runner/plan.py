@@ -40,6 +40,7 @@ from repro.utils.validation import check_max_hops
 __all__ = [
     "Cell",
     "ExperimentPlan",
+    "HashedCell",
     "GeneralizationConfig",
     "ServeConfig",
     "StreamConfig",
@@ -65,8 +66,41 @@ KIND_EVALUATE = "evaluate"
 KIND_WHOLE = "whole"
 
 
+class HashedCell:
+    """What the executor needs of a cell type: a content hash and one run.
+
+    Subclasses are frozen dataclasses whose fields fully describe the work.
+    Each brings ``label()`` (progress lines), ``run(graph=None,
+    use_memo=True)`` — the one entry point, called in-process or in a pool
+    worker, returning a JSON-safe result payload — and
+    ``load_result(payload)``, which turns a payload (fresh or from the
+    store) into the result object callers consume.
+    """
+
+    def to_dict(self) -> dict[str, object]:
+        """JSON-safe field dict (inverse of :meth:`from_dict`)."""
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
+
+    @classmethod
+    def from_dict(cls, payload: dict[str, object]):
+        """Rebuild a cell from :meth:`to_dict` output (e.g. a stored artifact)."""
+        known = {spec.name for spec in fields(cls)}
+        return cls(**{k: v for k, v in payload.items() if k in known})
+
+    def key(self) -> str:
+        """Stable 16-hex-digit content hash of the cell.
+
+        The hash is SHA-256 over the canonical JSON encoding of
+        :meth:`to_dict` (sorted keys, no whitespace), so it is identical
+        across processes, machines and Python versions — the property the
+        artifact store relies on for resumability.
+        """
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
-class Cell:
+class Cell(HashedCell):
     """One independent unit of experiment work.
 
     Parameters
@@ -127,47 +161,30 @@ class Cell:
             # misses (e.g. re-running the slow whole-graph reference just
             # because --paper-loops changed).
             object.__setattr__(self, "fast_optimization", True)
+        # JSON brings the pairs back as lists; keep one hashable spelling.
+        object.__setattr__(
+            self,
+            "extra_model_kwargs",
+            tuple((str(k), v) for k, v in self.extra_model_kwargs),
+        )
 
-    # ------------------------------------------------------------------ #
-    # Serialization / hashing
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict[str, object]:
-        """JSON-safe dict representation (inverse of :meth:`from_dict`)."""
-        return {
-            "kind": self.kind,
-            "dataset": self.dataset,
-            "method": self.method,
-            "ratio": self.ratio,
-            "model": self.model,
-            "scale": self.scale,
-            "seeds": self.seeds,
-            "base_seed": self.base_seed,
-            "hidden_dim": self.hidden_dim,
-            "epochs": self.epochs,
-            "max_hops": self.max_hops,
-            "fast_optimization": self.fast_optimization,
-            "extra_model_kwargs": [list(pair) for pair in self.extra_model_kwargs],
-        }
+    def run(self, graph=None, *, use_memo: bool = True) -> dict[str, object]:
+        """Evaluate the cell; returns the ``MethodEvaluation.to_dict()`` payload.
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "Cell":
-        """Rebuild a cell from :meth:`to_dict` output (e.g. a stored artifact)."""
-        data = dict(payload)
-        extra = data.get("extra_model_kwargs", [])
-        data["extra_model_kwargs"] = tuple((str(k), v) for k, v in extra)
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-    def key(self) -> str:
-        """Stable 16-hex-digit content hash of the cell.
-
-        The hash is SHA-256 over the canonical JSON encoding of
-        :meth:`to_dict` (sorted keys, no whitespace), so it is identical
-        across processes, machines and Python versions — the property the
-        artifact store relies on for resumability.
+        ``graph`` overrides the named dataset (the in-process facades);
+        ``use_memo=False`` (the ``force`` path) bypasses this process's
+        condensed-artifact memo — see :mod:`repro.runner.executor`.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        from repro.runner.executor import evaluate_cell
+
+        return evaluate_cell(self, graph, use_memo=use_memo).to_dict()
+
+    @staticmethod
+    def load_result(payload: dict[str, object]):
+        """The :class:`~repro.evaluation.protocol.MethodEvaluation` of a payload."""
+        from repro.evaluation.protocol import MethodEvaluation
+
+        return MethodEvaluation.from_dict(payload)
 
     def condense_key(self) -> tuple[object, ...] | None:
         """Cache key of the condensed artifact this cell trains on.
@@ -199,11 +216,13 @@ class Cell:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """An ordered, immutable collection of :class:`Cell` records.
+    """An ordered, immutable collection of cells (:class:`HashedCell` s).
 
     Iterating a plan yields its cells in the order the serial pipeline would
     have executed them, which is also the order the executor reports results
-    in (regardless of completion order under parallelism).
+    in (regardless of completion order under parallelism).  Sweep and
+    generalization plans hold :class:`Cell` s, scenario-matrix plans
+    :class:`~repro.runner.matrix.MatrixCell` s.
 
     Examples
     --------
@@ -217,13 +236,13 @@ class ExperimentPlan:
     True
     """
 
-    cells: tuple[Cell, ...]
+    cells: tuple[HashedCell, ...]
     description: str = ""
 
     def __len__(self) -> int:
         return len(self.cells)
 
-    def __iter__(self) -> Iterator[Cell]:
+    def __iter__(self) -> Iterator[HashedCell]:
         return iter(self.cells)
 
     def keys(self) -> tuple[str, ...]:
@@ -326,9 +345,11 @@ class ServeConfig:
     """Configuration of one ``python -m repro serve`` deployment.
 
     Describes the graph being served, the condensation keeping it cheap and
-    the serving knobs (micro-batching, prediction cache, bundle store); the
-    CLI expands it into a :class:`repro.serving.ServingController` plus a
-    :class:`repro.serving.ServingServer`.
+    the serving knobs (micro-batching, prediction cache, bundle store).
+    :meth:`build_controller` is the one place a served
+    :class:`repro.serving.ServingController` is put together — ``serve``,
+    the replicated tier, the scenario matrix's serving-load cells and the
+    serving benchmark all build theirs here.
 
     Examples
     --------
@@ -406,6 +427,78 @@ class ServeConfig:
             f"{self.dataset.lower()}:{self.model.lower()}:r{self.ratio:g}"
             f":s{self.scale:g}:seed{self.seed}:h{self.resolved_max_hops()}"
         )
+
+    def build_controller(self, graph=None, *, canary=None):
+        """The served-controller recipe.
+
+        ``graph`` defaults to the configured dataset, loaded at ``(scale,
+        seed)``; ``canary`` is an optional
+        :class:`~repro.serving.canary.CanaryConfig` swap gate.  The
+        signature doubles as the replicated tier's ``make_controller``.
+        """
+        from repro.core.condenser import FreeHGC
+        from repro.evaluation.pipeline import make_model_factory
+        from repro.serving.hotswap import ServingController
+
+        if graph is None:
+            graph = registry.datasets.get(self.dataset).loader(scale=self.scale, seed=self.seed)
+        max_hops = self.resolved_max_hops()
+        return ServingController(
+            graph,
+            make_model_factory(
+                self.model,
+                hidden_dim=self.hidden_dim,
+                epochs=self.epochs,
+                max_hops=max_hops,
+                seed=self.seed,
+            ),
+            model_name=registry.models.canonical(self.model),
+            ratio=self.ratio,
+            condenser=FreeHGC(max_hops=max_hops),
+            recondense_threshold=self.recondense_threshold,
+            seed=self.seed,
+            cache_size=self.cache_size,
+            canary=canary,
+        )
+
+    def replicated_server(self):
+        """The ``--workers N --wal PATH`` tier around :meth:`build_controller`.
+
+        The genesis record pins everything that decides the replayed state;
+        an existing WAL whose genesis differs is refused at recovery, so
+        its spelling must not change.
+        """
+        from pathlib import Path
+
+        from repro.serving.replicated import ReplicatedConfig, ReplicatedServer
+
+        # Refuse an unknown dataset before recovery writes a genesis for it.
+        registry.datasets.get(self.dataset)
+        wal = Path(self.wal)
+        genesis = {
+            "dataset": self.dataset,
+            "scale": self.scale,
+            "seed": self.seed,
+            "ratio": self.ratio,
+            "model": self.model,
+            "hidden_dim": self.hidden_dim,
+            "epochs": self.epochs,
+            "max_hops": self.resolved_max_hops(),
+        }
+        config = ReplicatedConfig(
+            root=wal.parent,
+            wal_filename=wal.name,
+            host=self.host,
+            port=self.port,
+            workers=self.workers,
+            snapshot_every=self.snapshot_every,
+            max_pending=self.max_pending,
+            max_body_bytes=self.max_body_bytes,
+            cache_size=self.cache_size,
+            max_batch=self.max_batch,
+            batch_window_seconds=self.batch_window_ms / 1e3,
+        )
+        return ReplicatedServer(self.build_controller, config=config, genesis=genesis)
 
 
 def _sorted_kwargs(kwargs: dict[str, object]) -> tuple[tuple[str, object], ...]:

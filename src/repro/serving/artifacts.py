@@ -59,6 +59,7 @@ from repro.utils.durable import atomic_dir, atomic_write, sync_dir
 
 __all__ = [
     "BUNDLE_FORMAT",
+    "BundleLineage",
     "ModelBundle",
     "current_version",
     "last_good_version",
@@ -372,3 +373,67 @@ def published_logits(vdir: str | Path) -> tuple[int, np.ndarray]:
 def published_bundle(vdir: str | Path) -> ModelBundle:
     """The :class:`ModelBundle` a published version dir holds."""
     return load_bundle(Path(vdir) / _BUNDLE)
+
+
+class BundleLineage:
+    """``serve --bundle-store``: warm-start from, and publish to, one lineage.
+
+    Each bundle key owns one lineage of published version dirs under the
+    store (:func:`lineage_dir`).  Its version numbers only ever grow, so no
+    run overwrites an earlier one: a warm start adopts the stored version
+    and a cold start publishes above every stored dir, complete or not.
+    With ``store=None`` the controller simply starts cold and nothing is
+    persisted.  The lineage is read on construction; ``log`` reports an
+    unusable stored bundle there, and every start and publish later.
+    """
+
+    def __init__(self, store, key: str, controller, *, metadata: dict, log) -> None:
+        self.key = key
+        self.root = lineage_dir(store, key) if store else None
+        self.controller = controller
+        self._metadata = dict(metadata)
+        self._log = log
+        self._published = published_versions(self.root) if self.root is not None else []
+        self._stored: tuple[int, ModelBundle] | None = None
+        if self._published:
+            try:
+                stored_version, vdir = current_version(self.root)
+                verify_version_dir(vdir)
+                self._stored = (stored_version, published_bundle(vdir))
+            except ServingError as exc:
+                log(f"stored bundle unusable ({exc}); starting cold")
+
+    def start(self) -> None:
+        """Start the controller, warm when the stored bundle still matches its
+        fresh condensation; a cold start is published at once."""
+        controller = self.controller
+        controller.start(warm_bundle=self._stored[1] if self._stored else None)
+        if controller.warm_started:
+            controller.adopt_version(self._stored[0])
+            self._log("warm-started from stored bundle")
+            return
+        if self._published:
+            controller.adopt_version(self._published[0][0] + 1)
+        self._log("cold start: trained a fresh model")
+        self.persist()
+
+    def persist(self, swap_report=None) -> None:
+        """Publish the serving model as the lineage's current version.
+
+        Used as the server's ``on_swap``: a swap that did not retrain leaves
+        the weights, and so the stored version, current.
+        """
+        if self.root is None or (swap_report is not None and not swap_report.retrained):
+            return
+        metadata = dict(self._metadata)
+        if swap_report is not None:
+            metadata["step"] = swap_report.step
+        version = self.controller.version
+        publish_version(
+            self.root,
+            version=version,
+            bundle=self.controller.export_bundle(metadata=metadata),
+            logits=self.controller.session._logits,
+        )
+        set_current(self.root, version)
+        self._log(f"persisted bundle {self.key!r} version {version}")

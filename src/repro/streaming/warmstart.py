@@ -178,7 +178,6 @@ def warm_start_coverage(
         selected,
         gains,
         budget,
-        lazy=True,
         batch_size=batch_size,
         evaluations=evaluations,
         round_id=len(selected),

@@ -20,6 +20,22 @@ def random_boolean_csr(seed: int, n_rows: int = 30, n_cols: int = 80, density: f
     return sp.csr_matrix((rng.random((n_rows, n_cols)) < density).astype(float))
 
 
+def reference_branches(matrix, pool, budget):
+    """Both branches of the scalar oracle: lazy CELF heap and eager loop."""
+    return [
+        greedy_max_coverage_reference(matrix, pool, budget, lazy=True),
+        greedy_max_coverage_reference(matrix, pool, budget, lazy=False),
+    ]
+
+
+def kernel_results(matrix, pool, budget):
+    """Each fast kernel, called directly: decremental and batched CELF."""
+    return [
+        greedy_max_coverage_decremental(matrix, pool, budget),
+        greedy_max_coverage_packed(PackedAdjacency.from_csr(matrix), pool, budget),
+    ]
+
+
 class TestBitCount:
     def test_known_values(self):
         words = np.array([0, 1, 3, 2**63, 2**64 - 1], dtype=np.uint64)
@@ -99,18 +115,15 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(seed)
         pool = rng.choice(matrix.shape[0], size=20, replace=False)
         budget = int(rng.integers(1, 12))
-        reference = greedy_max_coverage_reference(matrix, pool, budget, lazy=True)
         packed = PackedAdjacency.from_csr(matrix)
-        for result in [
-            greedy_max_coverage_reference(matrix, pool, budget, lazy=False),
-            greedy_max_coverage_decremental(matrix, pool, budget),
-            greedy_max_coverage_packed(packed, pool, budget, lazy=True),
-            greedy_max_coverage_packed(packed, pool, budget, lazy=False),
-            greedy_max_coverage(matrix, pool, budget),
-            greedy_max_coverage(packed, pool, budget, method="celf"),
-            greedy_max_coverage(packed, pool, budget, method="eager"),
-        ]:
-            assert_same_result(result, reference)
+        for reference in reference_branches(matrix, pool, budget):
+            for result in [
+                greedy_max_coverage_decremental(matrix, pool, budget),
+                greedy_max_coverage_packed(packed, pool, budget),
+                greedy_max_coverage(matrix, pool, budget),
+                greedy_max_coverage(packed, pool, budget),
+            ]:
+                assert_same_result(result, reference)
 
     @pytest.mark.parametrize("batch_size", [1, 2, 7, 1024])
     def test_celf_batch_size_invariant(self, batch_size):
@@ -128,8 +141,7 @@ class TestKernelEquivalence:
         dense[3, [0, 1, 2]] = 1.0
         dense[4, [5]] = 1.0
         matrix = sp.csr_matrix(dense)
-        for method in ("decremental", "celf", "eager"):
-            result = greedy_max_coverage(matrix, np.arange(5), 2, method=method)
+        for result in kernel_results(matrix, np.arange(5), 2):
             assert result.selected.tolist() == [1, 4]
 
     def test_eager_branch_deterministic_ties(self):
@@ -158,8 +170,7 @@ class TestKernelEquivalence:
     def test_all_zero_gain_selects_single_node(self):
         matrix = sp.csr_matrix((4, 6))
         reference = greedy_max_coverage_reference(matrix, np.arange(4), 3)
-        for method in ("decremental", "celf", "eager"):
-            result = greedy_max_coverage(matrix, np.arange(4), 3, method=method)
+        for result in kernel_results(matrix, np.arange(4), 3):
             assert_same_result(result, reference)
         assert reference.selected.tolist() == [0]
 
@@ -178,18 +189,14 @@ class TestKernelEquivalence:
         )
         assert_same_result(result, packed)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            greedy_max_coverage(random_boolean_csr(7), np.arange(3), 2, method="magic")
-
     def test_decremental_requires_source(self):
-        packed = PackedAdjacency.from_csr(random_boolean_csr(8))
+        # Without its CSR a packed adjacency cannot feed the decremental
+        # kernel; the dispatcher falls back to batched CELF.
+        matrix = random_boolean_csr(8)
+        packed = PackedAdjacency.from_csr(matrix)
         packed.source = None
-        with pytest.raises(ValueError):
-            greedy_max_coverage(packed, np.arange(3), 2, method="decremental")
-        # but auto falls back to batched CELF
         result = greedy_max_coverage(packed, np.arange(3), 2)
-        assert result.selected.size > 0
+        assert_same_result(result, greedy_max_coverage_reference(matrix, np.arange(3), 2))
 
 
 class TestKernelCacheStaleness:

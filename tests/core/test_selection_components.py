@@ -11,6 +11,7 @@ from repro.core import (
     TargetNodeSelector,
     classify_node_types,
     greedy_max_coverage,
+    greedy_max_coverage_reference,
     jaccard_between_sets,
     metapath_similarity_scores,
     pairwise_jaccard,
@@ -70,9 +71,11 @@ class TestReceptiveField:
         adjacency = sp.random(40, 60, density=0.08, random_state=0, format="csr")
         adjacency.data[:] = 1.0
         pool = np.arange(40)
-        lazy = greedy_max_coverage(adjacency, pool, 8, lazy=True)
-        naive = greedy_max_coverage(adjacency, pool, 8, lazy=False)
-        assert lazy.covered == naive.covered
+        result = greedy_max_coverage(adjacency, pool, 8)
+        for lazy in (True, False):
+            reference = greedy_max_coverage_reference(adjacency, pool, 8, lazy=lazy)
+            assert result.selected.tolist() == reference.selected.tolist()
+            assert result.covered == reference.covered
         del rng
 
     def test_zero_budget(self):

@@ -2,8 +2,9 @@
 
 The runner ships the trace context into every ProcessPoolExecutor
 submission and merges the workers' spans back into the parent collector —
-so the *name-path structure* of a traced parallel sweep must be identical
-to the same sweep run serially (only scopes and timings differ).
+so the *name-path structure* of a traced parallel run must be identical
+to the same run executed serially (only scopes and timings differ), for
+sweep plans and scenario-matrix plans alike.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from repro import obs
 from repro.evaluation.pipeline import ExperimentConfig
 from repro.obs.report import TreeNode, build_tree
-from repro.runner import execute_plan, plan_ratio_sweep
+from repro.runner import MatrixConfig, execute_plan, plan_matrix, plan_ratio_sweep
 
 TINY = dict(
     dataset="acm",
@@ -25,6 +26,20 @@ TINY = dict(
     max_hops=2,
 )
 
+PLANS = {
+    # methods + the whole-graph baseline
+    "sweep": lambda: plan_ratio_sweep(ExperimentConfig(**TINY)),
+    "matrix": lambda: plan_matrix(
+        MatrixConfig(
+            datasets=("acm",),
+            scales=(0.08,),
+            regimes=("steady", "hub-deletion"),
+            steps=2,
+            max_hops=2,
+        )
+    ),
+}
+
 
 def name_tree(node: TreeNode):
     """Recursive (name, count, children) shape, order-insensitive."""
@@ -35,8 +50,7 @@ def name_tree(node: TreeNode):
     )
 
 
-def traced_run(trace_id, **kwargs):
-    plan = plan_ratio_sweep(ExperimentConfig(**TINY))
+def traced_run(plan, trace_id, **kwargs):
     with obs.tracing(trace_id) as tracer:
         with obs.span("plan"):
             outcomes = execute_plan(plan, **kwargs)
@@ -45,20 +59,34 @@ def traced_run(trace_id, **kwargs):
 
 
 def test_parallel_span_tree_matches_serial():
+    for kind, make_plan in PLANS.items():
+        check_parallel_tree_matches_serial(kind, make_plan())
+
+
+def check_parallel_tree_matches_serial(kind, plan):
     # force=True bypasses the per-process condensed-artifact memo: forked
     # workers inherit the parent's memo, which would hide their condense
     # spans and make the trees trivially different.
-    serial_outcomes, serial_spans = traced_run("t-serial", force=True)
-    parallel_outcomes, parallel_spans = traced_run("t-parallel", workers=2, force=True)
+    serial_outcomes, serial_spans = traced_run(plan, "t-serial", force=True)
+    parallel_outcomes, parallel_spans = traced_run(plan, "t-parallel", workers=2, force=True)
 
-    for a, b in zip(serial_outcomes, parallel_outcomes):
-        assert a.evaluation.accuracies == b.evaluation.accuracies
+    if kind == "sweep":
+        for a, b in zip(serial_outcomes, parallel_outcomes):
+            assert a.result.accuracies == b.result.accuracies
 
     # Every worker span must have merged back into the parent collector and
     # parent into the same name-paths the serial run produces.
     assert name_tree(build_tree(serial_spans)) == name_tree(build_tree(parallel_spans))
     assert any(s.scope.startswith("cell-") for s in parallel_spans)
     assert all(s.scope == "main" for s in serial_spans)
-    # one runner.cell span per plan cell (methods + the whole-graph baseline)
-    cells = [s for s in parallel_spans if s.name == "runner.cell"]
-    assert len(cells) == len(serial_outcomes) == 3
+    for spans in (serial_spans, parallel_spans):
+        # one runner.cell span per plan cell ...
+        cells = {s.span_id: s for s in spans if s.name == "runner.cell"}
+        assert len(cells) == len(plan) == len(serial_outcomes)
+        if kind == "matrix":
+            # ... with that cell's delta replay beneath it
+            steps = [s for s in spans if s.name == "stream.step"]
+            assert len(steps) == sum(cell.steps for cell in plan)
+            for cell_span in cells.values():
+                under = [s for s in steps if s.parent_id == cell_span.span_id]
+                assert len(under) == plan.cells[cell_span.attrs["index"]].steps

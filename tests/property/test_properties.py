@@ -129,7 +129,7 @@ class TestCoverageProperties:
 
 
 # --------------------------------------------------------------------------- #
-# Kernel equivalence: lazy CELF == eager greedy == packed bitset == decremental
+# Kernel equivalence: decremental == batched CELF == both reference branches
 # --------------------------------------------------------------------------- #
 class TestCoverageKernelEquivalence:
     """Every coverage strategy must return the byte-identical greedy run."""
@@ -144,19 +144,19 @@ class TestCoverageKernelEquivalence:
         rng = np.random.default_rng(seed)
         pool_size = int(rng.integers(1, matrix.shape[0] + 1))
         pool = rng.choice(matrix.shape[0], size=pool_size, replace=bool(rng.integers(2)))
-        reference = greedy_max_coverage_reference(matrix, pool, budget, lazy=True)
         packed = PackedAdjacency.from_csr(matrix)
-        others = [
-            greedy_max_coverage_reference(matrix, pool, budget, lazy=False),
+        kernels = [
             greedy_max_coverage_decremental(matrix, pool, budget),
-            greedy_max_coverage_packed(packed, pool, budget, lazy=True, batch_size=2),
-            greedy_max_coverage_packed(packed, pool, budget, lazy=False),
+            greedy_max_coverage_packed(packed, pool, budget, batch_size=2),
+            greedy_max_coverage_packed(packed, pool, budget),
             greedy_max_coverage(matrix, pool, budget),
         ]
-        for result in others:
-            np.testing.assert_array_equal(result.selected, reference.selected)
-            np.testing.assert_array_equal(result.gains, reference.gains)
-            assert result.covered == reference.covered
+        for lazy in (True, False):
+            reference = greedy_max_coverage_reference(matrix, pool, budget, lazy=lazy)
+            for result in kernels:
+                np.testing.assert_array_equal(result.selected, reference.selected)
+                np.testing.assert_array_equal(result.gains, reference.gains)
+                assert result.covered == reference.covered
 
     @given(boolean_matrices(max_rows=14, max_cols=30), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)

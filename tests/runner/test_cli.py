@@ -6,7 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.runner.cli import main
+import pytest
+
+from repro.evaluation.pipeline import ExperimentConfig
+from repro.runner.cli import _config, build_parser, main
+from repro.runner.matrix import MatrixConfig
+from repro.runner.plan import GeneralizationConfig, ServeConfig, StreamConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -28,6 +33,40 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+class TestOptionsDeclaredOnce:
+    """Every option default is its config field's default."""
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["sweep", "--dataset", "acm", "--ratios", "0.1"],
+             ExperimentConfig(dataset="acm", ratios=(0.1,))),
+            (["generalize", "--dataset", "acm", "--ratio", "0.1"],
+             GeneralizationConfig(dataset="acm", ratio=0.1)),
+            (["stream", "--dataset", "acm", "--ratio", "0.1"],
+             StreamConfig(dataset="acm", ratio=0.1)),
+            (["serve", "--dataset", "acm", "--ratio", "0.1"],
+             ServeConfig(dataset="acm", ratio=0.1)),
+            (["matrix"], MatrixConfig()),
+        ],
+        ids=["sweep", "generalize", "stream", "serve", "matrix"],
+    )
+    def test_defaults_come_from_the_config(self, argv, config):
+        assert _config(type(config), build_parser().parse_args(argv)) == config
+
+    def test_inverted_flags_store_into_their_field(self):
+        args = build_parser().parse_args(
+            ["sweep", "--dataset", "acm", "--paper-loops", "--no-whole"]
+        )
+        assert args.fast_optimization is False and args.include_whole is False
+        args = build_parser().parse_args(
+            ["stream", "--dataset", "acm", "--ratio", "0.1",
+             "--arrivals-every", "2", "--removals-every", "3"]
+        )
+        config = _config(StreamConfig, args)
+        assert (config.node_arrival_every, config.removal_every) == (2, 3)
 
 
 class TestStream:

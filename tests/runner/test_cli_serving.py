@@ -135,6 +135,34 @@ class TestServeConfig:
         c = ServeConfig(dataset="acm", ratio=0.2)
         assert a.bundle_key() == b.bundle_key() != c.bundle_key()
 
+    def test_recipe_canonicalises_the_model_name(self):
+        config = ServeConfig(dataset="acm", ratio=0.2, scale=0.1, max_hops=2, model="SGC")
+        controller = config.build_controller()
+        assert controller.model_name == "heterosgc"
+        assert controller.canary is None
+
+    def test_replicated_genesis_spelling_is_pinned(self, tmp_path):
+        # recover_from_wal refuses a log whose genesis differs, so existing
+        # WALs only recover while this dict keeps its exact spelling.
+        config = ServeConfig(
+            dataset="acm", ratio=0.2, scale=0.1, model="SGC", workers=2,
+            wal=str(tmp_path / "wal.log"),
+        )
+        server = config.replicated_server()
+        assert server.genesis == {
+            "dataset": "acm", "scale": 0.1, "seed": 0, "ratio": 0.2, "model": "SGC",
+            "hidden_dim": 32, "epochs": 80, "max_hops": 3,
+        }
+        assert server.config.root == tmp_path and server.config.wal_filename == "wal.log"
+        assert server.config.batch_window_seconds == 0.002
+
+    def test_replicated_unknown_dataset_fails_before_the_wal(self, tmp_path, capsys):
+        argv = ["serve", "--dataset", "nope", "--ratio", "0.2", "--workers", "1",
+                "--wal", str(tmp_path / "wal" / "wal.log")]
+        assert main(argv) == 2
+        assert "unknown dataset" in capsys.readouterr().err
+        assert not (tmp_path / "wal").exists()
+
 
 class TestServeSelftest:
     def test_selftest_passes_end_to_end(self, capsys):

@@ -99,7 +99,7 @@ class TestExecutePlan:
         )
         assert events == [True] * len(plan)  # zero cells re-executed
         for a, b in zip(first, second):
-            assert_same_results(a.evaluation, b.evaluation)
+            assert_same_results(a.result, b.result)
 
     def test_partial_store_runs_only_missing_cells(self, tmp_path):
         plan = tiny_plan()
@@ -128,15 +128,15 @@ class TestExecutePlan:
         serial = execute_plan(plan)
         parallel = execute_plan(plan, workers=2, store=tmp_path / "runs")
         for a, b in zip(serial, parallel):
-            assert_same_results(a.evaluation, b.evaluation)
+            assert_same_results(a.result, b.result)
         # and the store round-trip preserves every float bit-for-bit
         resumed = execute_plan(plan, workers=2, store=tmp_path / "runs")
         for a, b in zip(serial, resumed):
-            assert_same_results(a.evaluation, b.evaluation)
-            assert a.evaluation.as_row() == {
-                **b.evaluation.as_row(),
-                "condense_s": a.evaluation.as_row()["condense_s"],
-                "train_s": a.evaluation.as_row()["train_s"],
+            assert_same_results(a.result, b.result)
+            assert a.result.as_row() == {
+                **b.result.as_row(),
+                "condense_s": a.result.as_row()["condense_s"],
+                "train_s": a.result.as_row()["train_s"],
             }
 
     def test_results_in_plan_order(self, tmp_path):
@@ -315,12 +315,12 @@ class TestWorkerCacheLifecycle:
             # Without clearing, both memos (dataset graph + condensed
             # artifact) serve the pre-delta artifacts: bit-identical result.
             stale = execute_plan(plan)
-            assert_same_results(first[0].evaluation, stale[0].evaluation)
+            assert_same_results(first[0].result, stale[0].result)
 
             # After clearing, the run reflects the evolved graph.
             executor_module.clear_worker_caches()
             fresh = execute_plan(plan)
-            assert fresh[0].evaluation.storage != first[0].evaluation.storage
+            assert fresh[0].result.storage != first[0].result.storage
         finally:
             registry.datasets.unregister(name)
             executor_module.clear_worker_caches()
@@ -340,8 +340,8 @@ class TestWorkerCacheLifecycle:
             executor_module.clear_worker_caches()
             swapped = execute_plan(self._plan(name))
             assert (
-                swapped[0].evaluation.condensed_nodes
-                != first[0].evaluation.condensed_nodes
+                swapped[0].result.condensed_nodes
+                != first[0].result.condensed_nodes
             )
         finally:
             registry.datasets.unregister(name)

@@ -6,15 +6,15 @@ import json
 
 import pytest
 
+from repro.datasets.adversarial import churn_regimes
 from repro.errors import ConfigurationError
-from repro.runner import ArtifactStore
+from repro.runner import ArtifactStore, execute_plan
 from repro.runner.gates import derive_matrix_gates
 from repro.runner.matrix import (
     MatrixCell,
     MatrixConfig,
     consolidate,
     plan_matrix,
-    run_matrix,
     run_matrix_cell,
 )
 
@@ -74,6 +74,10 @@ class TestPlanning:
         )
         assert plan.cells[0].max_hops >= 1
 
+    def test_default_regimes_are_the_cli_order(self):
+        # `matrix` without --regimes runs churn_regimes(); the config agrees.
+        assert MatrixConfig().regimes == churn_regimes()
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             small_config(regimes=("no-such-regime",))
@@ -95,6 +99,11 @@ class TestCellExecution:
         assert result["queries"] == 0
         assert result["latency_ms"] == {}
         assert result["modes"]["full"] + result["modes"]["incremental"] == 2
+
+    def test_graph_override_rejected(self):
+        cell = plan_matrix(small_config()).cells[0]
+        with pytest.raises(ConfigurationError, match="own dataset"):
+            cell.run(object())
 
     def test_result_is_json_safe(self):
         plan = plan_matrix(small_config())
@@ -123,9 +132,9 @@ class TestResume:
     def test_resume_zero_reexec(self, tmp_path):
         plan = plan_matrix(small_config())
         store = ArtifactStore(tmp_path / "runs")
-        first = run_matrix(plan, store=store)
+        first = execute_plan(plan, store=store)
         assert [o.cached for o in first] == [False, False]
-        second = run_matrix(plan, store=store)
+        second = execute_plan(plan, store=store)
         assert [o.cached for o in second] == [True, True]
         # Byte-for-byte the same results, straight from the store.
         assert [o.result for o in second] == [o.result for o in first]
@@ -135,9 +144,9 @@ class TestResume:
         store = ArtifactStore(tmp_path / "runs")
         # Simulate a killed suite: only the first cell completed.
         only_first = plan_matrix(small_config(regimes=("steady",)))
-        run_matrix(only_first, store=store)
+        execute_plan(only_first, store=store)
         seen = []
-        outcomes = run_matrix(
+        outcomes = execute_plan(
             plan, store=store, progress=lambda o, i, n: seen.append(o.cached)
         )
         assert [o.cached for o in outcomes] == [True, False]
@@ -146,21 +155,39 @@ class TestResume:
     def test_force_reexecutes_everything(self, tmp_path):
         plan = plan_matrix(small_config())
         store = ArtifactStore(tmp_path / "runs")
-        run_matrix(plan, store=store)
-        forced = run_matrix(plan, store=store, force=True)
+        execute_plan(plan, store=store)
+        forced = execute_plan(plan, store=store, force=True)
         assert [o.cached for o in forced] == [False, False]
 
     def test_no_store_runs_everything(self):
         plan = plan_matrix(small_config(regimes=("steady",)))
-        outcomes = run_matrix(plan)
+        outcomes = execute_plan(plan)
         assert [o.cached for o in outcomes] == [False]
+
+    def test_parallel_elapsed_is_each_cells_own_run_time(self, tmp_path):
+        # Each outcome times its own cell where it ran, not the wait on its
+        # future, so no cell can report less than the work it did.
+        plan = plan_matrix(
+            small_config(
+                scales=(0.1,),
+                regimes=("steady", "hub-deletion", "burst-arrival", "skewed-types"),
+            )
+        )
+        store = ArtifactStore(tmp_path / "runs")
+        outcomes = execute_plan(plan, store=store, workers=2)
+        assert [o.cell for o in outcomes] == list(plan.cells)
+        for outcome in outcomes:
+            assert outcome.elapsed_s >= outcome.result["elapsed_seconds"] > 0
+        stored = {r["key"]: r["meta"]["elapsed_s"] for r in store.records()}
+        for outcome in outcomes:
+            assert stored[outcome.cell.key()] == round(outcome.elapsed_s, 6)
 
 
 class TestConsolidatedReport:
     def test_report_structure_and_summary(self, tmp_path):
         plan = plan_matrix(small_config())
         store = ArtifactStore(tmp_path / "runs")
-        outcomes = run_matrix(plan, store=store)
+        outcomes = execute_plan(plan, store=store)
         gates = derive_matrix_gates(".")  # repo root holds the baselines
         report = consolidate(outcomes, gates)
         assert report["version"] == 1
@@ -180,7 +207,7 @@ class TestConsolidatedReport:
 
     def test_byte_identity_gate_enforced_where_verified(self, tmp_path):
         plan = plan_matrix(small_config(regimes=("steady",)))
-        outcomes = run_matrix(plan)
+        outcomes = execute_plan(plan)
         gates = derive_matrix_gates(".")
         report = consolidate(outcomes, gates)
         by_name = {g["name"]: g for g in report["cells"][0]["gates"]}
@@ -191,7 +218,7 @@ class TestConsolidatedReport:
 
     def test_mismatch_fails_the_suite(self):
         plan = plan_matrix(small_config(regimes=("steady",)))
-        outcomes = run_matrix(plan)
+        outcomes = execute_plan(plan)
         outcomes[0].result["mismatches"] = 1  # simulate a divergence
         report = consolidate(outcomes, derive_matrix_gates("."))
         assert report["summary"]["passed"] is False
