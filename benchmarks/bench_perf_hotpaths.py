@@ -1,17 +1,19 @@
 """Hot-path micro-benchmarks with a vectorized-vs-reference correctness gate.
 
-Times the three condensation hot paths — greedy receptive-field coverage,
-meta-path Jaccard similarity, and personalised PageRank — on a scaled
-synthetic heterogeneous graph (``REPRO_BENCH_SCALE``), comparing the
-vectorized kernels against their scalar reference implementations, and
+Times the four condensation hot paths — packed meta-path composition,
+greedy receptive-field coverage, meta-path Jaccard similarity, and
+personalised PageRank — on a scaled synthetic heterogeneous graph
+(``REPRO_BENCH_SCALE``), comparing the vectorized kernels against their
+reference implementations (the oracles in ``tests/oracles.py``), and
 writes the machine-readable trajectory file ``BENCH_perf_hotpaths.json``.
 
 Two gates run on every invocation:
 
 * **correctness** — kernel outputs must match the reference byte-for-byte
-  (selection, gains, covered counts; similarity scores to 1e-10; PPR to a
-  dense linear solve at small scales).  Any divergence exits non-zero, so
-  the CI ``perf-smoke`` job fails.
+  (packed words and derived CSR of every meta-path; selection, gains,
+  covered counts; similarity scores to 1e-10; NIM's two-SpMV PPR against
+  the block-matrix PPR, and PPR to a dense linear solve at small scales).
+  Any divergence exits non-zero, so the CI ``perf-smoke`` job fails.
 * **speedup** — at full scale (candidate pools ≥ 2 000 nodes) the default
   coverage kernel must be at least 5× faster than the scalar reference.
   The gate is skipped at smaller scales, where timings are all noise: CI
@@ -48,12 +50,14 @@ from repro.core.coverage_kernels import (
     greedy_max_coverage_packed,
     greedy_max_coverage_reference,
 )
-from repro.core.neighbor_influence import personalized_pagerank
+from repro.core.metapaths import compose_packed
+from repro.core.neighbor_influence import bipartite_pagerank, personalized_pagerank
 from repro.core.receptive_field import greedy_max_coverage
 from repro.core.similarity import metapath_similarity_scores
 from repro.datasets.base import NodeTypeSpec, RelationSpec, SyntheticHINConfig
 from repro.datasets.generators import generate_hin
 from repro.hetero.sparse import symmetric_normalize
+from tests.oracles import block_pagerank, compose_matmul, normalized_block
 
 import scipy.sparse as sp
 
@@ -109,6 +113,47 @@ def _same_coverage(a, b) -> bool:
 # --------------------------------------------------------------------------- #
 # Sections
 # --------------------------------------------------------------------------- #
+def bench_composition(context: CondensationContext, errors: list[str]) -> list[dict]:
+    """Every meta-path packed vs the float-matmul composition: words and CSR."""
+    graph = context.graph
+    paths = context.metapaths()
+
+    def packed_all():
+        products: dict = {}
+        return [compose_packed(graph, path, products) for path in paths]
+
+    def derive_all():
+        return [PackedAdjacency(packed.words, packed.shape).to_csr() for packed in fast]
+
+    ref_s, reference = _best_of(lambda: [compose_matmul(graph, path) for path in paths])
+    fast_s, fast = _best_of(packed_all)
+    csr_s, derived = _best_of(derive_all)
+    identical = True
+    for path, packed, csr, expected in zip(paths, fast, derived, reference):
+        same = (
+            np.array_equal(packed.words, PackedAdjacency.from_csr(expected).words)
+            and np.array_equal(csr.indptr, expected.indptr)
+            and np.array_equal(csr.indices, expected.indices)
+            and np.array_equal(csr.data, expected.data)
+        )
+        if not same:
+            identical = False
+            errors.append(f"packed composition diverges from the matmul reference on {path}")
+    return [
+        {
+            "kernel": "metapath_composition",
+            "case": f"{len(paths)} paths, {sum(m.nnz for m in reference)} nnz",
+            "pool": int(graph.num_nodes[context.target_type]),
+            "budget": "",
+            "reference_s": round(ref_s, 5),
+            "vectorized_s": round(fast_s, 5),
+            "csr_s": round(csr_s, 5),
+            "speedup": round(ref_s / max(fast_s, 1e-9), 2),
+            "identical": identical,
+        }
+    ]
+
+
 def bench_coverage(context: CondensationContext, errors: list[str]) -> list[dict]:
     paths = sorted(
         (p for p in context.metapaths() if p.end != context.target_type),
@@ -215,6 +260,33 @@ def bench_pagerank(context: CondensationContext, errors: list[str]) -> list[dict
     ppr_s, scores = _best_of(
         lambda: personalized_pagerank(bipartite, restart, alpha=0.15, iterations=30)
     )
+    # NIM's production PPR (two SpMVs over the scaled adjacency) must equal
+    # the block-matrix PPR bit for bit.
+    anchor = restart[:n_target]
+    block = normalized_block(adjacency)  # both sides time iterations only
+    block_s, reference = _best_of(
+        lambda: personalized_pagerank(block, restart, iterations=30, prenormalized=True)
+    )
+    bipartite_pagerank(adjacency, anchor)  # builds and caches the scaled matrix
+    nim_s, nim = _best_of(lambda: bipartite_pagerank(adjacency, anchor))
+    nim_identical = (
+        nim.tobytes() == reference.tobytes()
+        and nim.tobytes() == block_pagerank(adjacency, anchor).tobytes()
+    )
+    if not nim_identical:
+        errors.append("bipartite_pagerank diverges from the block-matrix PPR")
+    rows = [
+        {
+            "kernel": "bipartite_pagerank",
+            "case": f"{path}, {adjacency.nnz} nnz",
+            "pool": int(bipartite.shape[0]),
+            "budget": "",
+            "reference_s": round(block_s, 5),
+            "vectorized_s": round(nim_s, 5),
+            "speedup": round(block_s / max(nim_s, 1e-9), 2),
+            "identical": nim_identical,
+        }
+    ]
     # "" = the dense-solve check did not run (too large); never report a
     # verification that was skipped as passed.
     identical: bool | str = ""
@@ -230,7 +302,7 @@ def bench_pagerank(context: CondensationContext, errors: list[str]) -> list[dict
         identical = bool(np.allclose(converged, direct, atol=1e-6))
         if not identical:
             errors.append("personalized_pagerank diverges from the direct solve")
-    return [
+    return rows + [
         {
             "kernel": "personalized_pagerank",
             "case": f"bipartite {bipartite.shape[0]} nodes",
@@ -318,7 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     context = CondensationContext(graph, max_hops=2, max_paths=8)
     errors: list[str] = []
     rows = (
-        bench_coverage(context, errors)
+        bench_composition(context, errors)
+        + bench_coverage(context, errors)
         + bench_similarity(context, errors)
         + bench_pagerank(context, errors)
     )

@@ -5,10 +5,12 @@ maximisation for father types, the synthesis stage, and the coreset-style
 embedding helpers — consumes the same expensive intermediate products:
 
 * the enumerated meta-paths anchored at the target type,
-* the composed meta-path adjacency matrices (boolean reachability for
-  receptive fields / Jaccard similarity, row-normalised for feature
-  propagation),
-* the receptive-field sets those boolean adjacencies encode,
+* the composed meta-path adjacencies: boolean reachability (receptive
+  fields / Jaccard similarity) composed as packed words, with every
+  composed suffix product shared between the paths that end in it, and
+  row-normalised products for feature propagation,
+* the canonical CSR of a receptive field, derived from its words only for
+  the consumers that read column indices,
 * the root / father / leaf type hierarchy,
 * the propagated meta-path feature blocks and the derived embeddings.
 
@@ -32,7 +34,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.coverage_kernels import PackedAdjacency
-from repro.core.metapaths import MetaPath, enumerate_metapaths, metapath_adjacency
+from repro.core.metapaths import (
+    MetaPath,
+    compose_packed,
+    enumerate_metapaths,
+    metapath_adjacency,
+)
 from repro.core.topology import TypeHierarchy, classify_node_types
 from repro.hetero.graph import HeteroGraph
 from repro.models.propagation import SELF_FEATURE_KEY, standardize_features
@@ -59,9 +66,11 @@ class CondensationContext:
     ----------
     stats:
         Counters of cache behaviour: ``metapath_enumerations``,
-        ``adjacency_builds``, ``adjacency_hits``, ``packed_builds``,
-        ``packed_hits``, ``embedding_builds`` and ``embedding_hits``.
-        Useful in tests and benchmarks.
+        ``adjacency_builds`` / ``adjacency_hits`` (a boolean adjacency
+        composed or derived as CSR, a normalised one composed),
+        ``packed_builds`` / ``packed_hits`` (receptive-field words),
+        ``embedding_builds`` and ``embedding_hits``.  Useful in tests and
+        benchmarks.
 
     Examples
     --------
@@ -110,7 +119,9 @@ class CondensationContext:
         self._hierarchy: TypeHierarchy | None = None
         self._metapaths: list[MetaPath] | None = None
         self._metapaths_to: dict[str, list[MetaPath]] = {}
-        self._adjacencies: dict[tuple[tuple[str, ...], bool], sp.csr_matrix] = {}
+        self._normalized: dict[tuple[str, ...], sp.csr_matrix] = {}
+        #: packed words of every composed chain: the meta-paths (anchored at
+        #: the target type) and the intermediate suffix products behind them
         self._packed: dict[tuple[str, ...], PackedAdjacency] = {}
         self._feature_blocks: dict[str, np.ndarray] | None = None
         self._target_embeddings: np.ndarray | None = None
@@ -157,41 +168,52 @@ class CondensationContext:
     def adjacency(self, metapath: MetaPath, *, normalize: bool = False) -> sp.csr_matrix:
         """Composed adjacency of ``metapath`` (Eq. 1), memoized per form.
 
-        ``normalize=False`` yields the boolean reachability product whose
+        ``normalize=False`` yields the boolean reachability pattern whose
         rows are the per-node *receptive-field sets* used by the coverage
-        and similarity terms; ``normalize=True`` yields the row-normalised
-        product used for feature propagation.
+        and similarity terms (:meth:`receptive_field`); ``normalize=True``
+        yields the row-normalised product used for feature propagation.
         """
-        key = (metapath.node_types, bool(normalize))
-        cached = self._adjacencies.get(key)
+        if not normalize:
+            return self.receptive_field(metapath)
+        key = metapath.node_types
+        cached = self._normalized.get(key)
         if cached is None or not self.cache_enabled:
             self.stats["adjacency_builds"] += 1
-            cached = metapath_adjacency(self.graph, metapath, normalize=normalize)
-            self._adjacencies[key] = cached
+            cached = metapath_adjacency(self.graph, metapath, normalize=True)
+            self._normalized[key] = cached
         else:
             self.stats["adjacency_hits"] += 1
         return cached
 
     def receptive_field(self, metapath: MetaPath) -> sp.csr_matrix:
-        """Boolean reachability matrix: row ``i`` is node ``i``'s receptive field."""
-        return self.adjacency(metapath, normalize=False)
+        """Boolean reachability matrix: row ``i`` is node ``i``'s receptive field.
+
+        The canonical CSR derived from :meth:`packed_receptive_field` — for
+        consumers that read column indices (NIM, the decremental coverage
+        kernel).
+        """
+        cached = self._packed.get(metapath.node_types)
+        if cached is None or cached.source is None or not self.cache_enabled:
+            self.stats["adjacency_builds"] += 1
+        else:
+            self.stats["adjacency_hits"] += 1
+        return self.packed_receptive_field(metapath).to_csr()
 
     def packed_receptive_field(self, metapath: MetaPath) -> PackedAdjacency:
         """Bit-packed receptive fields of ``metapath``, memoized per path.
 
-        The packed form feeds the vectorized coverage kernels
-        (:mod:`repro.core.coverage_kernels`).  The words are cached on the
-        memoized boolean adjacency itself (so the per-class greedy runs of
-        the unified criterion — and any other consumer — pack each
-        meta-path exactly once) and additionally keyed here so ``clear()``
-        and the stats counters behave like the other accessors.
+        Words are the composed form (:func:`~repro.core.metapaths.compose_packed`);
+        every suffix product composed on the way is kept, so paths sharing
+        a suffix compose it once.  The packed form feeds the coverage
+        kernels and the Jaccard popcounts directly.
         """
         key = metapath.node_types
         cached = self._packed.get(key)
         if cached is None or not self.cache_enabled:
             self.stats["packed_builds"] += 1
-            cached = PackedAdjacency.from_csr_cached(self.receptive_field(metapath))
-            self._packed[key] = cached
+            cached = compose_packed(
+                self.graph, metapath, self._packed if self.cache_enabled else None
+            )
         else:
             self.stats["packed_hits"] += 1
         return cached
@@ -252,40 +274,53 @@ class CondensationContext:
     # ------------------------------------------------------------------ #
     def cached_path_keys(self, *, normalize: bool = False) -> list[tuple[str, ...]]:
         """Path keys whose composed adjacency of one form is memoized."""
-        return [
-            key
-            for key, cached_form in self._adjacencies
-            if cached_form == bool(normalize)
-        ]
+        if normalize:
+            return list(self._normalized)
+        return [key for key in self._packed if key[0] == self.target_type]
 
     def cached_adjacency(
         self, node_types: tuple[str, ...], *, normalize: bool = False
     ) -> sp.csr_matrix | None:
-        """The memoized adjacency of a path key, or None (never builds)."""
-        return self._adjacencies.get((tuple(node_types), bool(normalize)))
+        """The memoized adjacency of a path key, or None (never builds).
 
-    def install_adjacency(
-        self, node_types: tuple[str, ...], matrix: sp.csr_matrix
-    ) -> None:
-        """Replace the boolean adjacency of one path with a patched matrix.
-
-        Used by the streaming delta applier after row-level patching: the
-        patched matrix must equal what :meth:`adjacency` would compose from
-        the mutated graph.  The path's normalised sibling, its packed entry
-        and the aggregate feature/embedding blocks are dropped (patching
-        covers only the boolean form; packed words may be pre-attached on
-        ``matrix`` by the patcher and are picked up lazily).
+        The boolean form is served only once its CSR has been derived.
         """
         key = tuple(node_types)
-        self._adjacencies[(key, False)] = matrix
-        self._adjacencies.pop((key, True), None)
-        self._packed.pop(key, None)
+        if normalize:
+            return self._normalized.get(key)
+        packed = self._packed.get(key)
+        return None if packed is None else packed.source
+
+    def cached_packed(self, node_types: tuple[str, ...]) -> PackedAdjacency | None:
+        """The memoized receptive-field words of a path key, or None."""
+        return self._packed.get(tuple(node_types))
+
+    def install_adjacency(
+        self, node_types: tuple[str, ...], packed: PackedAdjacency
+    ) -> None:
+        """Replace the receptive fields of one path with patched ones.
+
+        Used by the streaming delta applier after row-level patching: the
+        patched words (and CSR, when present) must equal what
+        :meth:`packed_receptive_field` would compose from the mutated
+        graph.  The path's normalised sibling, the intermediate suffix
+        products and the aggregate feature/embedding blocks are dropped.
+        """
+        key = tuple(node_types)
+        self._packed[key] = packed
+        self._normalized.pop(key, None)
+        self._drop_suffix_products()
         self._feature_blocks = None
         self._target_embeddings = None
         self.stats["patched_adjacencies"] += 1
 
     def invalidate_type_embeddings(self, node_types: "Iterable[str]") -> None:
-        """Drop per-type and aggregate embeddings of the given types."""
+        """Drop per-type and aggregate embeddings of the given types.
+
+        Called after every delta, so it also drops the intermediate suffix
+        products, which are never patched.
+        """
+        self._drop_suffix_products()
         touched = False
         for node_type in node_types:
             self._other_embeddings.pop(node_type, None)
@@ -297,26 +332,35 @@ class CondensationContext:
     # ------------------------------------------------------------------ #
     # Partial invalidation (streaming deltas)
     # ------------------------------------------------------------------ #
+    def _drop_suffix_products(self) -> None:
+        """Drop every intermediate suffix product (a chain not anchored at
+        the target type).
+
+        Paths are patched or dropped precisely by the delta applier;
+        intermediate products are not, so every invalidation entry point
+        drops all of them and the next composition rebuilds what it needs
+        from the current graph.
+        """
+        for key in [key for key in self._packed if key[0] != self.target_type]:
+            del self._packed[key]
+
     def _drop_paths(self, is_affected) -> list[tuple[str, ...]]:
         """Drop every memoized adjacency/packed entry whose path matches.
 
         ``is_affected`` maps a path's ``node_types`` tuple to bool.  Returns
         the distinct path keys dropped.  Feature blocks and target
         embeddings aggregate *all* meta-path products, so they are dropped
-        whenever at least one path is.
+        whenever at least one path is.  Intermediate suffix products are
+        always dropped.
         """
+        self._drop_suffix_products()
         dropped: list[tuple[str, ...]] = []
-        for key in list(self._adjacencies):
-            node_types, _normalize = key
-            if is_affected(node_types):
-                del self._adjacencies[key]
-                if node_types not in dropped:
-                    dropped.append(node_types)
-        for node_types in list(self._packed):
-            if is_affected(node_types):
-                del self._packed[node_types]
-                if node_types not in dropped:
-                    dropped.append(node_types)
+        for store in (self._normalized, self._packed):
+            for node_types in list(store):
+                if is_affected(node_types):
+                    del store[node_types]
+                    if node_types not in dropped:
+                        dropped.append(node_types)
         if dropped:
             self.stats["invalidated_adjacencies"] += len(dropped)
             self._feature_blocks = None
@@ -393,7 +437,7 @@ class CondensationContext:
         self._hierarchy = None
         self._metapaths = None
         self._metapaths_to.clear()
-        self._adjacencies.clear()
+        self._normalized.clear()
         self._packed.clear()
         self._feature_blocks = None
         self._target_embeddings = None
@@ -428,5 +472,5 @@ class CondensationContext:
         return (
             f"CondensationContext(graph={self.graph.schema.name!r}, "
             f"max_hops={self.max_hops}, max_paths={self.max_paths}, "
-            f"cached_adjacencies={len(self._adjacencies)})"
+            f"cached_paths={len(self.cached_path_keys())})"
         )

@@ -5,9 +5,10 @@ The greedy receptive-field maximiser evaluates marginal coverage gains
 original implementation walked CSR index slices in Python, one candidate at
 a time.  This module replaces that walk with a *packed-bitset* kernel:
 
-* every row of a boolean meta-path adjacency is packed into 64-bit words
-  (:class:`PackedAdjacency`), so a receptive field of 5 000 source nodes is
-  79 machine words instead of a Python set;
+* every row of a boolean meta-path adjacency is stored as 64-bit words
+  (:class:`PackedAdjacency`, the form meta-paths are composed in), so a
+  receptive field of 5 000 source nodes is 79 machine words instead of a
+  Python set;
 * a marginal gain is ``popcount(row & ~covered)`` — a handful of vectorized
   word operations via :func:`bit_count`;
 * whole candidate batches are evaluated in one NumPy call
@@ -36,12 +37,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
 from repro.hetero.sparse import cached_csc, validate_attribute_caches
 
 __all__ = [
     "CoverageResult",
     "PackedAdjacency",
     "bit_count",
+    "csr_from_words",
     "greedy_max_coverage_decremental",
     "greedy_max_coverage_packed",
     "greedy_max_coverage_reference",
@@ -99,18 +102,71 @@ def _empty_result() -> CoverageResult:
 # --------------------------------------------------------------------------- #
 # Packed representation
 # --------------------------------------------------------------------------- #
+#: temporary bytes one row block of a words->CSR expansion may unpack; a
+#: constant, so peak memory stays bounded however dense a path gets
+_UNPACK_BLOCK_BYTES = 1 << 25
+
+
+def _indptr_of(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers (int64) of per-row entry counts."""
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _set_bit_columns(words: np.ndarray, nnz: int) -> np.ndarray:
+    """Column of every set bit of ``words``, in row-major bit order.
+
+    Row-major order is sorted CSR order, so the result needs no sort.  Rows
+    holding at least one set bit per word on average are unpacked whole
+    (``np.unpackbits`` + ``np.flatnonzero``); sparser rows expand only
+    their non-zero words.
+    """
+    n_rows, n_words = words.shape
+    stride = 64 * n_words
+    if nnz >= words.size:
+        parts = []
+        block = max(1, _UNPACK_BLOCK_BYTES // stride)
+        for start in range(0, n_rows, block):
+            chunk = np.ascontiguousarray(words[start : start + block]).view(np.uint8)
+            bits = np.unpackbits(chunk.reshape(-1), bitorder="little").view(bool)
+            parts.append(np.flatnonzero(bits) % stride)
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    flat = np.flatnonzero(words)
+    nonzero = np.ascontiguousarray(words.reshape(-1)[flat]).view(np.uint8)
+    bits = np.flatnonzero(np.unpackbits(nonzero, bitorder="little").view(bool))
+    return (flat[bits >> 6] % n_words) * 64 + (bits & 63)
+
+
+def csr_from_words(words: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """Canonical unit-valued CSR of the set bits of ``words``.
+
+    Row-major bit order is sorted CSR order, so no sort runs.
+    """
+    sizes = bit_count(words).sum(axis=1, dtype=np.int64)
+    nnz = int(sizes.sum())
+    csr = sp.csr_matrix(
+        (np.ones(nnz, dtype=np.float64), _set_bit_columns(words, nnz), _indptr_of(sizes)),
+        shape=(words.shape[0], n_cols),
+    )
+    csr.has_canonical_format = True
+    return csr
+
+
 class PackedAdjacency:
     """Bit-packed boolean adjacency: row ``i``'s receptive field as uint64 words.
 
     ``words`` has shape ``(n_rows, ceil(n_cols / 64))``; bit ``j`` of the
     row is bit ``j % 64`` of word ``j // 64`` (little-endian bit order, the
-    layout ``np.packbits(..., bitorder="little")`` would produce).  Packing
-    is itself vectorized — one ``np.bitwise_or.at`` scatter over the CSR
-    index array — so building the packed form costs milliseconds even for
-    graphs with millions of edges.
+    layout ``np.packbits(..., bitorder="little")`` would produce), and the
+    padding bits past ``n_cols`` are zero.  This is the form in which
+    meta-paths are composed (:func:`repro.core.metapaths.compose_packed`);
+    a canonical CSR is derived from the words only by consumers that read
+    column indices (:meth:`to_csr`).  Words are never written after
+    construction — patching builds a new object.
     """
 
-    __slots__ = ("shape", "words", "source")
+    __slots__ = ("shape", "words", "source", "_sizes")
 
     def __init__(
         self,
@@ -120,13 +176,19 @@ class PackedAdjacency:
     ) -> None:
         self.words = words
         self.shape = (int(shape[0]), int(shape[1]))
-        #: the CSR matrix the bits were packed from (lets the decremental
-        #: kernel reuse its inverted index); None for hand-built words
+        #: the CSR form of the same pattern: the matrix the bits were packed
+        #: from, or the one :meth:`to_csr` derived; None until first needed
         self.source = source
+        self._sizes: np.ndarray | None = None
 
     @classmethod
     def from_csr(cls, matrix: sp.spmatrix | np.ndarray) -> "PackedAdjacency":
-        """Pack the sparsity pattern of ``matrix`` (stored entries = set bits)."""
+        """Pack the sparsity pattern of ``matrix`` (stored entries = set bits).
+
+        The bits of one word are consecutive entries of a row in sorted
+        CSR order, so one ``np.bitwise_or.reduceat`` over those runs packs
+        the whole matrix; unsorted input is ordered first.
+        """
         csr = matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(np.asarray(matrix))
         n_rows, n_cols = csr.shape
         n_words = max(1, (n_cols + 63) // 64)
@@ -137,8 +199,12 @@ class PackedAdjacency:
                 np.arange(n_rows, dtype=np.int64), np.diff(csr.indptr).astype(np.int64)
             )
             flat = rows * n_words + (columns >> 6)
-            bits = np.uint64(1) << (columns & 63).astype(np.uint64)
-            np.bitwise_or.at(words.reshape(-1), flat, bits)
+            bits = np.left_shift(np.uint64(1), (columns & 63).astype(np.uint64))
+            if (flat[1:] < flat[:-1]).any():
+                order = np.argsort(flat, kind="stable")
+                flat, bits = flat[order], bits[order]
+            runs = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+            words.reshape(-1)[flat[runs]] = np.bitwise_or.reduceat(bits, runs)
         return cls(words, (n_rows, n_cols), source=csr)
 
     @classmethod
@@ -146,10 +212,8 @@ class PackedAdjacency:
         """Pack ``csr``, caching the result on the matrix object.
 
         Mirrors the ``_repro_csc`` inverted-index cache: consumers that
-        share one adjacency (the per-class criterion runs, repeated
-        selector calls on a memoized context) pack it exactly once, and
-        packing is deferred until a strategy actually needs the words.
-        The cache is fingerprint-guarded
+        share one adjacency pack it exactly once.  The cache is
+        fingerprint-guarded
         (:func:`repro.hetero.sparse.validate_attribute_caches`): structural
         in-place mutation of ``csr`` drops the stale packed words.
         """
@@ -157,16 +221,41 @@ class PackedAdjacency:
         cached = getattr(csr, "_repro_packed", None)
         if cached is None:
             cached = cls.from_csr(csr)
-            try:
-                csr._repro_packed = cached
-            except AttributeError:  # pragma: no cover - csr accepts attrs
-                pass
+            cached.adopt(csr)
         return cached
+
+    def adopt(self, csr: sp.csr_matrix) -> None:
+        """Record ``csr`` as this pattern's CSR form, linked both ways."""
+        self.source = csr
+        validate_attribute_caches(csr)  # stamp the object's fingerprint
+        csr._repro_packed = self
+
+    def to_csr(self) -> sp.csr_matrix:
+        """The canonical CSR of the set bits, derived once and kept as ``source``.
+
+        Sorted and duplicate-free by construction, all stored values 1.0 —
+        the form the decremental coverage kernel and NIM read.
+        """
+        if self.source is None:
+            with obs.span("core.csr", rows=self.shape[0], nnz=self.nnz):
+                self.adopt(csr_from_words(self.words, self.shape[1]))
+        return self.source
 
     @property
     def num_words(self) -> int:
         """Words per packed row."""
         return self.words.shape[1]
+
+    @property
+    def nnz(self) -> int:
+        """Number of set bits (stored entries of the CSR form)."""
+        return int(self.sizes().sum())
+
+    def sizes(self) -> np.ndarray:
+        """Receptive-field size of every row (popcount), computed once."""
+        if self._sizes is None:
+            self._sizes = bit_count(self.words).sum(axis=1, dtype=np.int64)
+        return self._sizes
 
     def empty_cover(self) -> np.ndarray:
         """A fresh all-zero cover vector (one uint64 word row)."""
@@ -174,7 +263,7 @@ class PackedAdjacency:
 
     def row_sizes(self, rows: np.ndarray) -> np.ndarray:
         """Receptive-field size of each row in ``rows``."""
-        return bit_count(self.words[rows]).sum(axis=1, dtype=np.int64)
+        return self.sizes()[rows]
 
     def marginal_gains(self, rows: np.ndarray, covered: np.ndarray) -> np.ndarray:
         """``popcount(row & ~covered)`` for every row in ``rows`` at once."""

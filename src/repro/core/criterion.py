@@ -18,13 +18,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.context import CondensationContext
 
 from repro.baselines.base import per_class_budgets
-from repro.core.metapaths import MetaPath, enumerate_metapaths, metapath_adjacency
+from repro.core.coverage_kernels import PackedAdjacency
+from repro.core.metapaths import MetaPath, compose_packed, enumerate_metapaths
 from repro.core.receptive_field import greedy_max_coverage
 from repro.core.similarity import metapath_similarity_scores
 from repro.errors import BudgetError
@@ -108,12 +110,13 @@ class TargetNodeSelector:
             )
         if not metapaths:
             raise BudgetError("schema exposes no meta-paths from the target type")
+        # Receptive fields stay packed: the coverage kernels and Jaccard
+        # read words, and only the decremental kernel derives a CSR.
         if use_context:
-            adjacencies = [context.adjacency(path, normalize=False) for path in metapaths]
+            adjacencies = [context.packed_receptive_field(path) for path in metapaths]
         else:
-            adjacencies = [
-                metapath_adjacency(graph, path, normalize=False) for path in metapaths
-            ]
+            products: dict = {}
+            adjacencies = [compose_packed(graph, path, products) for path in metapaths]
 
         # The streaming subsystem installs a selection memo on its shared
         # context; with no memo (the default) nothing below changes.
@@ -148,10 +151,10 @@ class TargetNodeSelector:
                     path_scores += scores
                     coverage_evaluations += evaluations
                 else:
-                    # The greedy kernels cache their index structures (packed
-                    # words / inverted CSC) on the adjacency object, so the
-                    # per-class runs — and, with a memoized context, repeated
-                    # select() calls — build them once per meta-path.
+                    # The greedy kernels cache their index structures (CSR,
+                    # inverted CSC) on the packed adjacency, so the per-class
+                    # runs — and, with a memoized context, repeated select()
+                    # calls — build them once per meta-path.
                     for cls, cls_budget in class_budgets.items():
                         cls_pool = class_pools[cls]
                         if cls_pool.size == 0:
@@ -194,7 +197,7 @@ class TargetNodeSelector:
     def _similarity_matrix(
         self,
         metapaths: list[MetaPath],
-        adjacencies: list[sp.csr_matrix],
+        adjacencies: list[PackedAdjacency],
         graph: HeteroGraph,
         *,
         memo=None,
@@ -219,12 +222,13 @@ class TargetNodeSelector:
             if len(indices) < 2:
                 continue
             group_adjacencies = [adjacencies[i] for i in indices]
-            if memo is not None:
-                # Byte-identical to metapath_similarity_scores, with
-                # unchanged pairs served from the memo.
-                group_scores = memo.group_similarity(end_type, group_adjacencies)
-            else:
-                group_scores = metapath_similarity_scores(group_adjacencies)
+            with obs.span("core.jaccard", end_type=end_type, paths=len(indices)):
+                if memo is not None:
+                    # Byte-identical to metapath_similarity_scores, with
+                    # unchanged pairs served from the memo.
+                    group_scores = memo.group_similarity(end_type, group_adjacencies)
+                else:
+                    group_scores = metapath_similarity_scores(group_adjacencies)
             for column, index in enumerate(indices):
                 similarity[:, index] = group_scores[:, column]
         return similarity

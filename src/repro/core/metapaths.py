@@ -11,20 +11,40 @@ schema's type-connectivity graph, and adjacency composition for a concrete
 :class:`~repro.hetero.graph.HeteroGraph`.  The same machinery feeds the HGNN
 evaluation models (pre-computed meta-path features) and every stage of the
 condensation algorithm.
+
+Boolean reachability — the receptive fields of Section IV-B — is composed
+in packed form (:func:`compose_packed`): one bit per column in uint64
+words, each hop a bit-parallel OR of the next hop's rows.  That is the
+library's one full boolean composition; CSR is derived from the words on
+demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
+from repro.core.coverage_kernels import PackedAdjacency
 from repro.errors import SchemaError
 from repro.hetero.graph import HeteroGraph
 from repro.hetero.schema import HeteroSchema
 from repro.hetero.sparse import boolean_csr, row_normalize
 
-__all__ = ["MetaPath", "enumerate_metapaths", "metapath_adjacency", "metapaths_to_type"]
+__all__ = [
+    "MetaPath",
+    "compose_packed",
+    "compose_packed_rows",
+    "enumerate_metapaths",
+    "metapath_adjacency",
+    "metapaths_to_type",
+]
+
+#: temporary bytes one row block of a packed hop product may gather; a
+#: constant, so peak memory stays bounded however dense a path gets
+_GATHER_BLOCK_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -152,6 +172,90 @@ def metapaths_to_type(
     ]
 
 
+def _or_neighbor_rows(
+    indptr: np.ndarray, indices: np.ndarray, suffix: np.ndarray
+) -> np.ndarray:
+    """Bit-parallel boolean product: row ``i`` is the OR of the ``suffix``
+    rows of ``i``'s neighbours ``indices[indptr[i]:indptr[i + 1]]``.
+
+    The neighbours' rows are gathered in row blocks of at most
+    ``_GATHER_BLOCK_BYTES`` (a row with more neighbours forms a block of
+    its own) and OR-reduced per row with one ``np.bitwise_or.reduceat``.
+    ``reduceat`` returns the next element for an empty segment, so rows
+    without neighbours are skipped and stay zero.
+    """
+    n_rows, n_words = indptr.size - 1, suffix.shape[1]
+    words = np.zeros((n_rows, n_words), dtype=np.uint64)
+    indptr = indptr.astype(np.int64)
+    per_block = max(1, _GATHER_BLOCK_BYTES // (8 * n_words))
+    start = 0
+    while start < n_rows:
+        stop = int(np.searchsorted(indptr, indptr[start] + per_block, side="right")) - 1
+        stop = min(max(stop, start + 1), n_rows)
+        low, high = indptr[start], indptr[stop]
+        if high > low:
+            rows = start + np.flatnonzero(np.diff(indptr[start : stop + 1]))
+            gathered = suffix[indices[low:high]]
+            words[rows] = np.bitwise_or.reduceat(gathered, indptr[rows] - low, axis=0)
+        start = stop
+    return words
+
+
+def compose_packed(
+    graph: HeteroGraph,
+    metapath: MetaPath,
+    products: dict[tuple[str, ...], PackedAdjacency] | None = None,
+) -> PackedAdjacency:
+    """Boolean reachability of ``metapath`` on ``graph``, as packed words.
+
+    Composed right to left: row ``i`` of ``RF(t0…tk)`` is the OR of the
+    ``RF(t1…tk)`` rows of ``i``'s ``t0→t1`` neighbours, so a hop costs its
+    own entry count times the end type's word count.  The last hop is
+    packed directly from its CSR, which it keeps as the path's CSR form.
+
+    ``products`` caches every composed chain, keyed by its node types:
+    pass one dict across calls to share suffix products between paths (the
+    words of ``paper-author`` are the suffix of ``paper-paper-author`` and
+    ``subject-paper-author``).  Every entry must be current for ``graph``.
+    """
+    chain = metapath.node_types
+    cached = None if products is None else products.get(chain)
+    if cached is not None:
+        return cached
+    hop = boolean_csr(graph.typed_adjacency(chain[0], chain[1]))
+    if len(chain) == 2:
+        with obs.span("core.compose", path=str(metapath)):
+            packed = PackedAdjacency.from_csr(hop)
+    else:
+        suffix = compose_packed(graph, MetaPath(chain[1:]), products)
+        with obs.span("core.compose", path=str(metapath)):
+            packed = PackedAdjacency(
+                _or_neighbor_rows(hop.indptr, hop.indices, suffix.words),
+                (hop.shape[0], suffix.shape[1]),
+            )
+    if products is not None:
+        products[chain] = packed
+    return packed
+
+
+def compose_packed_rows(
+    graph: HeteroGraph, metapath: MetaPath, rows: np.ndarray
+) -> np.ndarray:
+    """Words of rows ``rows`` of ``compose_packed(graph, metapath)``.
+
+    Each hop composes only the rows the previous hop reaches, so patching
+    a delta's dirty rows never pays a full composition.
+    """
+    chain = metapath.node_types
+    hop = boolean_csr(graph.typed_adjacency(chain[0], chain[1]))
+    block = hop[np.asarray(rows, dtype=np.int64)]
+    if len(chain) == 2:
+        return PackedAdjacency.from_csr(block).words
+    reached = np.unique(block.indices)
+    suffix = compose_packed_rows(graph, MetaPath(chain[1:]), reached)
+    return _or_neighbor_rows(block.indptr, np.searchsorted(reached, block.indices), suffix)
+
+
 def metapath_adjacency(
     graph: HeteroGraph, metapath: MetaPath, *, normalize: bool = True
 ) -> sp.csr_matrix:
@@ -165,22 +269,15 @@ def metapath_adjacency(
         The meta-path whose hops are composed.
     normalize:
         If True each hop is row-normalised (the form used for feature
-        propagation); if False the boolean reachability product is returned
-        (the form used for receptive fields and Jaccard similarity).
+        propagation); if False the boolean reachability pattern is returned
+        as canonical CSR with unit values (the form used for receptive
+        fields and Jaccard similarity), derived from :func:`compose_packed`.
     """
+    if not normalize:
+        return compose_packed(graph, metapath).to_csr()
     result: sp.csr_matrix | None = None
     for src, dst in metapath.hops():
-        hop = graph.typed_adjacency(src, dst)
-        hop = row_normalize(hop) if normalize else boolean_csr(hop)
+        hop = row_normalize(graph.typed_adjacency(src, dst))
         result = hop if result is None else (result @ hop).tocsr()
     assert result is not None
-    if not normalize:
-        # Canonicalise the product once at build time (sparse matmul output
-        # has unsorted indices): the coverage kernels, the Jaccard products
-        # and the streaming row-diff all want canonical CSR, and doing it
-        # here means none of them pays for a private sorted copy.
-        if not result.has_canonical_format:
-            result.sum_duplicates()
-        result = boolean_csr(result)
-        result.has_canonical_format = True  # binarising preserved the pattern
     return result

@@ -16,79 +16,91 @@ centrality is available as the drop-in alternative mentioned in the paper
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.metapaths import MetaPath, metapaths_to_type
+from repro import obs
+from repro.core.metapaths import MetaPath, metapath_adjacency, metapaths_to_type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.context import CondensationContext
 from repro.errors import BudgetError
 from repro.hetero.graph import HeteroGraph
-from repro.hetero.sparse import cached_csc, symmetric_normalize, validate_attribute_caches
-from repro.core.metapaths import metapath_adjacency
+from repro.hetero.sparse import symmetric_normalize, validate_attribute_caches
 
-__all__ = ["FatherSelectionResult", "NeighborInfluenceMaximizer", "personalized_pagerank"]
+__all__ = [
+    "FatherSelectionResult",
+    "NeighborInfluenceMaximizer",
+    "bipartite_pagerank",
+    "personalized_pagerank",
+]
 
 
-def _normalized_bipartite(adjacency: sp.csr_matrix) -> sp.csr_matrix:
-    """Symmetric-normalised bipartite graph of a target→father adjacency.
+def _inverse_sqrt(degrees: np.ndarray) -> np.ndarray:
+    degrees = degrees.astype(np.float64)
+    inv = np.zeros_like(degrees)
+    positive = degrees > 0
+    inv[positive] = 1.0 / np.sqrt(degrees[positive])
+    return inv
 
-    The block matrix of Eq. 11 depends only on the adjacency, not on the
-    restart vector, so it is attribute-cached on the adjacency object
-    (fingerprint-guarded like the coverage-kernel indexes).  Re-anchored PPR
-    runs — every streaming step re-anchors on the fresh target selection —
-    then pay only the power iterations.
 
-    For the unit-weight adjacencies this library produces, the block matrix
-    is assembled directly instead of via ``bmat`` + two diagonal matmuls:
-    bipartite degrees are exact row/column entry counts and every stored
-    value is ``deg_inv[i] * deg_inv[j]`` — bit-identical to
-    ``symmetric_normalize(bmat(...))`` (multiplying by the stored 1.0 is
-    exact, float multiplication is commutative) at a fraction of the cost.
+def _scaled_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
+    """The target→father block of the symmetric-normalised bipartite graph.
+
+    Eq. 11 normalises the block matrix ``[[0, A], [Aᵀ, 0]]`` of a unit-weight
+    target→father adjacency ``A``: entry ``(i, j)`` becomes
+    ``r_inv[i] · c_inv[j]`` with ``r_inv``/``c_inv`` the inverse square
+    roots of the row/column entry counts.  That scaling of ``A``, sharing
+    ``A``'s index arrays, is the whole operator: its transpose (a CSC view
+    of the same arrays) is the father→target block.  It depends only on the
+    adjacency, so it is attribute-cached on it (fingerprint-guarded like the
+    coverage-kernel indexes) and re-anchored PPR runs pay only the
+    iterations.
     """
     validate_attribute_caches(adjacency)
     cached = getattr(adjacency, "_repro_nim_bipartite", None)
     if cached is not None:
         return cached
-    csr = adjacency.tocsr()
-    unit_weight = csr.nnz == 0 or bool((csr.data == 1.0).all())
-    if unit_weight:
-        n_target, n_father = csr.shape
-        csc = cached_csc(csr)  # shared with the decremental kernel
-        degrees = np.concatenate(
-            [np.diff(csr.indptr), np.diff(csc.indptr)]
-        ).astype(np.float64)
-        inv = np.zeros_like(degrees)
-        positive = degrees > 0
-        inv[positive] = 1.0 / np.sqrt(degrees[positive])
-        indptr = np.concatenate([csr.indptr, csr.indptr[-1] + csc.indptr[1:]])
-        indices = np.concatenate(
-            [csr.indices.astype(np.int64) + n_target, csc.indices.astype(np.int64)]
-        )
-        row_factor = np.repeat(inv, np.diff(indptr))
-        data = row_factor * inv[indices]
-        cached = sp.csr_matrix(
-            (data, indices, indptr),
-            shape=(n_target + n_father, n_target + n_father),
-        )
-        cached.has_canonical_format = True
-    else:  # pragma: no cover - weighted adjacencies are not produced here
-        bipartite = sp.bmat(
-            [
-                [None, csr],
-                [csr.T, None],
-            ],
-            format="csr",
-        )
-        cached = symmetric_normalize(bipartite)
-    try:
-        adjacency._repro_nim_bipartite = cached
-    except AttributeError:  # pragma: no cover - csr accepts attrs
-        pass
+    row_counts = np.diff(adjacency.indptr)
+    col_counts = np.bincount(adjacency.indices, minlength=adjacency.shape[1])
+    row_inv, col_inv = _inverse_sqrt(row_counts), _inverse_sqrt(col_counts)
+    cached = sp.csr_matrix(
+        (np.repeat(row_inv, row_counts) * col_inv[adjacency.indices],
+         adjacency.indices, adjacency.indptr),
+        shape=adjacency.shape,
+    )
+    adjacency._repro_nim_bipartite = cached
     return cached
+
+
+def _power_iteration(
+    spread: Callable[[np.ndarray], np.ndarray],
+    restart: np.ndarray,
+    *,
+    alpha: float,
+    iterations: int,
+    tolerance: float,
+) -> np.ndarray:
+    """Iterate ``p = alpha * restart + (1 - alpha) * spread(p)`` to convergence."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    total = restart.sum()
+    if total <= 0:
+        restart = np.full(restart.size, 1.0 / restart.size)
+    else:
+        restart = restart / total
+    scores = restart.copy()
+    teleport = alpha * restart  # constant across iterations; hoisted
+    damping = 1.0 - alpha
+    for _ in range(iterations):
+        updated = teleport + damping * spread(scores)
+        if np.abs(updated - scores).sum() < tolerance:
+            scores = updated
+            break
+        scores = updated
+    return scores
 
 
 def personalized_pagerank(
@@ -111,39 +123,61 @@ def personalized_pagerank(
         Square adjacency matrix (it is symmetrically normalised internally).
     restart:
         Restart (personalisation) distribution; it is renormalised to sum
-        to one.
+        to one (uniform when it sums to zero).
     alpha:
         Restart probability (``α`` in Eq. 11).
     iterations / tolerance:
         Power-iteration stopping criteria.
     prenormalized:
         When True, ``adjacency`` is taken to be symmetric-normalised
-        already and used as-is.  Callers that run many PPR queries on one
-        graph (the NIM stage re-anchoring after every streaming delta)
-        normalise once and reuse the result — the scores are bit-identical
-        because the same normalised matrix drives the same iterations.
+        already and used as-is.
     """
     if adjacency.shape[0] != adjacency.shape[1]:
         raise ValueError("personalised PageRank requires a square adjacency matrix")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     normalized = adjacency if prenormalized else symmetric_normalize(adjacency)
-    restart = np.asarray(restart, dtype=np.float64)
-    total = restart.sum()
-    if total <= 0:
-        restart = np.full(adjacency.shape[0], 1.0 / adjacency.shape[0])
-    else:
-        restart = restart / total
-    scores = restart.copy()
-    teleport = alpha * restart  # constant across iterations; hoisted
-    damping = 1.0 - alpha
-    for _ in range(iterations):
-        updated = teleport + damping * (normalized @ scores)
-        if np.abs(updated - scores).sum() < tolerance:
-            scores = updated
-            break
-        scores = updated
-    return scores
+    return _power_iteration(
+        normalized.__matmul__,
+        np.asarray(restart, dtype=np.float64),
+        alpha=alpha,
+        iterations=iterations,
+        tolerance=tolerance,
+    )
+
+
+def bipartite_pagerank(
+    adjacency: sp.csr_matrix,
+    anchor: np.ndarray,
+    *,
+    alpha: float = 0.15,
+    iterations: int = 30,
+    tolerance: float = 1e-8,
+) -> np.ndarray:
+    """PPR on the bipartite graph of a target→father adjacency (Eq. 11).
+
+    The result is ``[target scores, father scores]`` for the restart
+    ``[anchor, 0]``, equal bit for bit to :func:`personalized_pagerank` on
+    the normalised block matrix.  Each half of the iterate is one SpMV over
+    the scaled adjacency ``S``: ``S @ x`` gathers the target rows, and
+    ``Sᵀ @ x`` scatters over the same arrays, adding each father's terms in
+    ascending target order — the order the block matrix's father rows sum
+    in.  Convergence is tested on the concatenated vector.  ``adjacency``
+    must be canonical with unit values.
+    """
+    scaled = _scaled_adjacency(adjacency)
+    transposed = scaled.T
+    n_target = adjacency.shape[0]
+
+    def spread(scores: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            [scaled @ scores[n_target:], transposed @ scores[:n_target]]
+        )
+
+    restart = np.concatenate(
+        [np.asarray(anchor, dtype=np.float64), np.zeros(adjacency.shape[1])]
+    )
+    return _power_iteration(
+        spread, restart, alpha=alpha, iterations=iterations, tolerance=tolerance
+    )
 
 
 @dataclass
@@ -226,7 +260,7 @@ class NeighborInfluenceMaximizer:
 
         for metapath in metapaths:
             if use_context:
-                adjacency = context.adjacency(metapath, normalize=False)
+                adjacency = context.receptive_field(metapath)
             else:
                 adjacency = metapath_adjacency(graph, metapath, normalize=False)
             if adjacency.nnz == 0:
@@ -235,14 +269,10 @@ class NeighborInfluenceMaximizer:
                 weighted = adjacency.T @ anchor_mask
                 influence += np.asarray(weighted).ravel()
                 continue
-            restart = np.concatenate([anchor_mask, np.zeros(n_father)])
-            scores = personalized_pagerank(
-                _normalized_bipartite(adjacency),
-                restart,
-                alpha=self.alpha,
-                iterations=self.iterations,
-                prenormalized=True,
-            )
+            with obs.span("core.ppr", path=str(metapath), nnz=int(adjacency.nnz)):
+                scores = bipartite_pagerank(
+                    adjacency, anchor_mask, alpha=self.alpha, iterations=self.iterations
+                )
             influence += scores[n_target:]
 
         order = np.argsort(-influence, kind="stable")

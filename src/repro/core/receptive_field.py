@@ -70,11 +70,12 @@ def greedy_max_coverage(
     """Greedy maximisation of ``|RF(S)|`` over candidates in ``pool`` (Eq. 3).
 
     The kernel follows the input's density: the decremental inverted-index
-    kernel for sparse receptive fields, batched CELF for dense ones (mean
-    row size above ~48) or a packed adjacency built without its CSR.  Both
-    return the *identical* selection — highest current marginal gain per
-    round, ties broken by the lowest node id — so the choice is purely
-    about speed.
+    kernel for sparse receptive fields (mean row size up to ~48), batched
+    CELF for dense ones.  A packed input is measured by its popcounts and
+    derives its CSR only when the decremental kernel needs it.  Both
+    kernels return the *identical* selection — highest current marginal
+    gain per round, ties broken by the lowest node id — so the choice is
+    purely about speed.
 
     Parameters
     ----------
@@ -83,10 +84,11 @@ def greedy_max_coverage(
         nodes reached by the meta-path), either a CSR matrix or an already
         packed :class:`~repro.core.coverage_kernels.PackedAdjacency`.
         Callers that run several selections on the same adjacency (e.g. the
-        per-class loop of the unified criterion) should pack once — via
-        :meth:`repro.core.context.CondensationContext.packed_receptive_field`
-        — and pass the packed form, so the packed words and the inverted
-        CSC index are shared across runs.
+        per-class loop of the unified criterion) should pass the packed
+        form served by
+        :meth:`repro.core.context.CondensationContext.packed_receptive_field`,
+        so the words, the derived CSR and its inverted CSC index are shared
+        across runs.
     pool:
         Candidate row indices (the class-restricted training pool
         ``V_train`` of Algorithm 1).
@@ -96,15 +98,15 @@ def greedy_max_coverage(
         Stale entries re-evaluated per vectorized pass by the batched CELF
         kernel.
     """
-    if isinstance(adjacency, PackedAdjacency):
-        packed, csr = adjacency, adjacency.source
-    elif sp.issparse(adjacency):
-        packed, csr = None, adjacency.tocsr()
-    else:
-        packed, csr = None, sp.csr_matrix(np.asarray(adjacency))
-
-    if csr is not None and csr.nnz / max(csr.shape[0], 1) <= _DENSITY_CUTOFF:
-        return greedy_max_coverage_decremental(csr, pool, budget)
-    if packed is None:
-        packed = PackedAdjacency.from_csr_cached(csr)
-    return greedy_max_coverage_packed(packed, pool, budget, batch_size=batch_size)
+    if not isinstance(adjacency, PackedAdjacency):
+        csr = (
+            adjacency.tocsr()
+            if sp.issparse(adjacency)
+            else sp.csr_matrix(np.asarray(adjacency))
+        )
+        if csr.nnz / max(csr.shape[0], 1) <= _DENSITY_CUTOFF:
+            return greedy_max_coverage_decremental(csr, pool, budget)
+        adjacency = PackedAdjacency.from_csr_cached(csr)
+    elif adjacency.nnz / max(adjacency.shape[0], 1) <= _DENSITY_CUTOFF:
+        return greedy_max_coverage_decremental(adjacency.to_csr(), pool, budget)
+    return greedy_max_coverage_packed(adjacency, pool, budget, batch_size=batch_size)

@@ -8,9 +8,11 @@ meta-path and its neighbour sets under all other related meta-paths
 (Eq. 5–6); the selection criterion then adds the complement ``1 − Ĵ`` as a
 diversity bonus (Eq. 8).
 
-All pairwise intersections are computed with sparse matrix products, so the
-cost is proportional to the number of stored meta-path edges rather than
-``n²``.
+Neighbour sets are packed receptive fields
+(:class:`~repro.core.coverage_kernels.PackedAdjacency`), so a row's
+intersection is ``popcount(w_a & w_b)`` over its words and its size the
+popcount of its own words.  Sizes, intersections and unions are exact
+integers, so Ĵ does not depend on how they are counted.
 """
 
 from __future__ import annotations
@@ -18,9 +20,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.hetero.sparse import boolean_csr
+from repro.core.coverage_kernels import PackedAdjacency, bit_count
 
-__all__ = ["pairwise_jaccard", "metapath_similarity_scores", "jaccard_between_sets"]
+__all__ = [
+    "jaccard_between_sets",
+    "metapath_similarity_scores",
+    "pairwise_jaccard",
+    "row_jaccard",
+]
 
 
 def jaccard_between_sets(first: set[int], second: set[int]) -> float:
@@ -31,55 +38,65 @@ def jaccard_between_sets(first: set[int], second: set[int]) -> float:
     return len(first & second) / union
 
 
-def _row_jaccard(
-    a: sp.csr_matrix,
-    b: sp.csr_matrix,
-    size_a: np.ndarray,
-    size_b: np.ndarray,
-) -> np.ndarray:
-    """Per-row Jaccard of two *already boolean* CSR matrices, sizes given."""
-    intersection = np.asarray(a.multiply(b).sum(axis=1)).ravel()
+def _packed(adjacency: PackedAdjacency | sp.spmatrix) -> PackedAdjacency:
+    if isinstance(adjacency, PackedAdjacency):
+        return adjacency
+    return PackedAdjacency.from_csr(adjacency)
+
+
+def row_jaccard(
+    a: PackedAdjacency, b: PackedAdjacency, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row intersection counts and Jaccard of two packed adjacencies.
+
+    Restricted to ``rows`` when given (the streaming memo recounts only the
+    rows a delta changed).  Rows with an empty union have similarity 1.
+    """
+    if rows is None:
+        words_a, words_b = a.words, b.words
+        size_a, size_b = a.sizes(), b.sizes()
+    else:
+        words_a, words_b = a.words[rows], b.words[rows]
+        size_a, size_b = a.sizes()[rows], b.sizes()[rows]
+    intersection = bit_count(words_a & words_b).sum(axis=1, dtype=np.int64)
     union = size_a + size_b - intersection
-    result = np.ones(a.shape[0], dtype=np.float64)
+    similarity = np.ones(union.size, dtype=np.float64)
     nonzero = union > 0
-    result[nonzero] = intersection[nonzero] / union[nonzero]
-    return result
+    similarity[nonzero] = intersection[nonzero] / union[nonzero]
+    return intersection, similarity
 
 
 def pairwise_jaccard(
-    adjacency_a: sp.csr_matrix, adjacency_b: sp.csr_matrix
+    adjacency_a: PackedAdjacency | sp.spmatrix, adjacency_b: PackedAdjacency | sp.spmatrix
 ) -> np.ndarray:
     """Per-row Jaccard similarity between two boolean adjacency matrices.
 
     Row ``v`` of the result is ``J(N_a(v), N_b(v))`` (Eq. 5 evaluated per
     node).  Rows with an empty union are defined to have similarity 1, as in
-    the paper ("we say J = 1 if the union is empty").  Inputs that are
-    already boolean CSR are used as-is (``boolean_csr`` skips the copy).
+    the paper ("we say J = 1 if the union is empty").  Stored entries count
+    as set members whatever their value.
     """
     if adjacency_a.shape != adjacency_b.shape:
         raise ValueError(
             f"adjacency shapes differ: {adjacency_a.shape} vs {adjacency_b.shape}"
         )
-    a = boolean_csr(adjacency_a)
-    b = boolean_csr(adjacency_b)
-    size_a = np.asarray(a.sum(axis=1)).ravel()
-    size_b = np.asarray(b.sum(axis=1)).ravel()
-    return _row_jaccard(a, b, size_a, size_b)
+    return row_jaccard(_packed(adjacency_a), _packed(adjacency_b))[1]
 
 
-def metapath_similarity_scores(adjacencies: list[sp.csr_matrix]) -> np.ndarray:
+def metapath_similarity_scores(
+    adjacencies: list[PackedAdjacency | sp.spmatrix],
+) -> np.ndarray:
     """Per-node, per-meta-path normalised similarity ``Ĵ`` (Eq. 6).
 
-    Each adjacency is binarised at most once (a no-op for the already
-    boolean matrices the condensation context serves), row sizes are
-    materialised once per meta-path, and every unordered pair is multiplied
-    once — ``J`` is symmetric, so the pair's similarity feeds both columns.
+    Every unordered pair is counted once — ``J`` is symmetric, so the pair's
+    similarity feeds both columns.
 
     Parameters
     ----------
     adjacencies:
-        Boolean meta-path adjacency matrices that share the same row space
-        (the target-type nodes) and the same column space (the source type).
+        Boolean meta-path adjacencies (packed, or sparse matrices that are
+        packed here) that share the same row space (the target-type nodes)
+        and the same column space (the source type).
 
     Returns
     -------
@@ -101,12 +118,11 @@ def metapath_similarity_scores(adjacencies: list[sp.csr_matrix]) -> np.ndarray:
             raise ValueError(
                 f"adjacency shapes differ: {adjacencies[0].shape} vs {adjacency.shape}"
             )
-    boolean = [boolean_csr(adjacency) for adjacency in adjacencies]
-    sizes = [np.asarray(matrix.sum(axis=1)).ravel() for matrix in boolean]
+    packed = [_packed(adjacency) for adjacency in adjacencies]
     scores = np.zeros((num_nodes, num_paths), dtype=np.float64)
     for i in range(num_paths):
         for j in range(i + 1, num_paths):
-            similarity = _row_jaccard(boolean[i], boolean[j], sizes[i], sizes[j])
+            similarity = row_jaccard(packed[i], packed[j])[1]
             scores[:, i] += similarity
             scores[:, j] += similarity
     scores /= num_paths - 1

@@ -18,7 +18,6 @@ __all__ = [
     "row_normalize",
     "symmetric_normalize",
     "boolean_csr",
-    "compose_path",
     "degree_vector",
     "sparse_storage_bytes",
     "coo_from_edges",
@@ -102,7 +101,7 @@ _DERIVED_CACHE_ATTRS = (
     "_repro_csc",            # inverted column->row index (coverage_kernels)
     "_repro_canonical",      # canonicalised duplicate-free copy (coverage_kernels)
     "_repro_packed",         # packed uint64 words (coverage_kernels)
-    "_repro_nim_bipartite",  # normalised bipartite block matrix (NIM stage)
+    "_repro_nim_bipartite",  # normalised bipartite halves (NIM stage)
 )
 
 
@@ -210,31 +209,6 @@ def boolean_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
     except AttributeError:  # plain ndarrays cannot carry the cache
         pass
     return result
-
-
-def compose_path(matrices: list[sp.spmatrix], *, normalize: bool = True) -> sp.csr_matrix:
-    """Compose a chain of adjacency matrices into one meta-path adjacency.
-
-    Implements Eq. 1 of the paper: the k-hop meta-path adjacency is the
-    product of the (row-normalised) per-hop adjacency matrices.
-
-    Parameters
-    ----------
-    matrices:
-        Per-hop adjacency matrices ordered from the target type outwards.
-    normalize:
-        If True (paper default), each hop is row-normalised before
-        multiplication.  If False the raw boolean product is used, which the
-        receptive-field machinery prefers.
-    """
-    if not matrices:
-        raise ValueError("compose_path requires at least one matrix")
-    result: sp.csr_matrix | None = None
-    for matrix in matrices:
-        hop = row_normalize(matrix) if normalize else boolean_csr(matrix)
-        result = hop if result is None else result @ hop
-    assert result is not None
-    return result.tocsr()
 
 
 def degree_vector(matrix: sp.spmatrix, axis: int = 1) -> np.ndarray:

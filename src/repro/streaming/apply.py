@@ -6,9 +6,11 @@ buffer-wise) and, when handed the :class:`~repro.core.context.CondensationContex
 that serves artifacts for that graph, invalidates **exactly** the memos the
 delta touches:
 
-* a meta-path adjacency (and its packed/CSC/boolean attribute caches, which
-  die with the replaced object) is dropped iff the delta edits an edge on
-  one of the path's hops or changes the node count of a type on the path;
+* a meta-path's receptive fields (packed words plus the CSR, CSC and NIM
+  caches derived from them, which die with the replaced object) are
+  row-patched or dropped iff the delta edits an edge on one of the path's
+  hops or changes the node count of a type on the path; intermediate
+  suffix products are always dropped;
 * per-type embeddings are dropped only for the touched types;
 * schema-level artifacts (hierarchy, enumerated meta-paths) always survive.
 
@@ -29,17 +31,11 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.core.context import CondensationContext
-from repro.core.metapaths import MetaPath
+from repro.core.metapaths import MetaPath, compose_packed_rows
 from repro.hetero.graph import HeteroGraph, NodeSplits, combine_typed_adjacency
 from repro.hetero.sparse import boolean_csr
 from repro.streaming.delta import GraphDelta
-from repro.streaming.patch import (
-    compose_rows,
-    patched_packed,
-    propagate_dirty,
-    replace_rows,
-    shrink_to_changed_rows,
-)
+from repro.streaming.patch import patch_rows, propagate_dirty
 
 __all__ = ["ApplyReport", "DeltaApplier"]
 
@@ -217,9 +213,16 @@ class DeltaApplier:
         def pre_hop(src: str, dst: str) -> sp.csr_matrix:
             hop = pre_cache.get((src, dst))
             if hop is None:
-                hop = combine_typed_adjacency(
-                    graph.schema, old_num_nodes, old_adjacency, src, dst
-                )
+                if frozenset((src, dst)) not in changed and all(
+                    old_num_nodes[t] == graph.num_nodes[t] for t in (src, dst)
+                ):
+                    # No relation between the pair was edited: the
+                    # pre-delta view is the memoized current one.
+                    hop = post_hop(src, dst)
+                else:
+                    hop = combine_typed_adjacency(
+                        graph.schema, old_num_nodes, old_adjacency, src, dst
+                    )
                 pre_cache[(src, dst)] = hop
             return hop
 
@@ -364,23 +367,18 @@ class DeltaApplier:
             dirty = propagate_dirty(metapath, changed, old_typed, new_typed)
             if dirty is None or dirty.size == 0:
                 continue  # pattern provably unchanged: keep serving the memo
-            old_matrix = context.cached_adjacency(key)
-            if (
-                old_matrix is None
-                or dirty.size > PATCH_ROW_FRACTION * max(old_matrix.shape[0], 1)
-            ):
+            old = context.cached_packed(key)
+            if dirty.size > PATCH_ROW_FRACTION * max(old.shape[0], 1):
                 report.invalidated_paths.extend(context.invalidate_paths([key]))
                 continue
-            block = compose_rows(graph, metapath, dirty, hop_cache=new_typed)
-            dirty, block = shrink_to_changed_rows(old_matrix, dirty, block)
-            if dirty.size == 0:
+            block = compose_packed_rows(graph, metapath, dirty)
+            patched = patch_rows(old, dirty, block)
+            if patched is None:
                 # Over-approximated dirtiness: every recomposed row came out
                 # pattern-identical.  Keep the old *object* so every
                 # identity-keyed memo downstream keeps hitting.
                 continue
-            new_matrix = replace_rows(old_matrix, dirty, block)
-            patched_packed(old_matrix, new_matrix, dirty)
-            context.install_adjacency(key, new_matrix)
+            context.install_adjacency(key, patched)
             report.patched_paths.append(key)
 
         # Normalised forms are not patched: drop the ones a touched hop feeds.

@@ -117,7 +117,7 @@ class StageMemo:
             return None
         graph = context.graph
         metapaths = context.metapaths()
-        adjacencies = [context.adjacency(path, normalize=False) for path in metapaths]
+        adjacencies = [context.packed_receptive_field(path) for path in metapaths]
         fingerprint = (
             int(budget),
             bool(getattr(stage, "use_receptive_field", True)),
@@ -193,9 +193,7 @@ class StageMemo:
         if name == "nim":
             target = context.target_type
             paths = context.metapaths_to(node_type) or [MetaPath((target, node_type))]
-            adjacencies = tuple(
-                context.adjacency(path, normalize=False) for path in paths
-            )
+            adjacencies = tuple(context.packed_receptive_field(path) for path in paths)
             fingerprint = (
                 "nim",
                 int(budget),
@@ -396,6 +394,9 @@ class IncrementalCondenser:
             context=self.context,
             stage_memo=self.stage_memo,
         )
+        # Row diffs are only valid within one step; keeping them would pin
+        # every replaced adjacency (and its CSR, CSC and NIM caches).
+        self.selection_memo.end_step()
         self._previous_selection = self._selected_targets()
         return condensed
 

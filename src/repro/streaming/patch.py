@@ -1,19 +1,18 @@
 """Row-level patching of composed meta-path adjacencies.
 
 A graph delta usually changes the receptive fields of a handful of target
-rows, yet re-composing a k-hop meta-path adjacency from scratch costs a full
-chain of sparse matrix products plus a canonicalising sort.  This module
-recomputes **only the dirty rows** — the rows whose receptive field can have
-changed — and splices them into the previously composed matrix:
+rows, yet re-composing a k-hop meta-path adjacency from scratch composes
+every row.  The streaming applier recomputes **only the dirty rows** — the
+rows whose receptive field can have changed — and splices them into the
+previously composed words:
 
-* :func:`compose_rows` runs the same boolean hop composition as
-  :func:`~repro.core.metapaths.metapath_adjacency` restricted to a row
-  subset (rows of a product equal the product of the row slice, so the
-  patched pattern is *identical* to a full re-composition);
-* :func:`replace_rows` performs vectorized CSR row surgery;
-* :func:`patched_packed` reuses the previous bit-packed words, re-packing
-  only the dirty rows, and pre-attaches the result to the new matrix so the
-  coverage kernels never repack from scratch.
+* :func:`~repro.core.metapaths.compose_packed_rows` composes the packed
+  words of the dirty rows alone (rows of a product equal the product of
+  the row slice, so the patched pattern is *identical* to a full
+  re-composition);
+* :func:`patch_rows` narrows the dirty rows to the truly changed ones and
+  splices them into copies of the previous words and, when one was
+  derived, of the previous CSR.
 
 Dirty rows are over-approximated by :func:`propagate_dirty`: the changed
 node sets of a hop are walked back to the anchor type through the union of
@@ -28,182 +27,63 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.coverage_kernels import PackedAdjacency
+from repro.core.coverage_kernels import PackedAdjacency, csr_from_words
 from repro.core.metapaths import MetaPath
-from repro.hetero.graph import HeteroGraph
-from repro.hetero.sparse import boolean_csr, validate_attribute_caches
 
-__all__ = [
-    "compose_rows",
-    "mismatched_row_positions",
-    "replace_rows",
-    "shrink_to_changed_rows",
-    "patched_packed",
-    "propagate_dirty",
-]
+__all__ = ["patch_rows", "propagate_dirty"]
 
 
-def compose_rows(
-    graph: HeteroGraph,
-    metapath: MetaPath,
-    rows: np.ndarray,
-    hop_cache: dict[tuple[str, str], sp.csr_matrix] | None = None,
-) -> sp.csr_matrix:
-    """Rows ``rows`` of the boolean composed adjacency of ``metapath``.
-
-    Pattern-identical to ``metapath_adjacency(graph, metapath,
-    normalize=False)[rows]``: boolean hops, product, canonicalised, all
-    stored values 1.0.
-    """
-    block: sp.csr_matrix | None = None
-    for src, dst in metapath.hops():
-        hop = None if hop_cache is None else hop_cache.get((src, dst))
-        if hop is None:
-            hop = boolean_csr(graph.typed_adjacency(src, dst))
-            if hop_cache is not None:
-                hop_cache[(src, dst)] = hop
-        block = hop[rows] if block is None else (block @ hop).tocsr()
-    assert block is not None
-    if not block.has_canonical_format:
-        block.sum_duplicates()
-    if block.nnz:
-        block.data = np.ones_like(block.data)
-    block.has_canonical_format = True
-    return block
-
-
-def mismatched_row_positions(
-    a: sp.csr_matrix, rows_a: np.ndarray, b: sp.csr_matrix, rows_b: np.ndarray
-) -> np.ndarray:
-    """Positions ``p`` where row ``rows_a[p]`` of ``a`` and row ``rows_b[p]``
-    of ``b`` have different sparsity patterns.
-
-    The single row-pattern-diff kernel behind both
-    :func:`~repro.streaming.warmstart.changed_rows` (whole-matrix diff) and
-    :func:`shrink_to_changed_rows` (patch narrowing): first compare row
-    lengths, then gather the equal-length segments with the repeat/cumsum
-    multi-slice trick and compare element-wise.  Both matrices must have
-    canonical (sorted, duplicate-free) indices.
-    """
-    rows_a = np.asarray(rows_a, dtype=np.int64)
-    rows_b = np.asarray(rows_b, dtype=np.int64)
-    len_a = (a.indptr[rows_a + 1] - a.indptr[rows_a]).astype(np.int64)
-    len_b = (b.indptr[rows_b + 1] - b.indptr[rows_b]).astype(np.int64)
-    mismatch = len_a != len_b
-    same = np.flatnonzero(~mismatch)
-    lengths = len_a[same]
-    total = int(lengths.sum())
-    if total:
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(lengths) - lengths, lengths
-        )
-        gathered_a = a.indices[
-            np.repeat(a.indptr[rows_a[same]].astype(np.int64), lengths) + offsets
-        ]
-        gathered_b = b.indices[
-            np.repeat(b.indptr[rows_b[same]].astype(np.int64), lengths) + offsets
-        ]
-        unequal = gathered_a != gathered_b
-        if unequal.any():
-            row_of = np.repeat(np.arange(same.size, dtype=np.int64), lengths)
-            mismatch[same[np.unique(row_of[unequal])]] = True
-    return np.flatnonzero(mismatch)
-
-
-def shrink_to_changed_rows(
-    old: sp.csr_matrix, rows: np.ndarray, block: sp.csr_matrix
-) -> tuple[np.ndarray, sp.csr_matrix]:
-    """Drop the rows of ``block`` whose pattern matches ``old``'s rows.
+def patch_rows(
+    old: PackedAdjacency, rows: np.ndarray, block: np.ndarray
+) -> PackedAdjacency | None:
+    """``old`` with the words of ``rows`` replaced by ``block``, or None.
 
     Dirty-row propagation over-approximates: a removed hop edge often
     leaves a composed receptive field unchanged (other walks still connect
-    the same endpoints).  Narrowing the patch to the *truly* changed rows
-    keeps the selection memos' own row-diffs small — and when nothing
-    actually changed, the caller can keep the old matrix **object**, which
-    lets every downstream identity-keyed memo keep hitting.
+    the same endpoints).  Only rows whose words differ are spliced in, which
+    keeps the selection memos' own row-diffs small — and when no row
+    changed, None tells the caller to keep the old **object**, so every
+    identity-keyed memo downstream keeps hitting.  A CSR derived for
+    ``old`` is patched alongside; otherwise it is derived on demand.
     """
-    changed = mismatched_row_positions(
-        old, rows, block, np.arange(np.asarray(rows).size, dtype=np.int64)
-    )
-    return np.asarray(rows, dtype=np.int64)[changed], block[changed]
+    rows = np.asarray(rows, dtype=np.int64)
+    changed = np.flatnonzero((block != old.words[rows]).any(axis=1))
+    if changed.size == 0:
+        return None
+    rows, block = rows[changed], block[changed]
+    words = old.words.copy()
+    words[rows] = block
+    patched = PackedAdjacency(words, old.shape)
+    if old.source is not None:
+        patched.adopt(_splice_rows(old.source, rows, csr_from_words(block, old.shape[1])))
+    return patched
 
 
-def replace_rows(
+def _splice_rows(
     old: sp.csr_matrix, rows: np.ndarray, block: sp.csr_matrix
 ) -> sp.csr_matrix:
-    """A new CSR equal to ``old`` with ``rows`` replaced by ``block``'s rows.
+    """Canonical ``old`` with its sorted ``rows`` replaced by ``block``'s rows.
 
-    Both inputs must be canonical; the result is canonical (each row is
-    copied verbatim from a canonical source).  Runs in O(nnz) with two
-    vectorized scatters — no sort.  All-ones data (the boolean adjacencies
-    this is used on) skips the value scatters entirely.
+    One concatenation of the untouched runs and the new rows: a copy of
+    the index array, no sort.
     """
-    n_rows = old.shape[0]
-    rows = np.asarray(rows, dtype=np.int64)
-    counts = np.diff(old.indptr).astype(np.int64)
-    new_counts = counts.copy()
-    new_counts[rows] = np.diff(block.indptr).astype(np.int64)
-    indptr = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(new_counts, dtype=np.int64)]
+    indptr = old.indptr.astype(np.int64)
+    counts = np.diff(indptr)
+    counts[rows] = np.diff(block.indptr)
+    pieces, previous = [], 0
+    for position, row in enumerate(rows.tolist()):
+        pieces.append(old.indices[indptr[previous] : indptr[row]])
+        pieces.append(block.indices[block.indptr[position] : block.indptr[position + 1]])
+        previous = row + 1
+    pieces.append(old.indices[indptr[previous] :])
+    indices = np.concatenate(pieces).astype(old.indices.dtype, copy=False)
+    new_indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_indptr[1:])
+    spliced = sp.csr_matrix(
+        (np.ones(indices.size, dtype=np.float64), indices, new_indptr), shape=old.shape
     )
-    total = int(indptr[-1])
-    indices = np.empty(total, dtype=np.int64)
-    all_ones = (old.nnz == 0 or bool((old.data == 1.0).all())) and (
-        block.nnz == 0 or bool((block.data == 1.0).all())
-    )
-    data = None if all_ones else np.empty(total, dtype=old.data.dtype)
-
-    keep_row = np.ones(n_rows, dtype=bool)
-    keep_row[rows] = False
-    entry_rows = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
-    keep_entry = keep_row[entry_rows]
-    within = np.arange(old.nnz, dtype=np.int64) - np.repeat(
-        old.indptr[:-1].astype(np.int64), counts
-    )
-    dest = indptr[entry_rows] + within
-    indices[dest[keep_entry]] = old.indices[keep_entry]
-    if data is not None:
-        data[dest[keep_entry]] = old.data[keep_entry]
-
-    block_counts = np.diff(block.indptr).astype(np.int64)
-    block_rows = np.repeat(rows, block_counts)
-    block_within = np.arange(block.nnz, dtype=np.int64) - np.repeat(
-        block.indptr[:-1].astype(np.int64), block_counts
-    )
-    block_dest = indptr[block_rows] + block_within
-    indices[block_dest] = block.indices
-    if data is not None:
-        data[block_dest] = block.data
-
-    if data is None:
-        data = np.ones(total, dtype=np.float64)
-    result = sp.csr_matrix((data, indices, indptr), shape=old.shape)
-    result.has_canonical_format = True
-    return result
-
-
-def patched_packed(
-    old: sp.csr_matrix, new: sp.csr_matrix, rows: np.ndarray
-) -> PackedAdjacency | None:
-    """Patch ``old``'s cached packed words for ``new`` and attach them.
-
-    Returns the patched :class:`PackedAdjacency` (also pre-attached to
-    ``new`` under the fingerprint-guarded cache attribute) or ``None`` when
-    ``old`` carries no packed words or the shapes are incompatible.
-    """
-    old_packed = getattr(old, "_repro_packed", None)
-    if old_packed is None or old.shape != new.shape:
-        return None
-    words = old_packed.words.copy()
-    if rows.size:
-        words[rows] = PackedAdjacency.from_csr(new[rows]).words
-    packed = PackedAdjacency(words, new.shape, source=new)
-    validate_attribute_caches(new)  # stamp the fresh object's fingerprint
-    try:
-        new._repro_packed = packed
-    except AttributeError:  # pragma: no cover - csr accepts attrs
-        pass
-    return packed
+    spliced.has_canonical_format = True
+    return spliced
 
 
 def _rows_reaching(matrix: sp.csr_matrix, columns: np.ndarray) -> np.ndarray:

@@ -42,38 +42,46 @@ from repro.core.coverage_kernels import (
 )
 from repro.core.metapaths import MetaPath
 from repro.core.receptive_field import greedy_max_coverage
+from repro.core.similarity import row_jaccard
 
 __all__ = ["SelectionMemo", "changed_rows", "warm_start_coverage"]
 
 
-def changed_rows(old: sp.csr_matrix, new: sp.csr_matrix) -> np.ndarray:
+def _words(adjacency: PackedAdjacency | sp.spmatrix) -> np.ndarray:
+    if isinstance(adjacency, PackedAdjacency):
+        return adjacency.words
+    return PackedAdjacency.from_csr(adjacency).words
+
+
+def changed_rows(
+    old: PackedAdjacency | sp.spmatrix, new: PackedAdjacency | sp.spmatrix
+) -> np.ndarray:
     """Rows whose sparsity pattern differs between ``old`` and ``new``.
 
     Supports row growth (new rows are reported as changed); the column count
-    may also grow — a column index present in neither pattern cannot affect
-    equality.  Patterns are compared with set semantics, so both inputs must
-    have sorted, duplicate-free indices (everything the meta-path machinery
-    produces is canonical; non-canonical inputs are sorted on a copy).
+    may also grow — a column present in neither pattern cannot affect
+    equality.  Patterns are compared as packed words (set semantics), so
+    sparse inputs need not be canonical.
     """
-    from repro.streaming.patch import mismatched_row_positions
+    old_words, new_words = _words(old), _words(new)
+    width = max(old_words.shape[1], new_words.shape[1])
+    n_common = min(old_words.shape[0], new_words.shape[0])
+    old_words = _widen(old_words[:n_common], width)
+    differ = (old_words != _widen(new_words[:n_common], width)).any(axis=1)
+    return np.concatenate(
+        [np.flatnonzero(differ), np.arange(n_common, new_words.shape[0], dtype=np.int64)]
+    )
 
-    if not old.has_canonical_format:
-        old = old.copy()
-        old.sum_duplicates()
-    if not new.has_canonical_format:
-        new = new.copy()
-        new.sum_duplicates()
-    n_common = min(old.shape[0], new.shape[0])
-    common = np.arange(n_common, dtype=np.int64)
-    dirty_parts = [mismatched_row_positions(old, common, new, common)]
-    if new.shape[0] > n_common:
-        dirty_parts.append(np.arange(n_common, new.shape[0], dtype=np.int64))
-    return np.unique(np.concatenate(dirty_parts))
+
+def _widen(words: np.ndarray, width: int) -> np.ndarray:
+    if words.shape[1] == width:
+        return words
+    return np.pad(words, ((0, 0), (0, width - words.shape[1])))
 
 
 @obs.traced("stream.warm_start_coverage")
 def warm_start_coverage(
-    adjacency: sp.csr_matrix,
+    adjacency: PackedAdjacency | sp.csr_matrix,
     pool: np.ndarray,
     budget: int,
     previous: CoverageResult,
@@ -104,7 +112,11 @@ def warm_start_coverage(
         # exhausted — selection cannot grow either).  Reuse wholesale.
         return previous
 
-    packed = PackedAdjacency.from_csr_cached(adjacency)
+    packed = (
+        adjacency
+        if isinstance(adjacency, PackedAdjacency)
+        else PackedAdjacency.from_csr_cached(adjacency)
+    )
     dirty_set = set(int(node) for node in dirty_candidates)
     dirty_alive = dirty_candidates.copy()
     covered = packed.empty_cover()
@@ -191,7 +203,7 @@ def warm_start_coverage(
 class _PathSlot:
     """Cached coverage state of one meta-path."""
 
-    adjacency: sp.csr_matrix
+    adjacency: PackedAdjacency
     class_pools: dict[int, np.ndarray]
     budgets: tuple[tuple[int, int], ...]
     normalizer: float
@@ -205,17 +217,15 @@ class _PathSlot:
 class _GroupSlot:
     """Cached similarity state of one meta-path group.
 
-    ``sizes`` are the per-position row-size vectors, ``pair_sims`` maps a
-    position pair ``(i, j)`` to its intersection-count and Jaccard vectors.
-    Sizes, intersections and unions of unit-weight boolean adjacencies are
-    exact small integers, so a pair whose dirty rows are known can be
-    *patched* — only the dirty entries are recounted — and still match a
-    full recomputation bit-for-bit.
+    ``pair_sims`` maps a position pair ``(i, j)`` to its intersection-count
+    and Jaccard vectors.  Sizes, intersections and unions are exact small
+    integers, so a pair whose dirty rows are known can be *patched* — only
+    the dirty entries are recounted — and still match a full recomputation
+    bit-for-bit.
     """
 
-    adjacencies: list[sp.csr_matrix]
+    adjacencies: list[PackedAdjacency]
     scores: np.ndarray
-    sizes: list[np.ndarray]
     pair_sims: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict
     )
@@ -251,7 +261,8 @@ class SelectionMemo:
             "pair_hits": 0,
         }
         #: (old, new) object pairs -> changed rows, shared by the coverage
-        #: warm start and the pair-Jaccard patching
+        #: warm start and the pair-Jaccard patching within one step; it pins
+        #: replaced adjacencies, so :meth:`end_step` empties it
         self._dirty_cache: dict[tuple[int, int], tuple[object, object, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
@@ -267,7 +278,7 @@ class SelectionMemo:
     def path_coverage(
         self,
         metapath: MetaPath,
-        adjacency: sp.csr_matrix,
+        adjacency: PackedAdjacency,
         class_pools: dict[int, np.ndarray],
         class_budgets: dict[int, int],
         normalizer: float,
@@ -332,33 +343,32 @@ class SelectionMemo:
         return scores, evaluations
 
     # ------------------------------------------------------------------ #
-    def _changed_rows_cached(self, old: sp.csr_matrix, new: sp.csr_matrix):
+    def _changed_rows_cached(self, old: PackedAdjacency, new: PackedAdjacency):
         """Memoized :func:`changed_rows` keyed by the object pair."""
         key = (id(old), id(new))
         hit = self._dirty_cache.get(key)
         if hit is not None and hit[0] is old and hit[1] is new:
             return hit[2]
-        if len(self._dirty_cache) > 64:
-            self._dirty_cache.clear()
         rows = changed_rows(old, new)
         self._dirty_cache[key] = (old, new, rows)
         return rows
 
+    def end_step(self) -> None:
+        """Forget this step's row diffs, releasing the adjacencies they pin."""
+        self._dirty_cache.clear()
+
     def group_similarity(
-        self, end_type: str, adjacencies: list[sp.csr_matrix]
+        self, end_type: str, adjacencies: list[PackedAdjacency]
     ) -> np.ndarray:
         """Ĵ scores of one similarity group, reusing unchanged pairs.
 
         Bit-for-bit equal to
         :func:`~repro.core.similarity.metapath_similarity_scores` on the
-        same adjacencies: sizes, intersections and unions of unit-weight
-        boolean adjacencies are exact integers, so an unchanged pair is
-        served from the memo and a pair with known dirty rows is patched —
-        only the dirty entries are recounted — before the identical
-        accumulation.
+        same adjacencies: an unchanged pair is served from the memo and a
+        pair with known dirty rows is patched — only the dirty entries are
+        recounted by the same :func:`~repro.core.similarity.row_jaccard`
+        kernel — before the identical accumulation.
         """
-        from repro.hetero.sparse import boolean_csr
-
         slot = self._groups.get(end_type)
         if (
             slot is not None
@@ -375,22 +385,11 @@ class SelectionMemo:
             and len(slot.adjacencies) == num_paths
             and all(a.shape == b.shape for a, b in zip(slot.adjacencies, adjacencies))
         )
-        boolean = [boolean_csr(adjacency) for adjacency in adjacencies]
         dirty: list[np.ndarray | None] = [None] * num_paths
-        sizes: list[np.ndarray] = []
-        for position in range(num_paths):
-            old = slot.adjacencies[position] if patchable else None
-            new = adjacencies[position]
-            if patchable and old is not new:
-                rows = self._changed_rows_cached(old, new)
-                dirty[position] = rows
-                patched_sizes = slot.sizes[position].copy()
-                patched_sizes[rows] = np.diff(new.indptr).astype(np.float64)[rows]
-                sizes.append(patched_sizes)
-            elif patchable:
-                sizes.append(slot.sizes[position])
-            else:
-                sizes.append(np.asarray(boolean[position].sum(axis=1)).ravel())
+        if patchable:
+            for position, (old, new) in enumerate(zip(slot.adjacencies, adjacencies)):
+                if old is not new:
+                    dirty[position] = self._changed_rows_cached(old, new)
 
         scores = np.zeros((num_nodes, num_paths), dtype=np.float64)
         pair_sims: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -407,30 +406,18 @@ class SelectionMemo:
                     ).astype(np.int64)
                     intersection, similarity = previous[0].copy(), previous[1].copy()
                     if rows.size:
-                        block = boolean[i][rows].multiply(boolean[j][rows])
-                        intersection[rows] = np.asarray(block.sum(axis=1)).ravel()
-                        union = sizes[i][rows] + sizes[j][rows] - intersection[rows]
-                        patched = np.ones(rows.size, dtype=np.float64)
-                        positive = union > 0
-                        patched[positive] = intersection[rows][positive] / union[positive]
-                        similarity[rows] = patched
+                        intersection[rows], similarity[rows] = row_jaccard(
+                            adjacencies[i], adjacencies[j], rows
+                        )
                     self.stats["pair_hits"] += 1
                 else:
-                    # Inline _row_jaccard so the intersection counts can be
-                    # kept for future patching (identical operations).
-                    intersection = np.asarray(
-                        boolean[i].multiply(boolean[j]).sum(axis=1)
-                    ).ravel()
-                    union = sizes[i] + sizes[j] - intersection
-                    similarity = np.ones(num_nodes, dtype=np.float64)
-                    positive = union > 0
-                    similarity[positive] = intersection[positive] / union[positive]
+                    intersection, similarity = row_jaccard(adjacencies[i], adjacencies[j])
                 pair_sims[(i, j)] = (intersection, similarity)
                 scores[:, i] += similarity
                 scores[:, j] += similarity
         if num_paths > 1:
             scores /= num_paths - 1
-        self._groups[end_type] = _GroupSlot(list(adjacencies), scores, sizes, pair_sims)
+        self._groups[end_type] = _GroupSlot(list(adjacencies), scores, pair_sims)
         return scores
 
     def clear(self) -> None:

@@ -5,22 +5,34 @@ import pytest
 
 import repro.core.context as context_module
 import repro.core.criterion as criterion_module
+import repro.core.metapaths as metapaths_module
 import repro.core.neighbor_influence as nim_module
 from repro.core import CondensationContext, FreeHGC
 from repro.core.criterion import TargetNodeSelector
-from repro.core.metapaths import enumerate_metapaths, metapath_adjacency
+from repro.core.metapaths import compose_packed, enumerate_metapaths, metapath_adjacency
 from repro.core.neighbor_influence import NeighborInfluenceMaximizer
 
 
-def _install_adjacency_spy(monkeypatch, calls):
-    """Count every real meta-path adjacency composition, cached or not."""
+def _install_composition_spy(monkeypatch, calls):
+    """Record every real composition: each packed chain (meta-paths and the
+    suffix products behind them) and each normalised product."""
 
-    def spy(graph, metapath, *, normalize=True):
-        calls.append((metapath.node_types, bool(normalize)))
+    def packed_spy(graph, metapath, products=None):
+        if products is None or metapath.node_types not in products:
+            calls.append((metapath.node_types, "packed"))
+        return compose_packed(graph, metapath, products)
+
+    def normalized_spy(graph, metapath, *, normalize=True):
+        if normalize:
+            calls.append((metapath.node_types, "normalized"))
         return metapath_adjacency(graph, metapath, normalize=normalize)
 
-    for module in (context_module, criterion_module, nim_module):
-        monkeypatch.setattr(module, "metapath_adjacency", spy)
+    # compose_packed recurses through its module global, so suffix
+    # compositions are recorded too.
+    for module in (metapaths_module, context_module, criterion_module):
+        monkeypatch.setattr(module, "compose_packed", packed_spy)
+    for module in (context_module, nim_module):
+        monkeypatch.setattr(module, "metapath_adjacency", normalized_spy)
 
 
 def _install_enumeration_spy(monkeypatch, calls):
@@ -84,13 +96,28 @@ class TestMemoization:
 class TestCondenseBuildsEachArtifactOnce:
     def test_adjacency_built_at_most_once_per_condense(self, monkeypatch, toy_graph):
         calls: list[tuple] = []
-        _install_adjacency_spy(monkeypatch, calls)
+        _install_composition_spy(monkeypatch, calls)
         FreeHGC(max_hops=2, max_paths=8).condense(toy_graph, 0.2, seed=0)
         assert calls, "condense() must compose meta-path adjacencies"
         assert len(calls) == len(set(calls)), (
-            "each (metapath, normalize) adjacency must be composed at most once "
+            "each adjacency form must be composed at most once "
             f"per condense() call, got duplicates in {calls}"
         )
+
+    def test_each_suffix_product_composed_once_per_condense(self, monkeypatch, toy_graph):
+        calls: list[tuple] = []
+        _install_composition_spy(monkeypatch, calls)
+        FreeHGC(max_hops=3, max_paths=16).condense(toy_graph, 0.2, seed=0)
+        packed = [key for key, form in calls if form == "packed"]
+        paths = {path.node_types for path in enumerate_metapaths(
+            toy_graph.schema, toy_graph.schema.target_type, 3, max_paths=16
+        )}
+        suffixes = [key for key in packed if key not in paths]
+        assert suffixes, "3-hop paths must compose intermediate suffix products"
+        assert len(packed) == len(set(packed)), f"duplicate compositions in {packed}"
+        # A path that is the suffix of a longer path is shared, not recomposed.
+        shared = {path[1:] for path in paths if len(path) > 2} & paths
+        assert shared and all(packed.count(key) == 1 for key in shared)
 
     def test_enumeration_runs_once_per_condense(self, monkeypatch, toy_graph):
         calls: list[tuple] = []
@@ -100,7 +127,7 @@ class TestCondenseBuildsEachArtifactOnce:
 
     def test_adjacency_built_once_across_all_strategies(self, monkeypatch, tiny_dblp):
         calls: list[tuple] = []
-        _install_adjacency_spy(monkeypatch, calls)
+        _install_composition_spy(monkeypatch, calls)
         FreeHGC(
             max_hops=2,
             max_paths=8,

@@ -190,13 +190,14 @@ class TestKernelEquivalence:
         assert_same_result(result, packed)
 
     def test_decremental_requires_source(self):
-        # Without its CSR a packed adjacency cannot feed the decremental
-        # kernel; the dispatcher falls back to batched CELF.
+        # The decremental kernel reads a CSR: for a sparse packed adjacency
+        # without one, the dispatcher derives it from the words.
         matrix = random_boolean_csr(8)
         packed = PackedAdjacency.from_csr(matrix)
         packed.source = None
         result = greedy_max_coverage(packed, np.arange(3), 2)
         assert_same_result(result, greedy_max_coverage_reference(matrix, np.arange(3), 2))
+        assert (packed.source != matrix).nnz == 0
 
 
 class TestKernelCacheStaleness:

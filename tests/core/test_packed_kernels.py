@@ -1,0 +1,226 @@
+"""Packed composition, popcount Jaccard and two-SpMV PPR against their oracles."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.coverage_kernels as kernels_module
+import repro.core.metapaths as metapaths_module
+from repro.core.coverage_kernels import PackedAdjacency
+from repro.core.metapaths import (
+    MetaPath,
+    compose_packed,
+    compose_packed_rows,
+    enumerate_metapaths,
+)
+from repro.core.neighbor_influence import bipartite_pagerank
+from repro.core.similarity import metapath_similarity_scores, row_jaccard
+from repro.hetero import HeteroGraphBuilder, HeteroSchema, Relation
+from tests.oracles import block_pagerank, compose_matmul, csr_row_jaccard
+
+
+def random_hin(seed: int, *, n_author: int = 65, empty_relation: bool = False):
+    """Random paper/author/term graph with a paper-cite-paper relation.
+
+    Every type keeps some nodes without neighbours; ``empty_relation``
+    leaves ``mentions`` without a single edge.
+    """
+    rng = np.random.default_rng(seed)
+    schema = HeteroSchema(
+        node_types=("paper", "author", "term"),
+        relations=(
+            Relation("writes", "author", "paper"),
+            Relation("mentions", "paper", "term"),
+            Relation("cites", "paper", "paper"),
+        ),
+        target_type="paper",
+        num_classes=2,
+        name="random",
+    )
+    counts = {"paper": int(rng.integers(20, 90)), "author": n_author, "term": 64}
+    builder = HeteroGraphBuilder(schema)
+    for node_type, count in counts.items():
+        builder.add_nodes(node_type, count, rng.standard_normal((count, 3)))
+
+    def edges(src_type, dst_type, density):
+        # The last node of each side stays isolated.
+        n_src, n_dst = counts[src_type] - 1, counts[dst_type] - 1
+        mask = rng.random((n_src, n_dst)) < density
+        return np.nonzero(mask)
+
+    builder.add_edges("writes", *edges("author", "paper", rng.uniform(0.01, 0.2)))
+    if not empty_relation:
+        builder.add_edges("mentions", *edges("paper", "term", rng.uniform(0.01, 0.3)))
+    builder.add_edges("cites", *edges("paper", "paper", rng.uniform(0.01, 0.1)))
+    labels = np.arange(counts["paper"]) % 2
+    builder.set_labels(labels)
+    order = rng.permutation(counts["paper"])
+    builder.set_splits(order[:10], order[10:14], order[14:])
+    return builder.build()
+
+
+def assert_same_pattern(packed: PackedAdjacency, expected: sp.csr_matrix) -> None:
+    reference = PackedAdjacency.from_csr(expected)
+    np.testing.assert_array_equal(packed.words, reference.words)
+    csr = packed.to_csr()
+    assert csr.shape == expected.shape
+    np.testing.assert_array_equal(csr.indptr, expected.indptr)
+    np.testing.assert_array_equal(csr.indices, expected.indices)
+    np.testing.assert_array_equal(csr.data, expected.data)
+
+
+def all_paths(graph, max_hops=3):
+    return enumerate_metapaths(
+        graph.schema, graph.schema.target_type, max_hops, max_paths=64
+    )
+
+
+class TestPackedComposition:
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([63, 64, 65]))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_matmul_composition(self, seed, n_author):
+        graph = random_hin(seed, n_author=n_author)
+        products: dict = {}
+        for path in all_paths(graph):
+            assert_same_pattern(compose_packed(graph, path, products), compose_matmul(graph, path))
+
+    def test_hop_with_zero_edges(self):
+        graph = random_hin(3, empty_relation=True)
+        for path in all_paths(graph):
+            packed = compose_packed(graph, path)
+            expected = compose_matmul(graph, path)
+            assert_same_pattern(packed, expected)
+            if "term" in path.node_types:
+                assert packed.nnz == 0
+
+    def test_rows_without_neighbours_stay_empty(self):
+        graph = random_hin(4)
+        path = MetaPath(("paper", "author", "paper"))
+        packed = compose_packed(graph, path)
+        assert packed.sizes()[-1] == 0  # the isolated last paper
+        assert_same_pattern(packed, compose_matmul(graph, path))
+
+    def test_row_block_boundaries(self, monkeypatch):
+        # One word row per gathered block, one row per unpacked block: every
+        # row crosses a block boundary.
+        monkeypatch.setattr(metapaths_module, "_GATHER_BLOCK_BYTES", 8)
+        monkeypatch.setattr(kernels_module, "_UNPACK_BLOCK_BYTES", 1)
+        for seed in range(4):
+            graph = random_hin(seed)
+            for path in all_paths(graph):
+                assert_same_pattern(compose_packed(graph, path), compose_matmul(graph, path))
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 200))
+    @settings(max_examples=30, deadline=None)
+    def test_dense_and_sparse_expansion_agree(self, seed, n_cols):
+        rng = np.random.default_rng(seed)
+        dense = rng.random((int(rng.integers(1, 30)), n_cols)) < rng.uniform(0, 0.6)
+        matrix = sp.csr_matrix(dense.astype(float))
+        words = PackedAdjacency.from_csr(matrix).words
+        # nnz >= words.size selects the whole-row unpack, 0 the sparse one.
+        for nnz in (words.size, 0):
+            columns = kernels_module._set_bit_columns(words, nnz)
+            np.testing.assert_array_equal(columns, matrix.indices)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_row_subset_matches_full_composition(self, seed):
+        graph = random_hin(seed)
+        rng = np.random.default_rng(seed)
+        n_paper = graph.num_nodes["paper"]
+        # Any sorted subset, including none and the isolated last paper.
+        rows = np.flatnonzero(rng.random(n_paper) < rng.uniform(0, 0.5))
+        for subset in (rows, np.empty(0, dtype=np.int64), np.array([n_paper - 1])):
+            for path in all_paths(graph):
+                np.testing.assert_array_equal(
+                    compose_packed_rows(graph, path, subset),
+                    compose_packed(graph, path).words[subset],
+                )
+
+    def test_suffix_products_are_shared(self):
+        graph = random_hin(6)
+        products: dict = {}
+        long = compose_packed(graph, MetaPath(("paper", "paper", "author")), products)
+        assert ("paper", "author") in products
+        short = compose_packed(graph, MetaPath(("paper", "author")), products)
+        assert products[("paper", "author")] is short
+        assert long is products[("paper", "paper", "author")]
+
+    def test_words_to_csr_is_canonical(self):
+        graph = random_hin(7)
+        csr = compose_packed(graph, MetaPath(("paper", "author", "paper"))).to_csr()
+        assert csr.has_canonical_format
+        assert PackedAdjacency.from_csr_cached(csr).to_csr() is csr
+
+
+class TestPopcountJaccard:
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 130))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_csr_oracle_bit_for_bit(self, seed, n_cols):
+        rng = np.random.default_rng(seed)
+        n_rows = int(rng.integers(1, 40))
+        density_a, density_b = rng.uniform(0, 0.5, size=2)
+        dense_a = rng.random((n_rows, n_cols)) < density_a
+        dense_b = rng.random((n_rows, n_cols)) < density_b
+        dense_a[0] = dense_b[0] = False  # an empty union
+        a = sp.csr_matrix(dense_a.astype(float))
+        b = sp.csr_matrix(dense_b.astype(float))
+        intersection, similarity = row_jaccard(
+            PackedAdjacency.from_csr(a), PackedAdjacency.from_csr(b)
+        )
+        expected = csr_row_jaccard(a, b)
+        assert similarity.tobytes() == expected.tobytes()
+        assert similarity[0] == 1.0
+        np.testing.assert_array_equal(
+            intersection, np.asarray(a.multiply(b).sum(axis=1)).ravel()
+        )
+        rows = np.flatnonzero(rng.random(n_rows) < 0.5)
+        subset = row_jaccard(PackedAdjacency.from_csr(a), PackedAdjacency.from_csr(b), rows)
+        assert subset[1].tobytes() == expected[rows].tobytes()
+
+    def test_group_scores_match_oracle(self):
+        graph = random_hin(8)
+        paths = [p for p in all_paths(graph) if p.end == "author"]
+        packed = [compose_packed(graph, p) for p in paths]
+        scores = metapath_similarity_scores(packed)
+        expected = np.zeros_like(scores)
+        csrs = [compose_matmul(graph, p) for p in paths]
+        for i in range(len(paths)):
+            for j in range(i + 1, len(paths)):
+                pair = csr_row_jaccard(csrs[i], csrs[j])
+                expected[:, i] += pair
+                expected[:, j] += pair
+        expected /= len(paths) - 1
+        assert scores.tobytes() == expected.tobytes()
+
+
+class TestTwoSpmvPagerank:
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_block_matrix_bit_for_bit(self, seed):
+        graph = random_hin(seed)
+        rng = np.random.default_rng(seed)
+        anchor = (rng.random(graph.num_nodes["paper"]) < 0.3).astype(np.float64)
+        for path in all_paths(graph, max_hops=2):
+            if path.end == "paper":
+                continue
+            adjacency = compose_matmul(graph, path)
+            fast = bipartite_pagerank(adjacency, anchor)
+            assert fast.tobytes() == block_pagerank(adjacency, anchor).tobytes()
+
+    def test_isolated_nodes_and_zero_anchor(self):
+        adjacency = sp.csr_matrix(
+            np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        )
+        for anchor in (np.zeros(3), np.array([0.0, 1.0, 1.0])):
+            fast = bipartite_pagerank(adjacency, anchor, iterations=50)
+            reference = block_pagerank(adjacency, anchor, iterations=50)
+            assert fast.tobytes() == reference.tobytes()
+        uniform = bipartite_pagerank(adjacency, np.zeros(3), iterations=0)
+        np.testing.assert_allclose(uniform, np.full(7, 1.0 / 7))
+
+    def test_rejects_bad_alpha(self):
+        with pytest.raises(ValueError):
+            bipartite_pagerank(sp.csr_matrix((2, 2)), np.ones(2), alpha=1.0)

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from repro.hetero.sparse import (
     boolean_csr,
-    compose_path,
     coo_from_edges,
     degree_vector,
     row_normalize,
@@ -145,32 +144,6 @@ class TestCacheStaleness:
         assert token == matrix_fingerprint(matrix)
         other = matrix.copy()
         assert token != matrix_fingerprint(other)  # distinct buffers
-
-
-class TestComposePath:
-    def test_single_matrix(self):
-        result = compose_path([np.eye(3)])
-        assert np.allclose(result.toarray(), np.eye(3))
-
-    def test_two_hops_normalized(self):
-        a = np.array([[1.0, 1.0], [0.0, 1.0]])
-        b = np.array([[1.0], [1.0]])
-        result = compose_path([a, b]).toarray()
-        assert np.allclose(result, [[1.0], [1.0]])
-
-    def test_boolean_mode(self):
-        a = np.array([[1.0, 1.0]])
-        b = np.array([[1.0], [1.0]])
-        result = compose_path([a, b], normalize=False).toarray()
-        assert result[0, 0] >= 1.0
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            compose_path([])
-
-    def test_shape_chain(self):
-        result = compose_path([np.ones((2, 3)), np.ones((3, 4)), np.ones((4, 5))])
-        assert result.shape == (2, 5)
 
 
 class TestDegreeAndStorage:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import CondensationContext
-from repro.core.metapaths import metapath_adjacency
+from repro.core.metapaths import MetaPath, metapath_adjacency
 from repro.datasets import load_acm
 from repro.streaming import DeltaApplier, DeltaValidationError, GraphDelta
 
@@ -201,21 +201,16 @@ class TestContextRefresh:
         from repro.core.coverage_kernels import PackedAdjacency
 
         context = self._context_with_all_paths(graph)
-        # Force packing so the patcher has words to transplant.
-        for path in context.metapaths():
-            context.packed_receptive_field(path)
         delta = edge_delta(graph, "paper-term", n=6, seed=5)
         report = DeltaApplier().apply(graph, delta, context=context)
+        assert report.patched_paths
         for key in report.patched_paths:
-            matrix = context.cached_adjacency(key)
-            packed = getattr(matrix, "_repro_packed", None)
-            if packed is None:
-                continue
-            np.testing.assert_array_equal(
-                packed.unpack(), matrix.toarray().astype(bool)
-            )
-            fresh = PackedAdjacency.from_csr(matrix.copy())
-            np.testing.assert_array_equal(packed.words, fresh.words)
+            packed = context.cached_packed(key)
+            fresh = metapath_adjacency(graph, MetaPath(key), normalize=False)
+            np.testing.assert_array_equal(packed.words, PackedAdjacency.from_csr(fresh).words)
+            derived = packed.to_csr()
+            np.testing.assert_array_equal(derived.indptr, fresh.indptr)
+            np.testing.assert_array_equal(derived.indices, fresh.indices)
 
 
 class TestPayloadRoundTrip:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import FreeHGC
+from repro.core.metapaths import MetaPath
 from repro.datasets import load_acm
 from repro.datasets.generators import generate_delta_schedule
 from repro.streaming import (
@@ -155,3 +159,24 @@ class TestMemoBehaviour:
         )
         assert report.selection_drift >= 0
         assert report.condense_seconds > 0
+
+
+class TestStepScopedMemory:
+    def test_replaced_adjacency_released_after_next_step(self):
+        """A step's row diffs must not pin the adjacencies it replaced."""
+        graph, _ = make_pair(scale=0.2)
+        schedule = generate_delta_schedule(
+            graph, steps=2, seed=1, edge_churn=0.01, relations=("paper-author",)
+        )
+        incremental = IncrementalCondenser(
+            graph, condenser=FreeHGC(max_hops=2), ratio=0.1, recondense_threshold=1.0
+        )
+        incremental.condense()
+        path = MetaPath(("paper", "author", "paper"))
+        replaced = weakref.ref(incremental.context.receptive_field(path))
+        report = incremental.step(schedule[0])
+        assert path.node_types in report.apply_report.patched_paths
+        assert incremental.context.receptive_field(path) is not replaced()
+        incremental.step(schedule[1])
+        gc.collect()
+        assert replaced() is None
