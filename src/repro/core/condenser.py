@@ -152,9 +152,9 @@ class FreeHGC(GraphCondenser):
 
         ``stage_memo`` is an advanced hook used by the streaming subsystem
         (:class:`repro.streaming.IncrementalCondenser`): an object that may
-        serve cached stage results when a stage's inputs are unchanged (see
-        :func:`run_condensation_pipeline`).  With the default ``None`` every
-        stage runs from scratch.
+        serve cached father/leaf stage results when a stage's inputs are
+        unchanged (see :func:`run_condensation_pipeline`).  With the
+        default ``None`` every stage runs from scratch.
         """
         ratio = self._validate_ratio(graph, ratio)
         budgets = per_type_budgets(graph, ratio)
@@ -207,12 +207,12 @@ def run_condensation_pipeline(
     This is the single implementation behind both :meth:`FreeHGC.condense`
     (``stage_memo=None``) and the streaming
     :class:`~repro.streaming.incremental.IncrementalCondenser`, which passes
-    a *stage memo* — an object with ``select_target(stage, context, budget)``
-    and ``condense_type(stage, context, role, node_type, budget, anchor=...,
-    providers=...)`` that may serve a previously computed stage result when
-    the stage's inputs are unchanged, and otherwise must delegate to the
-    stage.  Because stages are deterministic functions of their inputs,
-    memoized and fresh runs produce byte-identical condensed graphs.
+    a *stage memo* — an object with ``condense_type(stage, context, role,
+    node_type, budget, anchor=..., providers=...)`` that may serve a
+    previously computed father or leaf stage result when the stage's inputs
+    are unchanged, and otherwise must delegate to the stage.  The target
+    stage always runs.  Because stages are deterministic functions of their
+    inputs, memoized and fresh runs produce byte-identical condensed graphs.
 
     Returns the condensed graph and the raw target-stage outcome.
     """
@@ -228,10 +228,7 @@ def run_condensation_pipeline(
     # Stage 1: target-type nodes.
     # ------------------------------------------------------------------
     with obs.span("condense.target_selection", stage=target_stage.name, budget=int(budgets[target])):
-        if stage_memo is None:
-            outcome = target_stage.select_target(context, budgets[target])
-        else:
-            outcome = stage_memo.select_target(target_stage, context, budgets[target])
+        outcome = target_stage.select_target(context, budgets[target])
     if isinstance(outcome, TargetSelectionResult):
         selected[target] = outcome.selected
     else:
@@ -300,6 +297,8 @@ def run_condensation_pipeline(
             synthetic,
             metadata=metadata,
         )
+    if obs.active() is not None:
+        obs.event("context.cache_bytes", **context.cache_bytes())
     return condensed, outcome
 
 

@@ -47,6 +47,10 @@ from repro.models.propagation import SELF_FEATURE_KEY, standardize_features
 __all__ = ["CondensationContext"]
 
 
+def _sparse_arrays(matrix: sp.spmatrix) -> list[np.ndarray]:
+    return [matrix.data, matrix.indices, matrix.indptr]
+
+
 class CondensationContext:
     """Memoized per-``(graph, max_hops, max_paths)`` condensation artifacts.
 
@@ -188,9 +192,8 @@ class CondensationContext:
     def receptive_field(self, metapath: MetaPath) -> sp.csr_matrix:
         """Boolean reachability matrix: row ``i`` is node ``i``'s receptive field.
 
-        The canonical CSR derived from :meth:`packed_receptive_field` — for
-        consumers that read column indices (NIM, the decremental coverage
-        kernel).
+        The canonical CSR that :meth:`packed_receptive_field` builds once
+        and keeps — for consumers that read column indices.
         """
         cached = self._packed.get(metapath.node_types)
         if cached is None or cached.source is None or not self.cache_enabled:
@@ -432,6 +435,48 @@ class CondensationContext:
         return dropped
 
     # ------------------------------------------------------------------ #
+    def cache_bytes(self) -> dict[str, int]:
+        """Bytes held by each cache family, plus their ``total``.
+
+        Families: receptive-field ``words`` (suffix products included),
+        their ``csr``, ``csc`` and ``nim`` operator, the ``normalized``
+        meta-path matrices, and the ``features`` blocks and embeddings.  A
+        buffer shared between forms (the NIM operator reuses its CSR's
+        index arrays) is counted once, in the first family that holds it.
+        Inspects what is cached; builds nothing.
+        """
+        from repro.core.coverage_kernels import _csc
+        from repro.core.neighbor_influence import _scaled_adjacency
+
+        families: dict[str, list[np.ndarray]] = {
+            "words": [], "csr": [], "csc": [], "nim": [], "normalized": [], "features": [],
+        }
+        names = {_csc: "csc", _scaled_adjacency: "nim"}
+        for packed in self._packed.values():
+            families["words"].append(packed.words)
+            if packed.source is not None:
+                families["csr"] += _sparse_arrays(packed.source)
+            for build, form in packed.derived_forms().items():
+                family = names.get(build, build.__name__)
+                families.setdefault(family, []).extend(_sparse_arrays(form))
+        for matrix in self._normalized.values():
+            families["normalized"] += _sparse_arrays(matrix)
+        families["features"] += list((self._feature_blocks or {}).values())
+        families["features"] += list(self._other_embeddings.values())
+        if self._target_embeddings is not None:
+            families["features"].append(self._target_embeddings)
+        seen: set[tuple[int, int]] = set()
+        sizes: dict[str, int] = {}
+        for family, arrays in families.items():
+            sizes[family] = 0
+            for array in arrays:
+                key = (array.__array_interface__["data"][0], array.nbytes)
+                if key not in seen:
+                    seen.add(key)
+                    sizes[family] += int(array.nbytes)
+        sizes["total"] = sum(sizes.values())
+        return sizes
+
     def clear(self) -> None:
         """Drop every memoized artifact (keeps the stats counters)."""
         self._hierarchy = None

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro import obs
-from repro.hetero.sparse import cached_csc, validate_attribute_caches
 
 __all__ = [
     "CoverageResult",
@@ -153,6 +153,11 @@ def csr_from_words(words: np.ndarray, n_cols: int) -> sp.csr_matrix:
     return csr
 
 
+def _csc(csr: sp.csr_matrix) -> sp.csc_matrix:
+    """The inverted column->row index of a canonical CSR."""
+    return csr.tocsc()
+
+
 class PackedAdjacency:
     """Bit-packed boolean adjacency: row ``i``'s receptive field as uint64 words.
 
@@ -160,35 +165,60 @@ class PackedAdjacency:
     row is bit ``j % 64`` of word ``j // 64`` (little-endian bit order, the
     layout ``np.packbits(..., bitorder="little")`` would produce), and the
     padding bits past ``n_cols`` are zero.  This is the form in which
-    meta-paths are composed (:func:`repro.core.metapaths.compose_packed`);
-    a canonical CSR is derived from the words only by consumers that read
-    column indices (:meth:`to_csr`).  Words are never written after
-    construction — patching builds a new object.
+    meta-paths are composed (:func:`repro.core.metapaths.compose_packed`).
+
+    The object owns every form derived from its bit pattern.  The words are
+    read-only.  The canonical CSR (:meth:`to_csr`), its CSC (:meth:`to_csc`)
+    and any other form built through :meth:`derived` (NIM's Eq. 11
+    operator) are built on first use and kept for the object's lifetime, so
+    a derived form dies with its pattern and never goes stale.  Patching
+    builds a new object.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> import scipy.sparse as sp
+    >>> csr = sp.csr_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    >>> packed = PackedAdjacency.from_csr(csr)
+    >>> packed.words.flags.writeable        # the words are read-only
+    False
+    >>> packed.to_csr() is csr              # a canonical CSR is kept as is
+    True
+    >>> packed.to_csc() is packed.to_csc()  # built once, then served by identity
+    True
     """
 
-    __slots__ = ("shape", "words", "source", "_sizes")
+    __slots__ = ("shape", "words", "_csr", "_sizes", "_derived")
 
     def __init__(
         self,
         words: np.ndarray,
         shape: tuple[int, int],
-        source: sp.csr_matrix | None = None,
+        csr: sp.csr_matrix | None = None,
     ) -> None:
+        words.setflags(write=False)
         self.words = words
         self.shape = (int(shape[0]), int(shape[1]))
-        #: the CSR form of the same pattern: the matrix the bits were packed
-        #: from, or the one :meth:`to_csr` derived; None until first needed
-        self.source = source
+        #: the canonical CSR of the same pattern, when the caller has one
+        self._csr = csr
         self._sizes: np.ndarray | None = None
+        self._derived: dict = {}
 
     @classmethod
-    def from_csr(cls, matrix: sp.spmatrix | np.ndarray) -> "PackedAdjacency":
+    def from_csr(
+        cls, matrix: "sp.spmatrix | np.ndarray | PackedAdjacency"
+    ) -> "PackedAdjacency":
         """Pack the sparsity pattern of ``matrix`` (stored entries = set bits).
 
-        The bits of one word are consecutive entries of a row in sorted
-        CSR order, so one ``np.bitwise_or.reduceat`` over those runs packs
-        the whole matrix; unsorted input is ordered first.
+        A :class:`PackedAdjacency` is returned as is.  The bits of one word
+        are consecutive entries of a row in sorted CSR order, so one
+        ``np.bitwise_or.reduceat`` over those runs packs the whole matrix;
+        unsorted input is ordered first.  ``matrix`` is kept as the CSR form
+        only when it is canonical with unit values; otherwise :meth:`to_csr`
+        derives the CSR from the words.
         """
+        if isinstance(matrix, cls):
+            return matrix
         csr = matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(np.asarray(matrix))
         n_rows, n_cols = csr.shape
         n_words = max(1, (n_cols + 63) // 64)
@@ -205,41 +235,43 @@ class PackedAdjacency:
                 flat, bits = flat[order], bits[order]
             runs = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
             words.reshape(-1)[flat[runs]] = np.bitwise_or.reduceat(bits, runs)
-        return cls(words, (n_rows, n_cols), source=csr)
-
-    @classmethod
-    def from_csr_cached(cls, csr: sp.csr_matrix) -> "PackedAdjacency":
-        """Pack ``csr``, caching the result on the matrix object.
-
-        Mirrors the ``_repro_csc`` inverted-index cache: consumers that
-        share one adjacency pack it exactly once.  The cache is
-        fingerprint-guarded
-        (:func:`repro.hetero.sparse.validate_attribute_caches`): structural
-        in-place mutation of ``csr`` drops the stale packed words.
-        """
-        validate_attribute_caches(csr)
-        cached = getattr(csr, "_repro_packed", None)
-        if cached is None:
-            cached = cls.from_csr(csr)
-            cached.adopt(csr)
-        return cached
-
-    def adopt(self, csr: sp.csr_matrix) -> None:
-        """Record ``csr`` as this pattern's CSR form, linked both ways."""
-        self.source = csr
-        validate_attribute_caches(csr)  # stamp the object's fingerprint
-        csr._repro_packed = self
+        canonical = csr.has_canonical_format and bool((csr.data == 1).all())
+        return cls(words, (n_rows, n_cols), csr if canonical else None)
 
     def to_csr(self) -> sp.csr_matrix:
-        """The canonical CSR of the set bits, derived once and kept as ``source``.
+        """The canonical CSR of the set bits, built once and kept.
 
-        Sorted and duplicate-free by construction, all stored values 1.0 —
-        the form the decremental coverage kernel and NIM read.
+        Sorted and duplicate-free, all stored values 1.0 — the form the
+        decremental coverage kernel and NIM read.
         """
-        if self.source is None:
+        if self._csr is None:
             with obs.span("core.csr", rows=self.shape[0], nnz=self.nnz):
-                self.adopt(csr_from_words(self.words, self.shape[1]))
-        return self.source
+                self._csr = csr_from_words(self.words, self.shape[1])
+        return self._csr
+
+    @property
+    def source(self) -> sp.csr_matrix | None:
+        """The CSR form if it has been kept or built, else None (never builds)."""
+        return self._csr
+
+    def to_csc(self) -> sp.csc_matrix:
+        """The CSC (inverted column->row index) of :meth:`to_csr`, built once."""
+        return self.derived(_csc)
+
+    def derived(self, build: Callable[[sp.csr_matrix], object]):
+        """``build(self.to_csr())``, built on first use and kept.
+
+        ``build`` is a module-level function of the canonical CSR and the
+        memo key, so each derived form is built once per pattern.
+        """
+        form = self._derived.get(build)
+        if form is None:
+            form = self._derived[build] = build(self.to_csr())
+        return form
+
+    def derived_forms(self) -> dict:
+        """Every form built through :meth:`derived` so far, by builder."""
+        return dict(self._derived)
 
     @property
     def num_words(self) -> int:
@@ -428,7 +460,7 @@ def _packed_greedy_loop(
 # Decremental exact greedy (inverted-index kernel)
 # --------------------------------------------------------------------------- #
 def greedy_max_coverage_decremental(
-    adjacency: sp.csr_matrix,
+    packed: PackedAdjacency,
     pool: np.ndarray,
     budget: int,
 ) -> CoverageResult:
@@ -446,36 +478,16 @@ def greedy_max_coverage_decremental(
     budgets) and returns the identical selection: highest current gain,
     ties broken by the lowest node id.
 
-    The CSC index is cached on the adjacency object (attribute
-    ``_repro_csc``), so per-class greedy runs over the same meta-path
-    adjacency build it once.
-
-    Like the packed kernels, duplicate column entries count once (set
-    semantics).  Matrices produced by this library are always canonical;
-    a non-canonical input is canonicalised on a private copy (the caller's
-    matrix is never mutated), at the cost of the CSC cache.
+    It reads the canonical CSR and CSC that ``packed`` builds once and
+    keeps, so per-class greedy runs over the same meta-path share them.
     """
     pool = np.asarray(pool, dtype=np.int64)
     budget = int(min(budget, pool.size))
     if budget <= 0:
         return _empty_result()
 
-    n_rows, n_cols = adjacency.shape
-    validate_attribute_caches(adjacency)
-    if not adjacency.has_canonical_format:
-        # Duplicate column entries would double-count gains.  Canonicalise
-        # a private copy (never the caller's matrix) and cache it on the
-        # input, so e.g. unsorted matmul products pay the sort once.
-        canonical = getattr(adjacency, "_repro_canonical", None)
-        if canonical is None:
-            canonical = adjacency.copy()
-            canonical.sum_duplicates()
-            try:
-                adjacency._repro_canonical = canonical
-            except AttributeError:  # pragma: no cover - csr accepts attrs
-                pass
-        adjacency = canonical
-    csc = cached_csc(adjacency)
+    n_rows, n_cols = packed.shape
+    adjacency, csc = packed.to_csr(), packed.to_csc()
     if pool.size > 1 and bool(np.all(pool[1:] > pool[:-1])):
         candidates = pool  # already sorted and duplicate-free
     else:

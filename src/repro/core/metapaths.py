@@ -31,7 +31,7 @@ from repro.core.coverage_kernels import PackedAdjacency
 from repro.errors import SchemaError
 from repro.hetero.graph import HeteroGraph
 from repro.hetero.schema import HeteroSchema
-from repro.hetero.sparse import boolean_csr, row_normalize
+from repro.hetero.sparse import row_normalize
 
 __all__ = [
     "MetaPath",
@@ -211,7 +211,8 @@ def compose_packed(
     Composed right to left: row ``i`` of ``RF(t0…tk)`` is the OR of the
     ``RF(t1…tk)`` rows of ``i``'s ``t0→t1`` neighbours, so a hop costs its
     own entry count times the end type's word count.  The last hop is
-    packed directly from its CSR, which it keeps as the path's CSR form.
+    packed directly from its typed adjacency, which it keeps as the path's
+    CSR form when that is canonical.
 
     ``products`` caches every composed chain, keyed by its node types:
     pass one dict across calls to share suffix products between paths (the
@@ -222,7 +223,7 @@ def compose_packed(
     cached = None if products is None else products.get(chain)
     if cached is not None:
         return cached
-    hop = boolean_csr(graph.typed_adjacency(chain[0], chain[1]))
+    hop = graph.typed_adjacency(chain[0], chain[1])
     if len(chain) == 2:
         with obs.span("core.compose", path=str(metapath)):
             packed = PackedAdjacency.from_csr(hop)
@@ -247,7 +248,7 @@ def compose_packed_rows(
     a delta's dirty rows never pays a full composition.
     """
     chain = metapath.node_types
-    hop = boolean_csr(graph.typed_adjacency(chain[0], chain[1]))
+    hop = graph.typed_adjacency(chain[0], chain[1])
     block = hop[np.asarray(rows, dtype=np.int64)]
     if len(chain) == 2:
         return PackedAdjacency.from_csr(block).words

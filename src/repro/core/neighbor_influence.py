@@ -22,13 +22,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import obs
-from repro.core.metapaths import MetaPath, metapath_adjacency, metapaths_to_type
+from repro.core.coverage_kernels import PackedAdjacency
+from repro.core.metapaths import MetaPath, compose_packed, metapaths_to_type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.context import CondensationContext
 from repro.errors import BudgetError
 from repro.hetero.graph import HeteroGraph
-from repro.hetero.sparse import symmetric_normalize, validate_attribute_caches
+from repro.hetero.sparse import symmetric_normalize
 
 __all__ = [
     "FatherSelectionResult",
@@ -55,24 +56,18 @@ def _scaled_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     roots of the row/column entry counts.  That scaling of ``A``, sharing
     ``A``'s index arrays, is the whole operator: its transpose (a CSC view
     of the same arrays) is the father→target block.  It depends only on the
-    adjacency, so it is attribute-cached on it (fingerprint-guarded like the
-    coverage-kernel indexes) and re-anchored PPR runs pay only the
+    pattern, so :func:`bipartite_pagerank` builds it through
+    :meth:`PackedAdjacency.derived` and re-anchored PPR runs pay only the
     iterations.
     """
-    validate_attribute_caches(adjacency)
-    cached = getattr(adjacency, "_repro_nim_bipartite", None)
-    if cached is not None:
-        return cached
     row_counts = np.diff(adjacency.indptr)
     col_counts = np.bincount(adjacency.indices, minlength=adjacency.shape[1])
     row_inv, col_inv = _inverse_sqrt(row_counts), _inverse_sqrt(col_counts)
-    cached = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.repeat(row_inv, row_counts) * col_inv[adjacency.indices],
          adjacency.indices, adjacency.indptr),
         shape=adjacency.shape,
     )
-    adjacency._repro_nim_bipartite = cached
-    return cached
 
 
 def _power_iteration(
@@ -145,7 +140,7 @@ def personalized_pagerank(
 
 
 def bipartite_pagerank(
-    adjacency: sp.csr_matrix,
+    adjacency: PackedAdjacency,
     anchor: np.ndarray,
     *,
     alpha: float = 0.15,
@@ -160,10 +155,10 @@ def bipartite_pagerank(
     the scaled adjacency ``S``: ``S @ x`` gathers the target rows, and
     ``Sᵀ @ x`` scatters over the same arrays, adding each father's terms in
     ascending target order — the order the block matrix's father rows sum
-    in.  Convergence is tested on the concatenated vector.  ``adjacency``
-    must be canonical with unit values.
+    in.  Convergence is tested on the concatenated vector.  ``S`` is built
+    from the canonical CSR of the packed ``adjacency`` and kept by it.
     """
-    scaled = _scaled_adjacency(adjacency)
+    scaled = adjacency.derived(_scaled_adjacency)
     transposed = scaled.T
     n_target = adjacency.shape[0]
 
@@ -258,20 +253,21 @@ class NeighborInfluenceMaximizer:
             anchor_mask = np.zeros(n_target, dtype=np.float64)
             anchor_mask[np.asarray(anchor_nodes, dtype=np.int64)] = 1.0
 
+        products: dict = {}
         for metapath in metapaths:
             if use_context:
-                adjacency = context.receptive_field(metapath)
+                packed = context.packed_receptive_field(metapath)
             else:
-                adjacency = metapath_adjacency(graph, metapath, normalize=False)
-            if adjacency.nnz == 0:
+                packed = compose_packed(graph, metapath, products)
+            if packed.nnz == 0:
                 continue
             if self.importance == "degree":
-                weighted = adjacency.T @ anchor_mask
+                weighted = packed.to_csr().T @ anchor_mask
                 influence += np.asarray(weighted).ravel()
                 continue
-            with obs.span("core.ppr", path=str(metapath), nnz=int(adjacency.nnz)):
+            with obs.span("core.ppr", path=str(metapath), nnz=int(packed.nnz)):
                 scores = bipartite_pagerank(
-                    adjacency, anchor_mask, alpha=self.alpha, iterations=self.iterations
+                    packed, anchor_mask, alpha=self.alpha, iterations=self.iterations
                 )
             influence += scores[n_target:]
 

@@ -69,13 +69,14 @@ def greedy_max_coverage(
 ) -> CoverageResult:
     """Greedy maximisation of ``|RF(S)|`` over candidates in ``pool`` (Eq. 3).
 
-    The kernel follows the input's density: the decremental inverted-index
-    kernel for sparse receptive fields (mean row size up to ~48), batched
-    CELF for dense ones.  A packed input is measured by its popcounts and
-    derives its CSR only when the decremental kernel needs it.  Both
-    kernels return the *identical* selection — highest current marginal
-    gain per round, ties broken by the lowest node id — so the choice is
-    purely about speed.
+    Raw input is packed once (:meth:`PackedAdjacency.from_csr`); the
+    kernel then follows the popcount density: the decremental
+    inverted-index kernel for sparse receptive fields (mean row size up to
+    ~48), batched CELF for dense ones.  Only the decremental kernel reads
+    the CSR and its CSC, which the packed object builds once.  Both kernels
+    return the *identical* selection — highest current marginal gain per
+    round, ties broken by the lowest node id — so the choice is purely
+    about speed.
 
     Parameters
     ----------
@@ -98,15 +99,7 @@ def greedy_max_coverage(
         Stale entries re-evaluated per vectorized pass by the batched CELF
         kernel.
     """
-    if not isinstance(adjacency, PackedAdjacency):
-        csr = (
-            adjacency.tocsr()
-            if sp.issparse(adjacency)
-            else sp.csr_matrix(np.asarray(adjacency))
-        )
-        if csr.nnz / max(csr.shape[0], 1) <= _DENSITY_CUTOFF:
-            return greedy_max_coverage_decremental(csr, pool, budget)
-        adjacency = PackedAdjacency.from_csr_cached(csr)
-    elif adjacency.nnz / max(adjacency.shape[0], 1) <= _DENSITY_CUTOFF:
-        return greedy_max_coverage_decremental(adjacency.to_csr(), pool, budget)
-    return greedy_max_coverage_packed(adjacency, pool, budget, batch_size=batch_size)
+    packed = PackedAdjacency.from_csr(adjacency)
+    if packed.nnz / max(packed.shape[0], 1) <= _DENSITY_CUTOFF:
+        return greedy_max_coverage_decremental(packed, pool, budget)
+    return greedy_max_coverage_packed(packed, pool, budget, batch_size=batch_size)

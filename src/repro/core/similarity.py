@@ -38,12 +38,6 @@ def jaccard_between_sets(first: set[int], second: set[int]) -> float:
     return len(first & second) / union
 
 
-def _packed(adjacency: PackedAdjacency | sp.spmatrix) -> PackedAdjacency:
-    if isinstance(adjacency, PackedAdjacency):
-        return adjacency
-    return PackedAdjacency.from_csr(adjacency)
-
-
 def row_jaccard(
     a: PackedAdjacency, b: PackedAdjacency, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +74,9 @@ def pairwise_jaccard(
         raise ValueError(
             f"adjacency shapes differ: {adjacency_a.shape} vs {adjacency_b.shape}"
         )
-    return row_jaccard(_packed(adjacency_a), _packed(adjacency_b))[1]
+    return row_jaccard(
+        PackedAdjacency.from_csr(adjacency_a), PackedAdjacency.from_csr(adjacency_b)
+    )[1]
 
 
 def metapath_similarity_scores(
@@ -118,7 +114,7 @@ def metapath_similarity_scores(
             raise ValueError(
                 f"adjacency shapes differ: {adjacencies[0].shape} vs {adjacency.shape}"
             )
-    packed = [_packed(adjacency) for adjacency in adjacencies]
+    packed = [PackedAdjacency.from_csr(adjacency) for adjacency in adjacencies]
     scores = np.zeros((num_nodes, num_paths), dtype=np.float64)
     for i in range(num_paths):
         for j in range(i + 1, num_paths):

@@ -21,9 +21,7 @@ __all__ = [
     "degree_vector",
     "sparse_storage_bytes",
     "coo_from_edges",
-    "cached_csc",
     "matrix_fingerprint",
-    "validate_attribute_caches",
 ]
 
 
@@ -88,35 +86,19 @@ def symmetric_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:
     return sp.diags(row_inv) @ matrix @ sp.diags(col_inv)
 
 
-#: attribute under which the shared binarised form is cached on a CSR matrix
-_BOOLEAN_CACHE_ATTR = "_repro_boolean_csr"
-
-#: attribute holding the fingerprint the derived caches below were built for
-_CACHE_TOKEN_ATTR = "_repro_cache_token"
-
-#: every derived structure attribute-cached on a CSR matrix anywhere in the
-#: library; all of them are dropped together when the fingerprint changes
-_DERIVED_CACHE_ATTRS = (
-    _BOOLEAN_CACHE_ATTR,
-    "_repro_csc",            # inverted column->row index (coverage_kernels)
-    "_repro_canonical",      # canonicalised duplicate-free copy (coverage_kernels)
-    "_repro_packed",         # packed uint64 words (coverage_kernels)
-    "_repro_nim_bipartite",  # normalised bipartite halves (NIM stage)
-)
-
-
 def matrix_fingerprint(matrix: sp.spmatrix) -> tuple:
     """Cheap structural fingerprint of a compressed sparse matrix.
 
     Captures the shape, the stored-entry count and the *identity* of the
-    three index/data buffers.  Every structural mutation scipy performs
+    three index/data buffers.  It keys the memo of
+    :meth:`~repro.hetero.graph.HeteroGraph.typed_adjacency`, the one cache
+    over user-owned matrices.  Every structural mutation scipy performs
     (``setdiag``, ``eliminate_zeros``, ``sum_duplicates``, in-place ``+=``,
     assigning a new ``data`` array, ...) reallocates at least one buffer, so
-    a changed fingerprint reliably signals that derived caches are stale.
+    a changed fingerprint reliably signals that a memoized entry is stale.
     The one mutation it cannot see is an element-wise write *into* the
     existing ``data`` buffer (``m.data[k] = v``) — callers doing that must
-    rebind the buffer (``m.data = m.data.copy()``) or avoid the shared
-    caches.
+    rebind the buffer (``m.data = m.data.copy()``).
     """
     return (
         matrix.shape,
@@ -127,87 +109,22 @@ def matrix_fingerprint(matrix: sp.spmatrix) -> tuple:
     )
 
 
-def validate_attribute_caches(matrix: sp.spmatrix) -> None:
-    """Drop every ``_repro_*`` derived cache on ``matrix`` if it is stale.
-
-    Compares the matrix's current :func:`matrix_fingerprint` against the one
-    recorded when a derived structure was first cached; on mismatch all
-    derived caches are discarded so the next accessor rebuilds them from the
-    mutated matrix.  No-op for objects that cannot carry attributes.
-    """
-    try:
-        token = getattr(matrix, _CACHE_TOKEN_ATTR, None)
-    except TypeError:  # pragma: no cover - exotic matrix proxies
-        return
-    current = matrix_fingerprint(matrix)
-    if token == current:
-        return
-    if token is not None:
-        for attr in _DERIVED_CACHE_ATTRS:
-            try:
-                delattr(matrix, attr)
-            except AttributeError:
-                pass
-    try:
-        setattr(matrix, _CACHE_TOKEN_ATTR, current)
-    except AttributeError:  # plain ndarrays cannot carry the token
-        pass
-
-
-def cached_csc(matrix: sp.csr_matrix) -> sp.csc_matrix:
-    """The CSC (inverted column→row) form of ``matrix``, attribute-cached.
-
-    Single owner of the ``_repro_csc`` cache contract: the fingerprint guard
-    runs first, so a structurally mutated matrix rebuilds its index.  Shared
-    by the decremental coverage kernel, the NIM bipartite builder and the
-    streaming delta accounting.
-    """
-    validate_attribute_caches(matrix)
-    csc = getattr(matrix, "_repro_csc", None)
-    if csc is None:
-        csc = matrix.tocsc()
-        try:
-            matrix._repro_csc = csc
-        except AttributeError:  # pragma: no cover - csr accepts attrs
-            pass
-    return csc
-
-
 def boolean_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
     """Binarise ``matrix`` (all stored entries become 1.0).
 
-    Already-binarised float CSR inputs are returned *as-is* (no copy), and
-    the binarised form of any other matrix object is cached on that object,
-    so every consumer of the same adjacency — criterion, similarity, NIM —
-    shares a single boolean copy.  The cache is guarded by
-    :func:`matrix_fingerprint`: structurally mutating a cached matrix in
-    place (``setdiag``, ``eliminate_zeros``, a streaming delta, ...)
-    invalidates the cached binarised form, so the next call re-binarises.
-    Callers must still treat the *returned* matrix as read-only — it is
-    shared by every consumer of the input.
+    Already-binarised float CSR inputs are returned *as-is* (no copy);
+    anything else is converted to a fresh float CSR with unit values.
     """
-    if sp.issparse(matrix):
-        validate_attribute_caches(matrix)
-    cached = getattr(matrix, _BOOLEAN_CACHE_ATTR, None)
-    if cached is not None:
-        return cached
     if (
         sp.issparse(matrix)
         and matrix.format == "csr"
         and matrix.dtype == np.float64
         and (matrix.nnz == 0 or bool((matrix.data == 1.0).all()))
     ):
-        setattr(matrix, _BOOLEAN_CACHE_ATTR, matrix)
         return matrix
     result = to_csr(matrix).copy()
     if result.nnz:
         result.data = np.ones_like(result.data)
-    validate_attribute_caches(result)  # stamp the fresh object's fingerprint
-    setattr(result, _BOOLEAN_CACHE_ATTR, result)
-    try:
-        setattr(matrix, _BOOLEAN_CACHE_ATTR, result)
-    except AttributeError:  # plain ndarrays cannot carry the cache
-        pass
     return result
 
 

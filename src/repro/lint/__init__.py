@@ -1,8 +1,9 @@
 """``reprolint`` — the repo-invariant static-analysis pass.
 
 Every guarantee this reproduction ships — byte-identical selection,
-crash-consistent WAL publishes, fingerprint-guarded ``_repro_*`` caches,
-an unblocked serving event loop — is encoded here as an AST rule, so
+crash-consistent WAL publishes, derived forms owned by their
+``PackedAdjacency`` (never ``_repro_*`` attributes on a matrix), an
+unblocked serving event loop — is encoded here as an AST rule, so
 violations are caught at review time instead of by a chaos drill.
 
 Entry points:

@@ -4,7 +4,7 @@ One :class:`ModuleContext` is built per linted file: the parsed AST, the raw
 source lines, an import-alias map that lets rules match *qualified* names
 (``np.random.default_rng`` resolves to ``numpy.random.default_rng`` whatever
 the local alias), module-level string constants (so ``setattr(m, CACHE_ATTR,
-...)`` can be resolved when ``CACHE_ATTR = "_repro_packed"``), the
+...)`` can be resolved when ``CACHE_ATTR = "_repro_degree"``), the
 suppression-comment table, and the function decomposition most rules analyse
 (:class:`FunctionUnit`).
 """

@@ -1,11 +1,10 @@
-"""Cache-guard rule: the fingerprint-guarded ``_repro_*`` cache contract.
+"""Cache-guard rule: no derived data hangs off a matrix as a ``_repro_*`` attribute.
 
-PR 4 introduced attribute caches (``matrix._repro_cache_token``,
-``_repro_packed`` …) on scipy sparse matrices.  A cache written without
-first validating the matrix fingerprint (``hetero.sparse.
-validate_attribute_caches`` / ``matrix_fingerprint``) keeps serving stale
-derived data after the underlying matrix mutates — the exact bug class the
-guard machinery exists to prevent.
+Every form derived from a receptive field's bit pattern — its CSR, CSC and
+NIM operator — is owned by the :class:`~repro.core.coverage_kernels.
+PackedAdjacency` it came from and dies with it.  An attribute written onto
+a scipy matrix instead outlives any in-place edit of that matrix and keeps
+serving stale derived data, so every such write is a finding.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.lint.rules import LintRule, RawFinding, rules
 __all__ = ["UnguardedAttributeCacheRule"]
 
 _CACHE_PREFIX = "_repro_"
-_GUARD_SUFFIXES = ("validate_attribute_caches", "matrix_fingerprint")
 
 
 @rules.register("rep-c301", aliases=("unguarded-attribute-cache",))
@@ -29,11 +27,10 @@ class UnguardedAttributeCacheRule(LintRule):
     severity = "error"
     category = "cache-guard"
     invariant = (
-        "Every _repro_* attribute-cache write happens in a function that "
-        "first validates the owner's fingerprint, so mutated matrices "
-        "cannot serve stale derived data."
+        "No _repro_* attribute is written onto any object: derived forms "
+        "are owned by the PackedAdjacency of their pattern, so they die "
+        "with it and cannot serve stale data."
     )
-    exempt = ("hetero/sparse.py",)  # defines the guard machinery itself
     example_path = "repro/core/example.py"
     bad_example = (
         "def cached_degree(matrix):\n"
@@ -42,51 +39,34 @@ class UnguardedAttributeCacheRule(LintRule):
         "    return matrix._repro_degree\n"
     )
     good_example = (
-        "from repro.hetero.sparse import validate_attribute_caches\n"
+        "def degree(csr):\n"
+        "    return csr.sum(axis=1)\n"
         "\n"
-        "def cached_degree(matrix):\n"
-        "    validate_attribute_caches(matrix)\n"
-        "    if not hasattr(matrix, '_repro_degree'):\n"
-        "        matrix._repro_degree = matrix.sum(axis=1)\n"
-        "    return matrix._repro_degree\n"
+        "def cached_degree(packed):\n"
+        "    return packed.derived(degree)\n"
     )
 
-    def _cache_writes(self, ctx: ModuleContext, unit) -> list[ast.AST]:
-        writes: list[ast.AST] = []
-        for node in unit.nodes:
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Attribute) and target.attr.startswith(
-                        _CACHE_PREFIX
-                    ):
-                        writes.append(node)
-                        break
-            elif isinstance(node, ast.Call):
-                if ctx.qualified(node.func) == "setattr" and len(node.args) >= 2:
-                    name = ctx.string_value(node.args[1])
-                    if name is not None and name.startswith(_CACHE_PREFIX):
-                        writes.append(node)
-        return writes
-
-    def _guarded(self, ctx: ModuleContext, unit) -> bool:
-        for call in unit.calls():
-            dotted = ctx.dotted(call.func)
-            if dotted and dotted.split(".")[-1] in _GUARD_SUFFIXES:
-                return True
-        return False
-
     def check(self, ctx: ModuleContext) -> Iterable[RawFinding]:
-        for unit in ctx.function_units():
-            writes = self._cache_writes(ctx, unit)
-            if not writes or self._guarded(ctx, unit):
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                written = any(
+                    isinstance(target, ast.Attribute)
+                    and target.attr.startswith(_CACHE_PREFIX)
+                    for target in targets
+                )
+            elif isinstance(node, ast.Call) and len(node.args) >= 2:
+                name = (
+                    ctx.string_value(node.args[1])
+                    if ctx.qualified(node.func) == "setattr"
+                    else None
+                )
+                written = name is not None and name.startswith(_CACHE_PREFIX)
+            else:
                 continue
-            for node in writes:
+            if written:
                 yield self.at(
                     node,
-                    "_repro_* cache written without a fingerprint guard in "
-                    "this function; call hetero.sparse."
-                    "validate_attribute_caches(owner) first",
+                    "_repro_* attribute written; keep derived forms on their "
+                    "PackedAdjacency (derived()) instead",
                 )

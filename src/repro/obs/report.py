@@ -18,6 +18,7 @@ __all__ = [
     "aggregate",
     "build_tree",
     "collapsed_stacks",
+    "event_summary",
     "render_report",
     "report_obj",
 ]
@@ -173,6 +174,26 @@ def collapsed_stacks(spans: list[Span]) -> list[str]:
     return [f"{stack} {value}" for stack, value in sorted(merged.items())]
 
 
+def event_summary(spans: list[Span]) -> list[dict]:
+    """Per event name: its count and the attributes of its latest occurrence.
+
+    "Latest" is by start time plus offset, ties broken on span id, so the
+    summary does not depend on span order.  Sorted by event name.
+    """
+    latest: dict[str, tuple[tuple[float, str], dict]] = {}
+    counts: dict[str, int] = {}
+    for span in spans:
+        for event in span.events:
+            counts[event.name] = counts.get(event.name, 0) + 1
+            stamp = (span.start_s + event.offset_s, span.span_id)
+            if event.name not in latest or stamp >= latest[event.name][0]:
+                latest[event.name] = (stamp, event.attrs)
+    return [
+        {"name": name, "count": counts[name], "last": dict(latest[name][1])}
+        for name in sorted(counts)
+    ]
+
+
 def report_obj(header: dict, spans: list[Span]) -> dict:
     """The ``--json`` payload (schema v1)."""
     return {
@@ -182,11 +203,13 @@ def report_obj(header: dict, spans: list[Span]) -> dict:
         "scopes": sorted({span.scope for span in spans}),
         "names": [stats.to_obj() for stats in aggregate(spans)],
         "tree": build_tree(spans).to_obj(),
+        "events": event_summary(spans),
     }
 
 
 def render_report(header: dict, spans: list[Span]) -> str:
-    """Human-readable report: self-time call tree + per-name quantiles."""
+    """Human-readable report: self-time call tree, per-name quantiles and
+    the latest attributes of each event name."""
     lines = [
         f"trace {header.get('trace_id', '?')} — {len(spans)} spans, "
         f"{len({s.scope for s in spans})} scope(s)",
@@ -216,4 +239,10 @@ def render_report(header: dict, spans: list[Span]) -> str:
             f"{stats.self_s * 1e3:>10.3f} {stats.p50_s * 1e3:>9.3f} "
             f"{stats.p95_s * 1e3:>9.3f} {stats.errors:>4d}"
         )
+    events = event_summary(spans)
+    if events:
+        lines += ["", "events (count, latest attributes):"]
+        for entry in events:
+            attrs = " ".join(f"{key}={value}" for key, value in sorted(entry["last"].items()))
+            lines.append(f"  {entry['name']:<40s} x{entry['count']:<6d} {attrs}")
     return "\n".join(lines)

@@ -33,7 +33,6 @@ from repro import obs
 from repro.core.context import CondensationContext
 from repro.core.metapaths import MetaPath, compose_packed_rows
 from repro.hetero.graph import HeteroGraph, NodeSplits, combine_typed_adjacency
-from repro.hetero.sparse import boolean_csr
 from repro.streaming.delta import GraphDelta
 from repro.streaming.patch import patch_rows, propagate_dirty
 
@@ -345,7 +344,7 @@ class DeltaApplier:
         def typed_new(src: str, dst: str) -> sp.csr_matrix:
             hop = new_typed.get((src, dst))
             if hop is None:
-                hop = boolean_csr(graph.typed_adjacency(src, dst))
+                hop = graph.typed_adjacency(src, dst)
                 new_typed[(src, dst)] = hop
             return hop
 

@@ -141,26 +141,34 @@ class GraphDelta:
 
     def num_edge_changes(self, graph: HeteroGraph) -> int:
         """Edges this delta touches: explicit adds/removes plus the incident
-        edges of every removed node (which all disappear)."""
-        from repro.hetero.sparse import cached_csc
+        edges of every removed node (which all disappear).
 
+        An incident edge is counted once even when both its endpoints are
+        removed (a same-type relation, a self-loop, or removals on both
+        sides of a relation).
+        """
         total = sum(int(src.size) for src, _ in self.add_edges.values())
         total += sum(int(src.size) for src, _ in self.remove_edges.values())
-        for node_type, ids in self.remove_nodes.items():
-            # Ids added by this same delta (validate_against permits them)
-            # have no incident edges in the current matrices.
-            ids = ids[ids < graph.num_nodes[node_type]]
-            if ids.size == 0:
+        # Ids added by this same delta (validate_against permits them) have
+        # no incident edges in the current matrices.
+        removed = {
+            node_type: ids[ids < graph.num_nodes[node_type]]
+            for node_type, ids in self.remove_nodes.items()
+        }
+        removed = {node_type: ids for node_type, ids in removed.items() if ids.size}
+        if not removed:
+            return total
+        empty = np.empty(0, dtype=np.int64)
+        for name, matrix in graph.adjacency.items():
+            rel = graph.schema.relation(name)
+            if rel.src not in removed and rel.dst not in removed:
                 continue
-            for name, matrix in graph.adjacency.items():
-                rel = graph.schema.relation(name)
-                if rel.src == node_type:
-                    total += int(
-                        (matrix.indptr[ids + 1] - matrix.indptr[ids]).sum()
-                    )
-                if rel.dst == node_type:
-                    csc = cached_csc(matrix)
-                    total += int((csc.indptr[ids + 1] - csc.indptr[ids]).sum())
+            matrix = matrix.tocsr()
+            rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+            incident = np.isin(rows, removed.get(rel.src, empty)) | np.isin(
+                matrix.indices, removed.get(rel.dst, empty)
+            )
+            total += int(np.count_nonzero(incident))
         return total
 
     def edge_fraction(self, graph: HeteroGraph) -> float:

@@ -9,10 +9,11 @@ and re-condenses after every :class:`~repro.streaming.delta.GraphDelta`:
 2. the **selection memo** (:class:`~repro.streaming.warmstart.SelectionMemo`)
    keeps per-(meta-path, class) greedy coverage results and per-group
    similarity scores, warm-starting the greedy kernel on rebuilt paths;
-3. the **stage memo** (:class:`StageMemo`) keeps whole stage results —
-   target selection, per-father NIM selections, per-leaf syntheses — keyed
-   by the identity of every input the stage reads, so an unchanged stage is
-   not re-run at all.
+3. the **stage memo** (:class:`StageMemo`) keeps whole father and leaf
+   stage results — per-father NIM selections, per-leaf syntheses — keyed by
+   the identity of every input the stage reads, so an unchanged stage is
+   not re-run at all.  The target stage always runs: the selection memo
+   already serves its per-path work.
 
 All three layers only ever serve results whose inputs are *identical* to
 the cached computation, so the condensed graph is **byte-identical** to a
@@ -66,25 +67,19 @@ class _StageSlot:
 
 
 class StageMemo:
-    """Serves cached stage results when a stage's inputs are unchanged.
+    """Serves cached father/leaf stage results when a stage's inputs are unchanged.
 
     Fingerprints are built from the *identities* of the artifacts a stage
     reads — context-served meta-path adjacencies, the graph's relation
     matrices and feature blocks (all replaced, never edited, by the delta
-    applier) — plus content digests of the small arrays (anchor, providers,
-    labels, splits).  Identity is exact because the context and the applier
+    applier) — plus content digests of the small arrays (anchor,
+    providers).  Identity is exact because the context and the applier
     replace objects precisely when the underlying data changed.  Stages
     with strategies the memo does not know are simply always re-run.
     """
 
     def __init__(self) -> None:
-        self.stats = {
-            "target_hits": 0,
-            "target_misses": 0,
-            "stage_hits": 0,
-            "stage_misses": 0,
-        }
-        self._target: _StageSlot | None = None
+        self.stats = {"stage_hits": 0, "stage_misses": 0}
         self._others: dict[tuple[str, str], _StageSlot] = {}
 
     def _note(self, key: str, **attrs) -> None:
@@ -94,40 +89,7 @@ class StageMemo:
 
     def clear(self) -> None:
         """Drop every cached stage result."""
-        self._target = None
         self._others.clear()
-
-    # ------------------------------------------------------------------ #
-    def select_target(self, stage, context: CondensationContext, budget: int):
-        fingerprint_pins = self._target_fingerprint(stage, context, budget)
-        if fingerprint_pins is None:
-            self._note("target_misses")
-            return stage.select_target(context, budget)
-        fingerprint, pins = fingerprint_pins
-        if self._target is not None and self._target.fingerprint == fingerprint:
-            self._note("target_hits")
-            return self._target.result
-        outcome = stage.select_target(context, budget)
-        self._target = _StageSlot(fingerprint, pins, outcome)
-        self._note("target_misses")
-        return outcome
-
-    def _target_fingerprint(self, stage, context: CondensationContext, budget: int):
-        if getattr(stage, "name", None) != "criterion":
-            return None
-        graph = context.graph
-        metapaths = context.metapaths()
-        adjacencies = [context.packed_receptive_field(path) for path in metapaths]
-        fingerprint = (
-            int(budget),
-            bool(getattr(stage, "use_receptive_field", True)),
-            bool(getattr(stage, "use_similarity", True)),
-            id(graph.labels),
-            id(graph.splits.train),
-            int(graph.num_nodes[context.target_type]),
-            tuple(id(a) for a in adjacencies),
-        )
-        return fingerprint, (graph.labels, graph.splits.train, tuple(adjacencies))
 
     # ------------------------------------------------------------------ #
     def condense_type(

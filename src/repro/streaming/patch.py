@@ -53,10 +53,10 @@ def patch_rows(
     rows, block = rows[changed], block[changed]
     words = old.words.copy()
     words[rows] = block
-    patched = PackedAdjacency(words, old.shape)
+    csr = None
     if old.source is not None:
-        patched.adopt(_splice_rows(old.source, rows, csr_from_words(block, old.shape[1])))
-    return patched
+        csr = _splice_rows(old.source, rows, csr_from_words(block, old.shape[1]))
+    return PackedAdjacency(words, old.shape, csr)
 
 
 def _splice_rows(

@@ -47,12 +47,6 @@ from repro.core.similarity import row_jaccard
 __all__ = ["SelectionMemo", "changed_rows", "warm_start_coverage"]
 
 
-def _words(adjacency: PackedAdjacency | sp.spmatrix) -> np.ndarray:
-    if isinstance(adjacency, PackedAdjacency):
-        return adjacency.words
-    return PackedAdjacency.from_csr(adjacency).words
-
-
 def changed_rows(
     old: PackedAdjacency | sp.spmatrix, new: PackedAdjacency | sp.spmatrix
 ) -> np.ndarray:
@@ -63,7 +57,8 @@ def changed_rows(
     equality.  Patterns are compared as packed words (set semantics), so
     sparse inputs need not be canonical.
     """
-    old_words, new_words = _words(old), _words(new)
+    old_words = PackedAdjacency.from_csr(old).words
+    new_words = PackedAdjacency.from_csr(new).words
     width = max(old_words.shape[1], new_words.shape[1])
     n_common = min(old_words.shape[0], new_words.shape[0])
     old_words = _widen(old_words[:n_common], width)
@@ -112,11 +107,7 @@ def warm_start_coverage(
         # exhausted — selection cannot grow either).  Reuse wholesale.
         return previous
 
-    packed = (
-        adjacency
-        if isinstance(adjacency, PackedAdjacency)
-        else PackedAdjacency.from_csr_cached(adjacency)
-    )
+    packed = PackedAdjacency.from_csr(adjacency)
     dirty_set = set(int(node) for node in dirty_candidates)
     dirty_alive = dirty_candidates.copy()
     covered = packed.empty_cover()

@@ -29,10 +29,9 @@ def _install_composition_spy(monkeypatch, calls):
 
     # compose_packed recurses through its module global, so suffix
     # compositions are recorded too.
-    for module in (metapaths_module, context_module, criterion_module):
+    for module in (metapaths_module, context_module, criterion_module, nim_module):
         monkeypatch.setattr(module, "compose_packed", packed_spy)
-    for module in (context_module, nim_module):
-        monkeypatch.setattr(module, "metapath_adjacency", normalized_spy)
+    monkeypatch.setattr(context_module, "metapath_adjacency", normalized_spy)
 
 
 def _install_enumeration_spy(monkeypatch, calls):
@@ -142,7 +141,7 @@ class TestCondenseBuildsEachArtifactOnce:
         condenser.condense(toy_graph, 0.2, seed=0)
         stats = condenser.last_context.stats
         assert stats["metapath_enumerations"] == 1
-        assert stats["adjacency_hits"] > 0, "stages must share cached adjacencies"
+        assert stats["packed_hits"] > 0, "stages must share cached adjacencies"
 
 
 class TestCachedResultsIdentical:
@@ -191,3 +190,37 @@ class TestCachedResultsIdentical:
         foreign = CondensationContext(tiny_acm, max_hops=2, max_paths=8)
         with pytest.raises(CondensationError):
             condenser.condense(toy_graph, 0.2, seed=0, context=foreign)
+
+
+class TestCacheBytes:
+    FAMILIES = {"words", "csr", "csc", "nim", "normalized", "features", "total"}
+
+    def test_families_after_condense(self, toy_graph):
+        condenser = FreeHGC(max_hops=2, max_paths=8)
+        condenser.condense(toy_graph, 0.2, seed=0)
+        context = condenser.last_context
+        stats = dict(context.stats)
+        sizes = context.cache_bytes()
+        assert set(sizes) == self.FAMILIES
+        assert sizes["total"] == sum(v for k, v in sizes.items() if k != "total")
+        assert sizes["words"] > 0 and sizes["csr"] > 0 and sizes["nim"] > 0
+        assert context.stats == stats  # inspects, builds nothing
+
+    def test_empty_context_holds_nothing(self, toy_graph):
+        sizes = CondensationContext(toy_graph, max_hops=2).cache_bytes()
+        assert sizes == dict.fromkeys(self.FAMILIES, 0)
+
+    def test_traced_condense_emits_event_and_matches_untraced(self, toy_graph):
+        from repro import obs
+
+        untraced = FreeHGC(max_hops=2, max_paths=8).condense(toy_graph, 0.2, seed=0)
+        condenser = FreeHGC(max_hops=2, max_paths=8)
+        with obs.tracing("t-cache-bytes") as tracer:
+            traced = condenser.condense(toy_graph, 0.2, seed=0)
+            spans = tracer.drain_spans()
+        pipeline = next(span for span in spans if span.name == "condense.pipeline")
+        events = [e for e in pipeline.events if e.name == "context.cache_bytes"]
+        assert [e.attrs for e in events] == [condenser.last_context.cache_bytes()]
+        assert np.array_equal(traced.labels, untraced.labels)
+        for name in traced.adjacency:
+            assert (traced.adjacency[name] != untraced.adjacency[name]).nnz == 0

@@ -31,7 +31,7 @@ def reference_branches(matrix, pool, budget):
 def kernel_results(matrix, pool, budget):
     """Each fast kernel, called directly: decremental and batched CELF."""
     return [
-        greedy_max_coverage_decremental(matrix, pool, budget),
+        greedy_max_coverage_decremental(PackedAdjacency.from_csr(matrix), pool, budget),
         greedy_max_coverage_packed(PackedAdjacency.from_csr(matrix), pool, budget),
     ]
 
@@ -100,6 +100,39 @@ class TestPackedAdjacency:
         assert packed.union_count(np.array([0, 1])) == 0
 
 
+class TestPackedOwner:
+    """A PackedAdjacency owns its words and every form derived from them."""
+
+    def test_words_are_read_only(self):
+        packed = PackedAdjacency.from_csr(random_boolean_csr(30))
+        with pytest.raises(ValueError):
+            packed.words[0, 0] = np.uint64(1)
+
+    def test_duplicate_entry_csr_is_canonicalised(self):
+        from repro.core.neighbor_influence import bipartite_pagerank
+
+        canonical = random_boolean_csr(31)
+        # Store every entry of row 0 twice (in reversed order).
+        row = canonical.indices[canonical.indptr[0] : canonical.indptr[1]]
+        indices = np.concatenate([row, row[::-1], canonical.indices[canonical.indptr[1] :]])
+        indptr = canonical.indptr + row.size
+        indptr[0] = 0
+        duplicated = sp.csr_matrix(
+            (np.ones(indices.size), indices, indptr), shape=canonical.shape
+        )
+        assert not duplicated.has_canonical_format
+
+        csr = PackedAdjacency.from_csr(duplicated).to_csr()
+        assert csr is not duplicated and csr.has_canonical_format
+        np.testing.assert_array_equal(csr.indptr, canonical.indptr)
+        np.testing.assert_array_equal(csr.indices, canonical.indices)
+        np.testing.assert_array_equal(csr.data, canonical.data)
+        anchor = (np.arange(canonical.shape[0]) % 3 == 0).astype(np.float64)
+        fast = bipartite_pagerank(PackedAdjacency.from_csr(duplicated), anchor)
+        expected = bipartite_pagerank(PackedAdjacency.from_csr(canonical), anchor)
+        assert fast.tobytes() == expected.tobytes()
+
+
 def assert_same_result(result, reference):
     np.testing.assert_array_equal(result.selected, reference.selected)
     np.testing.assert_array_equal(result.gains, reference.gains)
@@ -118,7 +151,7 @@ class TestKernelEquivalence:
         packed = PackedAdjacency.from_csr(matrix)
         for reference in reference_branches(matrix, pool, budget):
             for result in [
-                greedy_max_coverage_decremental(matrix, pool, budget),
+                greedy_max_coverage_decremental(packed, pool, budget),
                 greedy_max_coverage_packed(packed, pool, budget),
                 greedy_max_coverage(matrix, pool, budget),
                 greedy_max_coverage(packed, pool, budget),
@@ -180,7 +213,9 @@ class TestKernelEquivalence:
             (np.ones(3), np.array([2, 2, 3]), np.array([0, 2, 3])), shape=(2, 5)
         )
         data_before = matrix.data.copy()
-        result = greedy_max_coverage_decremental(matrix, np.arange(2), 2)
+        result = greedy_max_coverage_decremental(
+            PackedAdjacency.from_csr(matrix), np.arange(2), 2
+        )
         np.testing.assert_array_equal(matrix.data, data_before)  # caller untouched
         assert matrix.nnz == 3
         # Set semantics: the duplicate counts once, like the packed kernels.
@@ -193,31 +228,32 @@ class TestKernelEquivalence:
         # The decremental kernel reads a CSR: for a sparse packed adjacency
         # without one, the dispatcher derives it from the words.
         matrix = random_boolean_csr(8)
-        packed = PackedAdjacency.from_csr(matrix)
-        packed.source = None
+        packed = PackedAdjacency(PackedAdjacency.from_csr(matrix).words, matrix.shape)
+        assert packed.source is None
         result = greedy_max_coverage(packed, np.arange(3), 2)
         assert_same_result(result, greedy_max_coverage_reference(matrix, np.arange(3), 2))
         assert (packed.source != matrix).nnz == 0
 
 
 class TestKernelCacheStaleness:
-    """Kernel index caches must refresh when the matrix mutates in place."""
+    """Kernel indexes live on the packed owner: a matrix mutated in place
+    and packed again never sees an index built for its old pattern."""
 
     def test_packed_cache_refreshes_after_mutation(self):
         matrix = random_boolean_csr(20)
-        stale = PackedAdjacency.from_csr_cached(matrix)
+        stale = PackedAdjacency.from_csr(matrix)
         emptied = sp.csr_matrix(matrix.shape)
         matrix.indptr, matrix.indices, matrix.data = (
             emptied.indptr, emptied.indices, emptied.data.astype(matrix.data.dtype),
         )
-        fresh = PackedAdjacency.from_csr_cached(matrix)
+        fresh = PackedAdjacency.from_csr(matrix)
         assert fresh is not stale
         assert fresh.words.sum() == 0
 
     def test_decremental_csc_refreshes_after_mutation(self):
         matrix = random_boolean_csr(21)
         pool = np.arange(matrix.shape[0])
-        greedy_max_coverage_decremental(matrix, pool, 5)  # caches _repro_csc
+        greedy_max_coverage_decremental(PackedAdjacency.from_csr(matrix), pool, 5)
         dense = matrix.toarray()
         dense[:, :] = 0.0
         dense[0, 0] = 1.0
@@ -225,19 +261,19 @@ class TestKernelCacheStaleness:
         matrix.indptr, matrix.indices, matrix.data = (
             replacement.indptr, replacement.indices, replacement.data,
         )
-        result = greedy_max_coverage_decremental(matrix, pool, 5)
+        result = greedy_max_coverage_decremental(PackedAdjacency.from_csr(matrix), pool, 5)
         reference = greedy_max_coverage_reference(replacement, pool, 5)
         np.testing.assert_array_equal(result.selected, reference.selected)
         assert result.covered == reference.covered == 1
 
     def test_unmutated_matrix_keeps_caches(self):
         matrix = random_boolean_csr(22)
-        packed = PackedAdjacency.from_csr_cached(matrix)
-        greedy_max_coverage_decremental(matrix, np.arange(5), 2)
-        csc = matrix._repro_csc
-        assert PackedAdjacency.from_csr_cached(matrix) is packed
-        greedy_max_coverage_decremental(matrix, np.arange(5), 2)
-        assert matrix._repro_csc is csc
+        packed = PackedAdjacency.from_csr(matrix)
+        greedy_max_coverage_decremental(packed, np.arange(5), 2)
+        csc = packed.to_csc()
+        greedy_max_coverage_decremental(packed, np.arange(5), 2)
+        assert packed.to_csc() is csc
+        assert packed.to_csr() is matrix
 
 
 class TestContextPackedCache:
@@ -279,22 +315,20 @@ class TestContextPackedCache:
             np.testing.assert_array_equal(cold.per_class[cls], warm.per_class[cls])
 
     def test_criterion_selector_reuses_kernel_indices(self, toy_graph):
-        """The greedy kernels attach their index caches to the context's
-        memoized adjacencies, so repeated select() calls rebuild nothing."""
+        """The greedy kernels read indexes their packed owner memoizes, so
+        repeated select() calls rebuild nothing."""
         selector = TargetNodeSelector(max_hops=2, max_paths=8)
         context = CondensationContext(toy_graph, max_hops=2, max_paths=8)
         selector.select(toy_graph, 8, context=context)
 
         def kernel_index(path):
-            adjacency = context.receptive_field(path)
-            for attr in ("_repro_csc", "_repro_canonical", "_repro_packed"):
-                cached = getattr(adjacency, attr, None)
-                if cached is not None:
-                    return cached
-            return None
+            packed = context.packed_receptive_field(path)
+            return [packed, packed.source, *packed.derived_forms().values()]
 
         cached = [kernel_index(path) for path in context.metapaths()]
-        assert all(index is not None for index in cached)
+        assert any(len(index) > 2 for index in cached)  # a CSC was built
         selector.select(toy_graph, 8, context=context)
         for path, index in zip(context.metapaths(), cached):
-            assert kernel_index(path) is index
+            again = kernel_index(path)
+            assert len(again) == len(index)
+            assert all(a is b for a, b in zip(again, index))

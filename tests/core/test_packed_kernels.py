@@ -152,7 +152,7 @@ class TestPackedComposition:
         graph = random_hin(7)
         csr = compose_packed(graph, MetaPath(("paper", "author", "paper"))).to_csr()
         assert csr.has_canonical_format
-        assert PackedAdjacency.from_csr_cached(csr).to_csr() is csr
+        assert PackedAdjacency.from_csr(csr).to_csr() is csr
 
 
 class TestPopcountJaccard:
@@ -207,7 +207,7 @@ class TestTwoSpmvPagerank:
             if path.end == "paper":
                 continue
             adjacency = compose_matmul(graph, path)
-            fast = bipartite_pagerank(adjacency, anchor)
+            fast = bipartite_pagerank(PackedAdjacency.from_csr(adjacency), anchor)
             assert fast.tobytes() == block_pagerank(adjacency, anchor).tobytes()
 
     def test_isolated_nodes_and_zero_anchor(self):
@@ -215,12 +215,18 @@ class TestTwoSpmvPagerank:
             np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
         )
         for anchor in (np.zeros(3), np.array([0.0, 1.0, 1.0])):
-            fast = bipartite_pagerank(adjacency, anchor, iterations=50)
+            fast = bipartite_pagerank(
+                PackedAdjacency.from_csr(adjacency), anchor, iterations=50
+            )
             reference = block_pagerank(adjacency, anchor, iterations=50)
             assert fast.tobytes() == reference.tobytes()
-        uniform = bipartite_pagerank(adjacency, np.zeros(3), iterations=0)
+        uniform = bipartite_pagerank(
+            PackedAdjacency.from_csr(adjacency), np.zeros(3), iterations=0
+        )
         np.testing.assert_allclose(uniform, np.full(7, 1.0 / 7))
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
-            bipartite_pagerank(sp.csr_matrix((2, 2)), np.ones(2), alpha=1.0)
+            bipartite_pagerank(
+                PackedAdjacency.from_csr(sp.csr_matrix((2, 2))), np.ones(2), alpha=1.0
+            )

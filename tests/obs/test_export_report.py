@@ -18,6 +18,7 @@ from repro.obs.report import (
 from repro.obs.spans import (
     TRACE_SCHEMA_VERSION,
     Span,
+    SpanEvent,
     TraceDecodeError,
     read_trace,
     read_trace_tree,
@@ -175,6 +176,22 @@ class TestAnalysis:
         for name in ("root", "a", "b"):
             assert name in text
         assert "4 spans" in text
+
+    def test_report_shows_latest_event_attributes(self):
+        early, late = make_span("main:1", "condense.pipeline"), make_span(
+            "main:2", "condense.pipeline"
+        )
+        late.start_s = 1.0
+        early.events = [SpanEvent("context.cache_bytes", 0.1, {"total": 10, "csr": 4})]
+        late.events = [SpanEvent("context.cache_bytes", 0.1, {"total": 12, "csr": 6})]
+        spans = [early, late]
+        summary = report_obj({"trace_id": "t"}, spans)["events"]
+        assert summary == [
+            {"name": "context.cache_bytes", "count": 2, "last": {"total": 12, "csr": 6}}
+        ]
+        assert report_obj({"trace_id": "t"}, spans[::-1])["events"] == summary
+        text = render_report({"trace_id": "t"}, spans)
+        assert "context.cache_bytes" in text and "csr=6 total=12" in text
 
     def test_deterministic_across_span_order(self):
         spans = self.spans()

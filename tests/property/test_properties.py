@@ -146,7 +146,7 @@ class TestCoverageKernelEquivalence:
         pool = rng.choice(matrix.shape[0], size=pool_size, replace=bool(rng.integers(2)))
         packed = PackedAdjacency.from_csr(matrix)
         kernels = [
-            greedy_max_coverage_decremental(matrix, pool, budget),
+            greedy_max_coverage_decremental(packed, pool, budget),
             greedy_max_coverage_packed(packed, pool, budget, batch_size=2),
             greedy_max_coverage_packed(packed, pool, budget),
             greedy_max_coverage(matrix, pool, budget),

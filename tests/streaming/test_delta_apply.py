@@ -46,6 +46,23 @@ class TestGraphDelta:
         incident = int(graph.adjacency["paper-author"].tocsc()[:, 0].nnz)
         assert delta.num_edge_changes(graph) == incident
 
+    def test_edge_counting_counts_shared_incidents_once(self):
+        """An edge between two removed nodes (here on paper-cite-paper) and
+        a removed node's self-loop are each one touched edge."""
+        graph = load_acm(scale=0.1, seed=0)
+        removed = {"paper": np.array([0, 3])}
+        incident = set()
+        for name, matrix in graph.adjacency.items():
+            rel = graph.schema.relation(name)
+            coo = matrix.tocoo()
+            for row, col in zip(coo.row.tolist(), coo.col.tolist()):
+                if (rel.src in removed and row in removed[rel.src]) or (
+                    rel.dst in removed and col in removed[rel.dst]
+                ):
+                    incident.add((name, row, col))
+        delta = GraphDelta(remove_nodes=removed)
+        assert delta.num_edge_changes(graph) == len(incident) == 59
+
     def test_validation_rejects_out_of_range(self, graph):
         bad = GraphDelta(
             add_edges={"paper-author": (np.array([10**6]), np.array([0]))}

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import FreeHGC
 from repro.core.metapaths import MetaPath
-from repro.datasets import load_acm
+from repro.datasets import load_acm, load_dataset
 from repro.datasets.generators import generate_delta_schedule
 from repro.streaming import (
     DeltaApplier,
@@ -180,3 +180,58 @@ class TestStepScopedMemory:
         incremental.step(schedule[1])
         gc.collect()
         assert replaced() is None
+
+
+class TestStageMemo:
+    def test_stage_half_hits_and_stays_byte_identical(self):
+        """Single-relation paper-term churn leaves every father/leaf stage
+        input of some step untouched: the stage memo must serve it, and each
+        step must still equal a full recondense of a replica."""
+        graph = load_dataset("acm", scale=0.1)
+        replica = graph.copy()
+        schedule = generate_delta_schedule(
+            graph, steps=4, seed=11, edge_churn=0.01, relations=("paper-term",)
+        )
+        incremental = IncrementalCondenser(
+            graph, condenser=FreeHGC(max_hops=3), ratio=0.1, seed=0
+        )
+        incremental.condense()
+        applier = DeltaApplier()
+        for delta in schedule:
+            report = incremental.step(delta)
+            applier.apply(replica, delta)
+            assert_graphs_equal(
+                report.condensed, FreeHGC(max_hops=3).condense(replica, 0.1, seed=0)
+            )
+        assert incremental.stage_memo.stats["stage_hits"] >= 1
+
+
+class TestDerivedFormOwnership:
+    def test_no_attribute_caches_after_stream_steps(self):
+        """Derived forms live on their PackedAdjacency: no matrix the context
+        or the graph's typed-adjacency cache reaches carries a _repro_*
+        attribute after a condense and two stream steps."""
+        graph, _ = make_pair(scale=0.2)
+        schedule = generate_delta_schedule(
+            graph, steps=2, seed=1, edge_churn=0.01, relations=("paper-author",)
+        )
+        incremental = IncrementalCondenser(
+            graph, condenser=FreeHGC(max_hops=2), ratio=0.1, recondense_threshold=1.0
+        )
+        incremental.condense()
+        for delta in schedule:
+            incremental.step(delta)
+
+        context = incremental.context
+        matrices = []
+        for key in context.cached_path_keys():
+            packed = context.cached_packed(key)
+            matrices.append(packed.source)
+            matrices.extend(packed.derived_forms().values())
+        for _deps, combined, pinned in graph.__dict__["_typed_adjacency_cache"].values():
+            matrices.append(combined)
+            matrices.extend(pinned)
+        matrices = [m for m in matrices if m is not None]
+        assert matrices
+        for matrix in matrices:
+            assert not [name for name in vars(matrix) if name.startswith("_repro_")]
