@@ -62,7 +62,6 @@ class HGNNClassifier:
             base = HGNNConfig(**{**base.__dict__, **overrides})
         self.config = base
         self._module: Module | None = None
-        self._trainer: Trainer | None = None
         self._feature_keys: list[str] | None = None
         self._feature_dims: dict[str, int] | None = None
         self._num_classes: int | None = None
@@ -91,28 +90,13 @@ class HGNNClassifier:
         """Train on ``graph`` (usually a condensed graph) and return the result."""
         if graph.splits.train.size == 0:
             raise ModelError("training graph has an empty train split")
-        rng = ensure_rng(self.config.seed)
-        features = self._prepare_features(graph)
-        self._feature_keys = self._select_feature_keys(sorted(features))
-        if not self._feature_keys:
-            raise ModelError("no meta-path features available for this architecture")
-        self._feature_dims = {key: features[key].shape[1] for key in self._feature_keys}
-        self._num_classes = graph.schema.num_classes
-        self._module = self._build_module(self._feature_dims, self._num_classes, rng)
-        self._trainer = Trainer(
-            self._module,
-            TrainConfig(
-                lr=self.config.lr,
-                weight_decay=self.config.weight_decay,
-                epochs=self.config.epochs,
-                patience=self.config.patience,
-            ),
+        return self._fit(
+            self._prepare_features(graph),
+            graph.labels,
+            graph.schema.num_classes,
+            graph.splits.train,
+            graph.splits.val,
         )
-        inputs = self._to_tensors(features)
-        self.train_result = self._trainer.fit(
-            inputs, graph.labels, graph.splits.train, graph.splits.val
-        )
-        return self.train_result
 
     def fit_from_features(
         self,
@@ -134,14 +118,27 @@ class HGNNClassifier:
         labels = np.asarray(labels, dtype=np.int64)
         if not features:
             raise ModelError("fit_from_features requires at least one feature block")
-        rng = ensure_rng(self.config.seed)
+        if train_idx is None:
+            train_idx = np.arange(labels.shape[0], dtype=np.int64)
+        return self._fit(features, labels, int(num_classes), train_idx, val_idx)
+
+    def _fit(
+        self,
+        features: dict[str, np.ndarray],
+        labels: np.ndarray,
+        num_classes: int,
+        train_idx: np.ndarray,
+        val_idx: np.ndarray | None,
+    ) -> TrainResult:
+        """Build a fresh module over ``features`` and train it."""
         self._feature_keys = self._select_feature_keys(sorted(features))
         if not self._feature_keys:
             raise ModelError("no feature blocks usable by this architecture")
         self._feature_dims = {key: features[key].shape[1] for key in self._feature_keys}
-        self._num_classes = int(num_classes)
-        self._module = self._build_module(self._feature_dims, self._num_classes, rng)
-        self._trainer = Trainer(
+        self._num_classes = num_classes
+        rng = ensure_rng(self.config.seed)
+        self._module = self._build_module(self._feature_dims, num_classes, rng)
+        trainer = Trainer(
             self._module,
             TrainConfig(
                 lr=self.config.lr,
@@ -150,10 +147,7 @@ class HGNNClassifier:
                 patience=self.config.patience,
             ),
         )
-        if train_idx is None:
-            train_idx = np.arange(labels.shape[0], dtype=np.int64)
-        inputs = self._to_tensors(features)
-        self.train_result = self._trainer.fit(inputs, labels, train_idx, val_idx)
+        self.train_result = trainer.fit(self._to_tensors(features), labels, train_idx, val_idx)
         return self.train_result
 
     def predict(self, graph: HeteroGraph) -> np.ndarray:

@@ -56,7 +56,18 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2015)."""
+    """Adam optimiser (Kingma & Ba, 2015) stepping one flat buffer.
+
+    Every parameter's ``.data`` becomes a view into one contiguous array, and
+    :meth:`step` updates the moments and the weights with sixteen in-place
+    NumPy calls over that array instead of ten per parameter.  The
+    elementwise operations and their order match the textbook per-parameter
+    update exactly, so the weights are bit-for-bit what it would produce.  A
+    parameter without a gradient is skipped (the step runs over each
+    contiguous run of parameters that have one), and a parameter whose
+    ``.data`` was rebound after construction is copied back into its slot
+    before the step rather than silently dropped from the update.
+    """
 
     def __init__(
         self,
@@ -71,19 +82,61 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._offsets = np.cumsum([0] + [param.data.size for param in self.parameters]).tolist()
+        self._flat = np.zeros(self._offsets[-1])
+        self._views: list[np.ndarray] = []
+        for param, lo, hi in zip(self.parameters, self._offsets, self._offsets[1:]):
+            view = self._flat[lo:hi].reshape(param.data.shape)
+            view[...] = param.data
+            param.data = view
+            self._views.append(view)
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
+        self._grad = np.zeros_like(self._flat)
+        self._scratch = (np.zeros_like(self._flat), np.zeros_like(self._flat))
 
     def step(self) -> None:
         self._step += 1
-        for index, param in enumerate(self.parameters):
+        runs: list[list[int]] = []  # [lo, hi) flat ranges of parameters with a gradient
+        for param, view, lo, hi in zip(
+            self.parameters, self._views, self._offsets, self._offsets[1:]
+        ):
+            if param.data is not view:
+                if param.data.shape != view.shape:
+                    raise ValueError(
+                        f"a parameter was rebound to shape {param.data.shape}; "
+                        f"the optimizer holds {view.shape}"
+                    )
+                view[...] = param.data
+                param.data = view
             if param.grad is None:
                 continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            self._m[index] = self.beta1 * self._m[index] + (1 - self.beta1) * grad
-            self._v[index] = self.beta2 * self._v[index] + (1 - self.beta2) * grad**2
-            m_hat = self._m[index] / (1 - self.beta1**self._step)
-            v_hat = self._v[index] / (1 - self.beta2**self._step)
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self._grad[lo:hi] = param.grad.reshape(-1)
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
+        for lo, hi in runs:
+            self._update(slice(lo, hi))
+
+    def _update(self, span: slice) -> None:
+        """The Adam update over ``span`` of the flat buffers, in place."""
+        data, grad, m, v = self._flat[span], self._grad[span], self._m[span], self._v[span]
+        first, second = self._scratch[0][span], self._scratch[1][span]
+        if self.weight_decay:
+            np.multiply(self.weight_decay, data, out=first)
+            np.add(grad, first, out=grad)
+        np.multiply(self.beta1, m, out=m)
+        np.multiply(1 - self.beta1, grad, out=first)
+        np.add(m, first, out=m)
+        np.multiply(self.beta2, v, out=v)
+        np.square(grad, out=first)
+        np.multiply(1 - self.beta2, first, out=first)
+        np.add(v, first, out=v)
+        np.divide(m, 1 - self.beta1**self._step, out=first)  # m_hat
+        np.divide(v, 1 - self.beta2**self._step, out=second)  # v_hat
+        np.sqrt(second, out=second)
+        np.add(second, self.eps, out=second)
+        np.multiply(self.lr, first, out=first)
+        np.divide(first, second, out=first)
+        np.subtract(data, first, out=data)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, no_grad
+from repro import obs
+from repro.nn.autograd import Tape, Tensor, no_grad
 from repro.nn.losses import cross_entropy
 from repro.nn.metrics import accuracy
 from repro.nn.module import Module
@@ -65,25 +66,57 @@ class Trainer:
         if train_idx.size == 0:
             raise ValueError("cannot train with an empty train split")
         val_idx = np.asarray(val_idx, dtype=np.int64) if val_idx is not None else None
+        with obs.span("nn.fit") as span:
+            result, tape_ops = self._fit(inputs, labels, train_idx, val_idx)
+            if span is not None:
+                span.attrs["epochs"] = result.epochs_run
+                span.attrs["tape_ops"] = tape_ops
+        return result
+
+    def _fit(
+        self,
+        inputs: object,
+        labels: np.ndarray,
+        train_idx: np.ndarray,
+        val_idx: np.ndarray | None,
+    ) -> tuple[TrainResult, int]:
         optimizer = Adam(
             self.model.parameters(), lr=self.config.lr, weight_decay=self.config.weight_decay
         )
+        named = list(self.model.named_parameters())
+
+        def snapshot() -> dict[str, np.ndarray]:  # == self.model.state_dict()
+            return {name: tensor.data.copy() for name, tensor in named}
+
         best_val = -np.inf
         best_accuracy = 0.0
-        best_state = self.model.state_dict()
+        best_state = snapshot()
         best_epoch = 0
         patience_left = self.config.patience
         history: list[dict[str, float]] = []
+        # Epoch 1 records the training graph (forward + loss) and the
+        # eval-mode forward; every later epoch replays both in place.
+        train_tape: Tape | None = None
+        eval_tape: Tape | None = None
         start = time.perf_counter()
         epoch = 0
         for epoch in range(1, self.config.epochs + 1):
-            self.model.train()
             optimizer.zero_grad()
-            logits = self.model(inputs)
-            loss = cross_entropy(logits.take_rows(train_idx), labels[train_idx])
-            loss.backward()
+            if train_tape is None:
+                self.model.train()
+                train_tape = Tape.record(self._loss, inputs, labels[train_idx], train_idx)
+            else:
+                train_tape.forward()
+            loss = train_tape.output
+            train_tape.backward()
             optimizer.step()
 
+            if eval_tape is None:
+                self.model.eval()  # and stays there once training ends
+                eval_tape = Tape.record(self.model, inputs)
+            else:
+                eval_tape.forward()
+            predictions = np.argmax(eval_tape.output.data, axis=-1)
             # Early-stopping monitor: validation accuracy when a validation
             # split exists; otherwise the (negative) training loss.  Tiny
             # condensed graphs have no validation nodes and reach 100% train
@@ -91,19 +124,19 @@ class Trainer:
             # the first epoch with a near-random model.
             has_val = val_idx is not None and val_idx.size > 0
             if has_val:
-                val_acc = self._evaluate_accuracy(inputs, labels, val_idx)
+                val_acc = accuracy(predictions[val_idx], labels[val_idx])
                 # Tiny validation splits saturate at 100% immediately; the
                 # small loss term breaks ties in favour of better-trained
                 # states without ever outweighing a real accuracy difference.
                 monitor = val_acc - 1e-3 * loss.item()
             else:
-                val_acc = self._evaluate_accuracy(inputs, labels, train_idx)
+                val_acc = accuracy(predictions[train_idx], labels[train_idx])
                 monitor = -loss.item()
             history.append({"epoch": epoch, "loss": loss.item(), "val_accuracy": val_acc})
             if monitor > best_val:
                 best_val = monitor
                 best_accuracy = val_acc
-                best_state = self.model.state_dict()
+                best_state = snapshot()
                 best_epoch = epoch
                 patience_left = self.config.patience
             else:
@@ -112,13 +145,18 @@ class Trainer:
                     break
         elapsed = time.perf_counter() - start
         self.model.load_state_dict(best_state)
-        return TrainResult(
+        result = TrainResult(
             best_val_accuracy=float(best_accuracy),
             best_epoch=best_epoch,
             epochs_run=epoch,
             train_seconds=elapsed,
             history=history,
         )
+        return result, sum(len(tape) for tape in (train_tape, eval_tape) if tape is not None)
+
+    def _loss(self, inputs: object, train_labels: np.ndarray, train_idx: np.ndarray) -> Tensor:
+        logits = self.model(inputs)
+        return cross_entropy(logits.take_rows(train_idx), train_labels)
 
     def predict(self, inputs: object) -> np.ndarray:
         """Class predictions for every node described by ``inputs``."""
@@ -126,9 +164,3 @@ class Trainer:
         with no_grad():
             logits = self.model(inputs)
         return np.argmax(logits.numpy(), axis=-1)
-
-    def _evaluate_accuracy(
-        self, inputs: object, labels: np.ndarray, indices: np.ndarray
-    ) -> float:
-        predictions = self.predict(inputs)
-        return accuracy(predictions[indices], labels[indices])

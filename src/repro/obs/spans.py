@@ -45,6 +45,7 @@ SERVING_SPAN_SITES = (
     "serve.batch_predict",
     "serve.delta",
     "swap.apply",
+    "swap.train",
     "swap.canary",
     "swap.build_session",
     "commit.delta",

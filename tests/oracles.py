@@ -8,11 +8,19 @@ production kernels with these bit for bit.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.neighbor_influence import personalized_pagerank
 from repro.hetero.sparse import boolean_csr
+from repro.nn.autograd import Tensor, no_grad
+from repro.nn.losses import cross_entropy
+from repro.nn.metrics import accuracy
+from repro.nn.module import Module
+from repro.nn.optim import Optimizer
+from repro.nn.trainer import TrainConfig, TrainResult
 
 
 def compose_matmul(graph, metapath) -> sp.csr_matrix:
@@ -82,4 +90,107 @@ def block_pagerank(
         alpha=alpha,
         iterations=iterations,
         prenormalized=True,
+    )
+
+
+class ReferenceAdam(Optimizer):
+    """Adam stepping each parameter on its own, ten NumPy calls apiece.
+
+    :class:`repro.nn.optim.Adam` fuses this update over one flat buffer.
+    """
+
+    def __init__(
+        self,
+        parameters: list[Tensor],
+        lr: float = 0.001,
+        betas: tuple[float, float] = (0.9, 0.999),
+        eps: float = 1e-8,
+        weight_decay: float = 0.0,
+    ) -> None:
+        super().__init__(parameters, lr)
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self._step = 0
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
+
+    def step(self) -> None:
+        self._step += 1
+        for index, param in enumerate(self.parameters):
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            self._m[index] = self.beta1 * self._m[index] + (1 - self.beta1) * grad
+            self._v[index] = self.beta2 * self._v[index] + (1 - self.beta2) * grad**2
+            m_hat = self._m[index] / (1 - self.beta1**self._step)
+            v_hat = self._v[index] / (1 - self.beta2**self._step)
+            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def eager_fit(
+    model: Module,
+    inputs: object,
+    labels: np.ndarray,
+    train_idx: np.ndarray,
+    val_idx: np.ndarray | None = None,
+    config: TrainConfig | None = None,
+) -> TrainResult:
+    """``Trainer.fit`` as a plain eager loop, stepped by :class:`ReferenceAdam`.
+
+    Every epoch builds a fresh graph, runs ``loss.backward()`` and a second,
+    ``no_grad`` eval-mode forward — what ``Trainer.fit`` replays from two
+    recorded tapes.
+    """
+    config = config or TrainConfig()
+    labels = np.asarray(labels, dtype=np.int64)
+    train_idx = np.asarray(train_idx, dtype=np.int64)
+    val_idx = np.asarray(val_idx, dtype=np.int64) if val_idx is not None else None
+    optimizer = ReferenceAdam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
+    best_val = -np.inf
+    best_accuracy = 0.0
+    best_state = model.state_dict()
+    best_epoch = 0
+    patience_left = config.patience
+    history: list[dict[str, float]] = []
+    start = time.perf_counter()
+    epoch = 0
+    for epoch in range(1, config.epochs + 1):
+        model.train()
+        optimizer.zero_grad()
+        logits = model(inputs)
+        loss = cross_entropy(logits.take_rows(train_idx), labels[train_idx])
+        loss.backward()
+        optimizer.step()
+
+        model.eval()
+        with no_grad():
+            predictions = np.argmax(model(inputs).numpy(), axis=-1)
+        has_val = val_idx is not None and val_idx.size > 0
+        if has_val:
+            val_acc = accuracy(predictions[val_idx], labels[val_idx])
+            monitor = val_acc - 1e-3 * loss.item()
+        else:
+            val_acc = accuracy(predictions[train_idx], labels[train_idx])
+            monitor = -loss.item()
+        history.append({"epoch": epoch, "loss": loss.item(), "val_accuracy": val_acc})
+        if monitor > best_val:
+            best_val = monitor
+            best_accuracy = val_acc
+            best_state = model.state_dict()
+            best_epoch = epoch
+            patience_left = config.patience
+        else:
+            patience_left -= 1
+            if patience_left <= 0:
+                break
+    model.load_state_dict(best_state)
+    return TrainResult(
+        best_val_accuracy=float(best_accuracy),
+        best_epoch=best_epoch,
+        epochs_run=epoch,
+        train_seconds=time.perf_counter() - start,
+        history=history,
     )
