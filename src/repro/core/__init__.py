@@ -12,7 +12,6 @@ from repro.core.metapaths import (
 from repro.core.neighbor_influence import (
     FatherSelectionResult,
     NeighborInfluenceMaximizer,
-    personalized_pagerank,
 )
 from repro.core.coverage_kernels import PackedAdjacency
 from repro.core.receptive_field import (
@@ -61,7 +60,6 @@ __all__ = [
     "metapaths_to_type",
     "NeighborInfluenceMaximizer",
     "FatherSelectionResult",
-    "personalized_pagerank",
     "CoverageResult",
     "greedy_max_coverage",
     "greedy_max_coverage_reference",

@@ -16,7 +16,7 @@ centrality is available as the drop-in alternative mentioned in the paper
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,13 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.context import CondensationContext
 from repro.errors import BudgetError
 from repro.hetero.graph import HeteroGraph
-from repro.hetero.sparse import symmetric_normalize
 
 __all__ = [
     "FatherSelectionResult",
     "NeighborInfluenceMaximizer",
     "bipartite_pagerank",
-    "personalized_pagerank",
 ]
 
 
@@ -70,75 +68,6 @@ def _scaled_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     )
 
 
-def _power_iteration(
-    spread: Callable[[np.ndarray], np.ndarray],
-    restart: np.ndarray,
-    *,
-    alpha: float,
-    iterations: int,
-    tolerance: float,
-) -> np.ndarray:
-    """Iterate ``p = alpha * restart + (1 - alpha) * spread(p)`` to convergence."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    total = restart.sum()
-    if total <= 0:
-        restart = np.full(restart.size, 1.0 / restart.size)
-    else:
-        restart = restart / total
-    scores = restart.copy()
-    teleport = alpha * restart  # constant across iterations; hoisted
-    damping = 1.0 - alpha
-    for _ in range(iterations):
-        updated = teleport + damping * spread(scores)
-        if np.abs(updated - scores).sum() < tolerance:
-            scores = updated
-            break
-        scores = updated
-    return scores
-
-
-def personalized_pagerank(
-    adjacency: sp.csr_matrix,
-    restart: np.ndarray,
-    *,
-    alpha: float = 0.15,
-    iterations: int = 30,
-    tolerance: float = 1e-8,
-    prenormalized: bool = False,
-) -> np.ndarray:
-    """Approximate personalised PageRank on a symmetric-normalised graph.
-
-    Solves ``p = alpha * restart + (1 - alpha) * Â p`` by power iteration,
-    the approximation of ``alpha (I - (1 - alpha) Â)^{-1} restart`` (Eq. 11).
-
-    Parameters
-    ----------
-    adjacency:
-        Square adjacency matrix (it is symmetrically normalised internally).
-    restart:
-        Restart (personalisation) distribution; it is renormalised to sum
-        to one (uniform when it sums to zero).
-    alpha:
-        Restart probability (``α`` in Eq. 11).
-    iterations / tolerance:
-        Power-iteration stopping criteria.
-    prenormalized:
-        When True, ``adjacency`` is taken to be symmetric-normalised
-        already and used as-is.
-    """
-    if adjacency.shape[0] != adjacency.shape[1]:
-        raise ValueError("personalised PageRank requires a square adjacency matrix")
-    normalized = adjacency if prenormalized else symmetric_normalize(adjacency)
-    return _power_iteration(
-        normalized.__matmul__,
-        np.asarray(restart, dtype=np.float64),
-        alpha=alpha,
-        iterations=iterations,
-        tolerance=tolerance,
-    )
-
-
 def bipartite_pagerank(
     adjacency: PackedAdjacency,
     anchor: np.ndarray,
@@ -146,33 +75,74 @@ def bipartite_pagerank(
     alpha: float = 0.15,
     iterations: int = 30,
     tolerance: float = 1e-8,
-) -> np.ndarray:
-    """PPR on the bipartite graph of a target→father adjacency (Eq. 11).
+) -> tuple[np.ndarray, int]:
+    """Father scores of PPR on a target→father bipartite graph (Eq. 11).
 
-    The result is ``[target scores, father scores]`` for the restart
-    ``[anchor, 0]``, equal bit for bit to :func:`personalized_pagerank` on
-    the normalised block matrix.  Each half of the iterate is one SpMV over
-    the scaled adjacency ``S``: ``S @ x`` gathers the target rows, and
-    ``Sᵀ @ x`` scatters over the same arrays, adding each father's terms in
-    ascending target order — the order the block matrix's father rows sum
-    in.  Convergence is tested on the concatenated vector.  ``S`` is built
-    from the canonical CSR of the packed ``adjacency`` and kept by it.
+    Power iteration approximates ``α (I − (1 − α) Â)⁻¹ r``, with ``Â`` the
+    symmetric-normalised block matrix ``[[0, S], [Sᵀ, 0]]`` and the restart
+    ``r = [r_T, r_F]`` the ``anchor`` over the targets and zero over the
+    fathers, renormalised to sum to one (uniform over both halves when it
+    sums to zero).  ``Â`` maps each half of an iterate to the other half, so
+    the father half after ``iterations`` steps depends on one chain only:
+    ``F = α r_F + (1 − α) (Sᵀ @ T)`` after ``T = α r_T + (1 − α) (S @ F)``,
+    started at ``F_0 = r_F`` for an even count and at ``T_0 = r_T`` for an
+    odd one.  Just that chain runs, one SpMV per step.  With an anchor
+    ``F_0 = 0``, so ``T_1`` is the teleport term and 30 steps take 29
+    SpMVs.  The chain stops early once ``‖F_k − F_{k−2}‖₁ < tolerance``.
+    Unless a stop fires, the scores are bit for bit the father half of the
+    block-matrix iteration, which ran both chains side by side and tested
+    the change of the whole iterate.  ``S`` is built from the canonical CSR
+    of the packed ``adjacency`` and kept by it.
+
+    Returns the father scores and the chain steps run (``iterations``
+    unless the stop fired).
+
+    Examples
+    --------
+    Two targets, anchored on the first; the middle father is shared:
+
+    >>> import numpy as np
+    >>> import scipy.sparse as sp
+    >>> links = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+    >>> scores, steps = bipartite_pagerank(PackedAdjacency.from_csr(links), np.array([1.0, 0.0]))
+    >>> scores.round(3), steps
+    (array([0.232, 0.228, 0.091]), 30)
     """
-    scaled = adjacency.derived(_scaled_adjacency)
-    transposed = scaled.T
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     n_target = adjacency.shape[0]
-
-    def spread(scores: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [scaled @ scores[n_target:], transposed @ scores[:n_target]]
-        )
-
     restart = np.concatenate(
         [np.asarray(anchor, dtype=np.float64), np.zeros(adjacency.shape[1])]
     )
-    return _power_iteration(
-        spread, restart, alpha=alpha, iterations=iterations, tolerance=tolerance
-    )
+    total = restart.sum()
+    if total <= 0:
+        restart = np.full(restart.size, 1.0 / restart.size)
+    else:
+        restart = restart / total
+    teleport = alpha * restart  # constant across steps; hoisted
+    to_target, to_father = teleport[:n_target], teleport[n_target:]
+    damping = 1.0 - alpha
+    scaled = adjacency.derived(_scaled_adjacency)
+    transposed = scaled.T
+
+    step = iterations % 2  # an odd count's chain starts at T_0
+    if step:
+        father = to_father + damping * (transposed @ restart[:n_target])
+    else:
+        father = restart[n_target:]
+    while step < iterations:
+        if step == 0 and not father.any():
+            target = to_target  # S @ 0 = 0
+        else:
+            target = to_target + damping * (scaled @ father)
+        updated = to_father + damping * (transposed @ target)
+        step += 2
+        if np.abs(updated - father).sum() < tolerance:
+            return updated, step
+        father = updated
+    return father, step
 
 
 @dataclass
@@ -265,11 +235,13 @@ class NeighborInfluenceMaximizer:
                 weighted = packed.to_csr().T @ anchor_mask
                 influence += np.asarray(weighted).ravel()
                 continue
-            with obs.span("core.ppr", path=str(metapath), nnz=int(packed.nnz)):
-                scores = bipartite_pagerank(
+            with obs.span("core.ppr", path=str(metapath), nnz=int(packed.nnz)) as span:
+                scores, steps = bipartite_pagerank(
                     packed, anchor_mask, alpha=self.alpha, iterations=self.iterations
                 )
-            influence += scores[n_target:]
+                if span is not None:
+                    span.attrs["iterations"] = steps
+            influence += scores
 
         order = np.argsort(-influence, kind="stable")
         selected = order[:budget]

@@ -4,7 +4,6 @@ All adjacency matrices are stored as ``scipy.sparse.csr_matrix`` with float
 data.  These helpers centralise the normalisations the paper relies on:
 
 * row normalisation (Eq. 1, meta-path composition),
-* symmetric normalisation (Eq. 11, personalised PageRank),
 * boolean reachability products used by the receptive-field machinery.
 """
 
@@ -16,7 +15,6 @@ import scipy.sparse as sp
 __all__ = [
     "to_csr",
     "row_normalize",
-    "symmetric_normalize",
     "boolean_csr",
     "degree_vector",
     "sparse_storage_bytes",
@@ -65,25 +63,6 @@ def row_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:
     nonzero = row_sums > 0
     inv[nonzero] = 1.0 / row_sums[nonzero]
     return sp.diags(inv) @ matrix
-
-
-def symmetric_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:
-    """Symmetrically normalise ``matrix``: ``D^-1/2 A D^-1/2``.
-
-    For rectangular (bipartite) matrices the row and column degree vectors
-    are used on their respective sides, matching the treatment of meta-path
-    adjacency matrices in Eq. 11.
-    """
-    matrix = to_csr(matrix)
-    row_deg = np.asarray(matrix.sum(axis=1)).ravel()
-    col_deg = np.asarray(matrix.sum(axis=0)).ravel()
-    row_inv = np.zeros_like(row_deg)
-    col_inv = np.zeros_like(col_deg)
-    row_nz = row_deg > 0
-    col_nz = col_deg > 0
-    row_inv[row_nz] = 1.0 / np.sqrt(row_deg[row_nz])
-    col_inv[col_nz] = 1.0 / np.sqrt(col_deg[col_nz])
-    return sp.diags(row_inv) @ matrix @ sp.diags(col_inv)
 
 
 def matrix_fingerprint(matrix: sp.spmatrix) -> tuple:

@@ -67,6 +67,8 @@ class Adam(Optimizer):
     contiguous run of parameters that have one), and a parameter whose
     ``.data`` was rebound after construction is copied back into its slot
     before the step rather than silently dropped from the update.
+    :meth:`snapshot` and :meth:`restore` save and reload all parameters as
+    one copy of the buffer.
     """
 
     def __init__(
@@ -95,12 +97,9 @@ class Adam(Optimizer):
         self._grad = np.zeros_like(self._flat)
         self._scratch = (np.zeros_like(self._flat), np.zeros_like(self._flat))
 
-    def step(self) -> None:
-        self._step += 1
-        runs: list[list[int]] = []  # [lo, hi) flat ranges of parameters with a gradient
-        for param, view, lo, hi in zip(
-            self.parameters, self._views, self._offsets, self._offsets[1:]
-        ):
+    def _adopt_rebound(self) -> None:
+        """Copy every parameter whose ``.data`` was rebound back into its slot."""
+        for param, view in zip(self.parameters, self._views):
             if param.data is not view:
                 if param.data.shape != view.shape:
                     raise ValueError(
@@ -109,6 +108,23 @@ class Adam(Optimizer):
                     )
                 view[...] = param.data
                 param.data = view
+
+    def snapshot(self) -> np.ndarray:
+        """Every parameter's current values, as one flat copy."""
+        self._adopt_rebound()
+        return self._flat.copy()
+
+    def restore(self, values: np.ndarray) -> None:
+        """Write a :meth:`snapshot` back into the parameters."""
+        self._flat[...] = values
+        for param, view in zip(self.parameters, self._views):
+            param.data = view
+
+    def step(self) -> None:
+        self._step += 1
+        self._adopt_rebound()
+        runs: list[list[int]] = []  # [lo, hi) flat ranges of parameters with a gradient
+        for param, lo, hi in zip(self.parameters, self._offsets, self._offsets[1:]):
             if param.grad is None:
                 continue
             self._grad[lo:hi] = param.grad.reshape(-1)

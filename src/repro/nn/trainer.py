@@ -83,14 +83,9 @@ class Trainer:
         optimizer = Adam(
             self.model.parameters(), lr=self.config.lr, weight_decay=self.config.weight_decay
         )
-        named = list(self.model.named_parameters())
-
-        def snapshot() -> dict[str, np.ndarray]:  # == self.model.state_dict()
-            return {name: tensor.data.copy() for name, tensor in named}
-
         best_val = -np.inf
         best_accuracy = 0.0
-        best_state = snapshot()
+        best_state = optimizer.snapshot()
         best_epoch = 0
         patience_left = self.config.patience
         history: list[dict[str, float]] = []
@@ -136,7 +131,7 @@ class Trainer:
             if monitor > best_val:
                 best_val = monitor
                 best_accuracy = val_acc
-                best_state = snapshot()
+                best_state = optimizer.snapshot()
                 best_epoch = epoch
                 patience_left = self.config.patience
             else:
@@ -144,7 +139,7 @@ class Trainer:
                 if patience_left <= 0:
                     break
         elapsed = time.perf_counter() - start
-        self.model.load_state_dict(best_state)
+        optimizer.restore(best_state)
         result = TrainResult(
             best_val_accuracy=float(best_accuracy),
             best_epoch=best_epoch,

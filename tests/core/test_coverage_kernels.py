@@ -128,8 +128,8 @@ class TestPackedOwner:
         np.testing.assert_array_equal(csr.indices, canonical.indices)
         np.testing.assert_array_equal(csr.data, canonical.data)
         anchor = (np.arange(canonical.shape[0]) % 3 == 0).astype(np.float64)
-        fast = bipartite_pagerank(PackedAdjacency.from_csr(duplicated), anchor)
-        expected = bipartite_pagerank(PackedAdjacency.from_csr(canonical), anchor)
+        fast, _ = bipartite_pagerank(PackedAdjacency.from_csr(duplicated), anchor)
+        expected, _ = bipartite_pagerank(PackedAdjacency.from_csr(canonical), anchor)
         assert fast.tobytes() == expected.tobytes()
 
 
@@ -225,14 +225,34 @@ class TestKernelEquivalence:
         assert_same_result(result, packed)
 
     def test_decremental_requires_source(self):
-        # The decremental kernel reads a CSR: for a sparse packed adjacency
-        # without one, the dispatcher derives it from the words.
-        matrix = random_boolean_csr(8)
-        packed = PackedAdjacency(PackedAdjacency.from_csr(matrix).words, matrix.shape)
-        assert packed.source is None
-        result = greedy_max_coverage(packed, np.arange(3), 2)
-        assert_same_result(result, greedy_max_coverage_reference(matrix, np.arange(3), 2))
-        assert (packed.source != matrix).nnz == 0
+        # The decremental kernel reads a CSR and its CSC.  The dispatcher
+        # picks it only where the CSR exists; without one it runs batched
+        # CELF and derives nothing from the words.
+        matrix = random_boolean_csr(8, n_cols=640, density=0.02)
+        pool = np.arange(10)
+        reference = greedy_max_coverage_reference(matrix, pool, 4)
+        bare = PackedAdjacency(PackedAdjacency.from_csr(matrix).words, matrix.shape)
+        assert_same_result(greedy_max_coverage(bare, pool, 4), reference)
+        assert bare.source is None and not bare.derived_forms()
+        kept = PackedAdjacency.from_csr(matrix)
+        assert_same_result(greedy_max_coverage(kept, pool, 4), reference)
+        assert kept.source is matrix and kept.derived_forms()  # the CSC it walked
+
+    @pytest.mark.parametrize(
+        "n_cols, density, decremental",
+        [
+            (640, 0.02, True),  # ~13 entries per row, ~1.3 set bits per word
+            (80, 0.15, False),  # ~6 set bits per word
+            (6400, 0.01, False),  # ~64 entries per row
+        ],
+    )
+    def test_dispatch_follows_cost(self, n_cols, density, decremental):
+        matrix = random_boolean_csr(9, n_cols=n_cols, density=density)
+        packed = PackedAdjacency.from_csr(matrix)
+        pool = np.arange(matrix.shape[0])
+        reference = greedy_max_coverage_reference(matrix, pool, 5)
+        assert_same_result(greedy_max_coverage(packed, pool, 5), reference)
+        assert bool(packed.derived_forms()) == decremental
 
 
 class TestKernelCacheStaleness:

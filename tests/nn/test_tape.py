@@ -125,6 +125,21 @@ class TestFusedAdam:
         with pytest.raises(ValueError):
             fused_opt.step()
 
+    def test_snapshot_and_restore(self):
+        fused_opt, _, fused, _ = self._pair(lr=0.05)
+        rng = np.random.default_rng(3)
+        fused[1].data = rng.standard_normal(self.SHAPES[1])  # rebound: still saved
+        saved = [param.data.copy() for param in fused]
+        state = fused_opt.snapshot()
+        self._step((fused_opt,), (fused,), [rng.standard_normal(s) for s in self.SHAPES])
+        assert fused[0].data.tobytes() != saved[0].tobytes()
+        fused[2].data = np.zeros(self.SHAPES[2])  # rebound: restored anyway
+        fused_opt.restore(state)
+        for param, value in zip(fused, saved):
+            assert param.data.tobytes() == value.tobytes()
+            assert np.shares_memory(param.data, fused_opt._flat)
+        assert not np.shares_memory(state, fused_opt._flat)
+
 
 class DropoutModel(Module):
     """Dropout on a non-gradient input and in the hidden layer."""

@@ -13,8 +13,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.neighbor_influence import personalized_pagerank
-from repro.hetero.sparse import boolean_csr
+from repro.hetero.sparse import boolean_csr, to_csr
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.losses import cross_entropy
 from repro.nn.metrics import accuracy
@@ -52,6 +51,68 @@ def csr_row_jaccard(a: sp.csr_matrix, b: sp.csr_matrix) -> np.ndarray:
     return result
 
 
+def symmetric_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:
+    """Symmetrically normalise ``matrix``: ``D^-1/2 A D^-1/2``.
+
+    For rectangular (bipartite) matrices the row and column degree vectors
+    are used on their respective sides, matching the treatment of meta-path
+    adjacency matrices in Eq. 11.
+    """
+    matrix = to_csr(matrix)
+    row_deg = np.asarray(matrix.sum(axis=1)).ravel()
+    col_deg = np.asarray(matrix.sum(axis=0)).ravel()
+    row_inv = np.zeros_like(row_deg)
+    col_inv = np.zeros_like(col_deg)
+    row_nz = row_deg > 0
+    col_nz = col_deg > 0
+    row_inv[row_nz] = 1.0 / np.sqrt(row_deg[row_nz])
+    col_inv[col_nz] = 1.0 / np.sqrt(col_deg[col_nz])
+    return sp.diags(row_inv) @ matrix @ sp.diags(col_inv)
+
+
+def personalized_pagerank(
+    adjacency: sp.csr_matrix,
+    restart: np.ndarray,
+    *,
+    alpha: float = 0.15,
+    iterations: int = 30,
+    tolerance: float = 1e-8,
+    prenormalized: bool = False,
+) -> np.ndarray:
+    """Approximate personalised PageRank on a square symmetric-normalised graph.
+
+    Solves ``p = alpha * restart + (1 - alpha) * Â p`` by power iteration,
+    the approximation of ``alpha (I - (1 - alpha) Â)^{-1} restart`` (Eq. 11),
+    and stops once the L1 change of the whole iterate falls below
+    ``tolerance``.  ``adjacency`` is symmetric-normalised first unless
+    ``prenormalized``; ``restart`` is renormalised to sum to one (uniform
+    when it sums to zero).  On a bipartite block matrix each step updates
+    both halves from the previous iterate: two independent chains side by
+    side.
+    """
+    if adjacency.shape[0] != adjacency.shape[1]:
+        raise ValueError("personalised PageRank requires a square adjacency matrix")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    normalized = adjacency if prenormalized else symmetric_normalize(adjacency)
+    restart = np.asarray(restart, dtype=np.float64)
+    total = restart.sum()
+    if total <= 0:
+        restart = np.full(restart.size, 1.0 / restart.size)
+    else:
+        restart = restart / total
+    scores = restart.copy()
+    teleport = alpha * restart  # constant across iterations; hoisted
+    damping = 1.0 - alpha
+    for _ in range(iterations):
+        updated = teleport + damping * (normalized @ scores)
+        if np.abs(updated - scores).sum() < tolerance:
+            scores = updated
+            break
+        scores = updated
+    return scores
+
+
 def normalized_block(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     """Symmetric-normalised ``[[0, A], [Aᵀ, 0]]`` of a unit-weight canonical ``A``.
 
@@ -81,14 +142,21 @@ def block_pagerank(
     *,
     alpha: float = 0.15,
     iterations: int = 30,
+    tolerance: float = 1e-8,
 ) -> np.ndarray:
-    """NIM's PPR as one SpMV per iteration over the normalised block matrix."""
+    """NIM's PPR, ``[target, father]``, as one SpMV per step over the block matrix.
+
+    Both chains run side by side and the stop tests the whole iterate; NIM's
+    :func:`~repro.core.neighbor_influence.bipartite_pagerank` iterates only
+    the chain that ends in the father half.
+    """
     restart = np.concatenate([np.asarray(anchor, dtype=np.float64), np.zeros(adjacency.shape[1])])
     return personalized_pagerank(
         normalized_block(adjacency),
         restart,
         alpha=alpha,
         iterations=iterations,
+        tolerance=tolerance,
         prenormalized=True,
     )
 
