@@ -6,7 +6,9 @@ personalised PageRank — on a scaled synthetic heterogeneous graph
 (``REPRO_BENCH_SCALE``), comparing the vectorized kernels against their
 reference implementations (the oracles in ``tests/oracles.py``), and
 writes the machine-readable trajectory file ``BENCH_perf_hotpaths.json``.
-A ``trainer_fit`` row times ``Trainer.fit`` (one recorded tape, one fused
+A ``feature_propagation`` row times hop-by-hop meta-path feature
+propagation against the composed ``Â_P X`` on the same graph, and a
+``trainer_fit`` row times ``Trainer.fit`` (one recorded tape, one fused
 Adam) against the oracle's eager epoch loop on FreeHGC-condensed acm.
 
 Two gates run on every invocation:
@@ -15,7 +17,9 @@ Two gates run on every invocation:
   (packed words and derived CSR of every meta-path; selection, gains,
   covered counts; similarity scores to 1e-10; NIM's father-chain PPR
   against the father half of the block-matrix PPR, and to a dense linear
-  solve at small scales).
+  solve at small scales).  Hop-by-hop feature blocks must match the
+  composed ones key for key to 1e-12 (the float sums run in another
+  order, so they are not bit-equal).
   Any divergence exits non-zero, so the CI ``perf-smoke`` job fails.
   ``Trainer.fit`` must leave weights, history, best epoch and epochs run
   byte-identical to the eager loop at every scale.
@@ -65,10 +69,12 @@ from repro.datasets import load_dataset
 from repro.datasets.base import NodeTypeSpec, RelationSpec, SyntheticHINConfig
 from repro.datasets.generators import generate_hin
 from repro.models import get_model
+from repro.models.propagation import metapath_feature_blocks
 from repro.nn import Tensor, TrainConfig, Trainer
 from repro.utils.rng import ensure_rng
 from tests.oracles import (
     compose_matmul,
+    composed_metapath_features,
     eager_fit,
     normalized_block,
     personalized_pagerank,
@@ -171,6 +177,33 @@ def bench_composition(context: CondensationContext, errors: list[str]) -> list[d
             "reference_s": round(ref_s, 5),
             "vectorized_s": round(fast_s, 5),
             "csr_s": round(csr_s, 5),
+            "speedup": round(ref_s / max(fast_s, 1e-9), 2),
+            "identical": identical,
+        }
+    ]
+
+
+def bench_propagation(context: CondensationContext, errors: list[str]) -> list[dict]:
+    """Hop-by-hop feature propagation vs the composed ``Â_P X`` oracle."""
+    graph = context.graph
+    paths = context.metapaths()
+    ref_s, reference = _best_of(lambda: composed_metapath_features(graph, paths))
+    fast_s, fast = _best_of(lambda: metapath_feature_blocks(graph, paths))
+    identical = list(fast) == list(reference) and all(
+        fast[key].shape == block.shape
+        and np.allclose(fast[key], block, rtol=1e-12, atol=1e-12)
+        for key, block in reference.items()
+    )
+    if not identical:
+        errors.append("hop-by-hop feature propagation diverges from the composed reference")
+    return [
+        {
+            "kernel": "feature_propagation",
+            "case": f"{len(paths)} paths, {len(reference)} blocks",
+            "pool": int(graph.num_nodes[context.target_type]),
+            "budget": "",
+            "reference_s": round(ref_s, 5),
+            "vectorized_s": round(fast_s, 5),
             "speedup": round(ref_s / max(fast_s, 1e-9), 2),
             "identical": identical,
         }
@@ -472,6 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     errors: list[str] = []
     rows = (
         bench_composition(context, errors)
+        + bench_propagation(context, errors)
         + bench_coverage(context, errors)
         + bench_similarity(context, errors)
         + bench_pagerank(context, errors)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.embedding import pca
-from repro.core.metapaths import enumerate_metapaths, metapath_adjacency
+from repro.core.metapaths import compose_packed, enumerate_metapaths
 from repro.hetero.graph import HeteroGraph
 
 __all__ = ["CoverageReport", "captured_nodes", "coverage_report"]
@@ -58,7 +58,7 @@ def captured_nodes(
     captured: dict[str, set[int]] = {t: set() for t in graph.schema.node_types}
     captured[target].update(int(v) for v in selected)
     for metapath in enumerate_metapaths(graph.schema, target, max_hops, max_paths=max_paths):
-        adjacency = metapath_adjacency(graph, metapath, normalize=False)
+        adjacency = compose_packed(graph, metapath).to_csr()
         if selected.size == 0:
             continue
         reached = np.unique(adjacency[selected].nonzero()[1])

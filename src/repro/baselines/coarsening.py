@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.baselines.base import GraphCondenser, per_type_budgets
-from repro.core.metapaths import enumerate_metapaths, metapath_adjacency
+from repro.core.metapaths import compose_packed, enumerate_metapaths
 from repro.hetero.graph import HeteroGraph, NodeSplits
 from repro.hetero.sparse import boolean_csr
 
@@ -31,7 +31,7 @@ def _target_projection(graph: HeteroGraph, max_hops: int) -> sp.csr_matrix:
     for metapath in enumerate_metapaths(graph.schema, target, max_hops, max_paths=32):
         if metapath.end != target:
             continue
-        projection = projection + metapath_adjacency(graph, metapath, normalize=False)
+        projection = projection + compose_packed(graph, metapath).to_csr()
     projection = (projection + projection.T).tolil()
     projection.setdiag(0)
     return projection.tocsr()

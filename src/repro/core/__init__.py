@@ -6,7 +6,6 @@ from repro.core.criterion import TargetNodeSelector, TargetSelectionResult
 from repro.core.metapaths import (
     MetaPath,
     enumerate_metapaths,
-    metapath_adjacency,
     metapaths_to_type,
 )
 from repro.core.neighbor_influence import (
@@ -56,7 +55,6 @@ __all__ = [
     "TargetSelectionResult",
     "MetaPath",
     "enumerate_metapaths",
-    "metapath_adjacency",
     "metapaths_to_type",
     "NeighborInfluenceMaximizer",
     "FatherSelectionResult",

@@ -7,12 +7,12 @@ embedding helpers — consumes the same expensive intermediate products:
 * the enumerated meta-paths anchored at the target type,
 * the composed meta-path adjacencies: boolean reachability (receptive
   fields / Jaccard similarity) composed as packed words, with every
-  composed suffix product shared between the paths that end in it, and
-  row-normalised products for feature propagation,
+  composed suffix product shared between the paths that end in it,
 * the canonical CSR of a receptive field, derived from its words only for
   the consumers that read column indices,
 * the root / father / leaf type hierarchy,
-* the propagated meta-path feature blocks and the derived embeddings.
+* the propagated meta-path feature blocks (pushed through the hops one at
+  a time, never through a composed matrix) and the derived embeddings.
 
 Before this module existed each stage recomputed those products from
 scratch, so a single ``FreeHGC.condense`` call could compose the same
@@ -34,15 +34,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.coverage_kernels import PackedAdjacency
-from repro.core.metapaths import (
-    MetaPath,
-    compose_packed,
-    enumerate_metapaths,
-    metapath_adjacency,
-)
+from repro.core.metapaths import MetaPath, compose_packed, enumerate_metapaths
 from repro.core.topology import TypeHierarchy, classify_node_types
 from repro.hetero.graph import HeteroGraph
-from repro.models.propagation import SELF_FEATURE_KEY, standardize_features
+from repro.models.propagation import metapath_feature_blocks, standardize_features
 
 __all__ = ["CondensationContext"]
 
@@ -70,11 +65,12 @@ class CondensationContext:
     ----------
     stats:
         Counters of cache behaviour: ``metapath_enumerations``,
-        ``adjacency_builds`` / ``adjacency_hits`` (a boolean adjacency
-        composed or derived as CSR, a normalised one composed),
-        ``packed_builds`` / ``packed_hits`` (receptive-field words),
-        ``embedding_builds`` and ``embedding_hits``.  Useful in tests and
-        benchmarks.
+        ``adjacency_builds`` / ``adjacency_hits`` (a receptive field's CSR
+        derived or served), ``packed_builds`` / ``packed_hits``
+        (receptive-field words), ``embedding_builds`` / ``embedding_hits``
+        (feature blocks and per-type embeddings), and the streaming
+        counters ``invalidated_adjacencies`` / ``patched_adjacencies``.
+        Useful in tests and benchmarks.
 
     Examples
     --------
@@ -123,7 +119,6 @@ class CondensationContext:
         self._hierarchy: TypeHierarchy | None = None
         self._metapaths: list[MetaPath] | None = None
         self._metapaths_to: dict[str, list[MetaPath]] = {}
-        self._normalized: dict[tuple[str, ...], sp.csr_matrix] = {}
         #: packed words of every composed chain: the meta-paths (anchored at
         #: the target type) and the intermediate suffix products behind them
         self._packed: dict[tuple[str, ...], PackedAdjacency] = {}
@@ -169,26 +164,6 @@ class CondensationContext:
     # ------------------------------------------------------------------ #
     # Graph-level artifacts
     # ------------------------------------------------------------------ #
-    def adjacency(self, metapath: MetaPath, *, normalize: bool = False) -> sp.csr_matrix:
-        """Composed adjacency of ``metapath`` (Eq. 1), memoized per form.
-
-        ``normalize=False`` yields the boolean reachability pattern whose
-        rows are the per-node *receptive-field sets* used by the coverage
-        and similarity terms (:meth:`receptive_field`); ``normalize=True``
-        yields the row-normalised product used for feature propagation.
-        """
-        if not normalize:
-            return self.receptive_field(metapath)
-        key = metapath.node_types
-        cached = self._normalized.get(key)
-        if cached is None or not self.cache_enabled:
-            self.stats["adjacency_builds"] += 1
-            cached = metapath_adjacency(self.graph, metapath, normalize=True)
-            self._normalized[key] = cached
-        else:
-            self.stats["adjacency_hits"] += 1
-        return cached
-
     def receptive_field(self, metapath: MetaPath) -> sp.csr_matrix:
         """Boolean reachability matrix: row ``i`` is node ``i``'s receptive field.
 
@@ -227,20 +202,14 @@ class CondensationContext:
     def target_feature_blocks(self) -> dict[str, np.ndarray]:
         """Propagated meta-path feature blocks of every target-type node.
 
-        Equivalent to
-        :func:`repro.models.propagation.propagate_metapath_features` with
-        ``include_self=True``, but routed through the memoized normalised
-        adjacencies.  The returned mapping is the live cache: the arrays
-        are marked read-only — copy before mutating.
+        :func:`~repro.models.propagation.metapath_feature_blocks` over
+        :meth:`metapaths`, ``self`` block included.  The returned mapping
+        is the live cache: the arrays are marked read-only — copy before
+        mutating.
         """
         if self._feature_blocks is None or not self.cache_enabled:
             self.stats["embedding_builds"] += 1
-            blocks: dict[str, np.ndarray] = {
-                SELF_FEATURE_KEY: self.graph.features[self.target_type].copy()
-            }
-            for path in self.metapaths():
-                propagated = self.adjacency(path, normalize=True) @ self.graph.features[path.end]
-                blocks[str(path)] = np.asarray(propagated)
+            blocks = metapath_feature_blocks(self.graph, self.metapaths())
             for block in blocks.values():
                 block.setflags(write=False)
             self._feature_blocks = blocks
@@ -275,24 +244,9 @@ class CondensationContext:
     # ------------------------------------------------------------------ #
     # Streaming patch hooks
     # ------------------------------------------------------------------ #
-    def cached_path_keys(self, *, normalize: bool = False) -> list[tuple[str, ...]]:
-        """Path keys whose composed adjacency of one form is memoized."""
-        if normalize:
-            return list(self._normalized)
+    def cached_path_keys(self) -> list[tuple[str, ...]]:
+        """Path keys whose receptive fields are memoized."""
         return [key for key in self._packed if key[0] == self.target_type]
-
-    def cached_adjacency(
-        self, node_types: tuple[str, ...], *, normalize: bool = False
-    ) -> sp.csr_matrix | None:
-        """The memoized adjacency of a path key, or None (never builds).
-
-        The boolean form is served only once its CSR has been derived.
-        """
-        key = tuple(node_types)
-        if normalize:
-            return self._normalized.get(key)
-        packed = self._packed.get(key)
-        return None if packed is None else packed.source
 
     def cached_packed(self, node_types: tuple[str, ...]) -> PackedAdjacency | None:
         """The memoized receptive-field words of a path key, or None."""
@@ -306,12 +260,10 @@ class CondensationContext:
         Used by the streaming delta applier after row-level patching: the
         patched words (and CSR, when present) must equal what
         :meth:`packed_receptive_field` would compose from the mutated
-        graph.  The path's normalised sibling, the intermediate suffix
-        products and the aggregate feature/embedding blocks are dropped.
+        graph.  The intermediate suffix products and the aggregate
+        feature/embedding blocks are dropped.
         """
-        key = tuple(node_types)
-        self._packed[key] = packed
-        self._normalized.pop(key, None)
+        self._packed[tuple(node_types)] = packed
         self._drop_suffix_products()
         self._feature_blocks = None
         self._target_embeddings = None
@@ -348,62 +300,28 @@ class CondensationContext:
             del self._packed[key]
 
     def _drop_paths(self, is_affected) -> list[tuple[str, ...]]:
-        """Drop every memoized adjacency/packed entry whose path matches.
+        """Drop every memoized receptive field whose path matches.
 
         ``is_affected`` maps a path's ``node_types`` tuple to bool.  Returns
-        the distinct path keys dropped.  Feature blocks and target
-        embeddings aggregate *all* meta-path products, so they are dropped
-        whenever at least one path is.  Intermediate suffix products are
-        always dropped.
+        the path keys dropped.  Feature blocks and target embeddings are
+        propagated along *every* enumerated meta-path, so they are dropped
+        whenever one of those paths matches, memoized or not.  Intermediate
+        suffix products are always dropped.
         """
         self._drop_suffix_products()
-        dropped: list[tuple[str, ...]] = []
-        for store in (self._normalized, self._packed):
-            for node_types in list(store):
-                if is_affected(node_types):
-                    del store[node_types]
-                    if node_types not in dropped:
-                        dropped.append(node_types)
-        if dropped:
-            self.stats["invalidated_adjacencies"] += len(dropped)
+        dropped = [key for key in self._packed if is_affected(key)]
+        for key in dropped:
+            del self._packed[key]
+        self.stats["invalidated_adjacencies"] += len(dropped)
+        if dropped or any(is_affected(path.node_types) for path in self._metapaths or ()):
             self._feature_blocks = None
             self._target_embeddings = None
-        return dropped
-
-    def invalidate_edges(
-        self, type_pairs: "Iterable[tuple[str, str]]"
-    ) -> list[tuple[str, ...]]:
-        """Invalidate artifacts that depend on edges between the given type pairs.
-
-        ``type_pairs`` are ``(src, dst)`` node-type pairs whose combined
-        adjacency changed (orientation is ignored — meta-path composition
-        walks :meth:`~repro.hetero.graph.HeteroGraph.typed_adjacency`, which
-        merges both directions).  Every memoized meta-path adjacency whose
-        hop sequence crosses an affected pair is dropped, together with its
-        packed form and the aggregate feature/embedding blocks; everything
-        else survives.  Returns the dropped path keys.
-        """
-        affected = {frozenset(pair) for pair in type_pairs}
-        if not affected:
-            return []
-        affected_types = set().union(*affected)
-
-        def is_affected(node_types: tuple[str, ...]) -> bool:
-            return any(
-                frozenset(hop) in affected
-                for hop in zip(node_types[:-1], node_types[1:])
-            )
-
-        dropped = self._drop_paths(is_affected)
-        # Degree-based embeddings of the touched endpoint types are stale.
-        for node_type in affected_types:
-            self._other_embeddings.pop(node_type, None)
         return dropped
 
     def invalidate_paths(
         self, keys: "Iterable[tuple[str, ...]]"
     ) -> list[tuple[str, ...]]:
-        """Drop the memoized adjacencies (both forms) of specific path keys."""
+        """Drop the memoized receptive fields of specific path keys."""
         key_set = {tuple(key) for key in keys}
         if not key_set:
             return []
@@ -413,8 +331,8 @@ class CondensationContext:
         """Invalidate artifacts that depend on the node sets of ``node_types``.
 
         Used after node insertion/removal: every meta-path visiting an
-        affected type changes shape (or content), so its adjacency, packed
-        form and the aggregate feature/embedding blocks are dropped, as are
+        affected type changes shape (or content), so its receptive fields
+        and the aggregate feature/embedding blocks are dropped, as are
         the per-type embeddings of the affected types.  The schema-level
         artifacts (hierarchy, enumerated meta-paths) only depend on the
         static schema and survive.  Returns the dropped path keys.
@@ -439,17 +357,17 @@ class CondensationContext:
         """Bytes held by each cache family, plus their ``total``.
 
         Families: receptive-field ``words`` (suffix products included),
-        their ``csr``, ``csc`` and ``nim`` operator, the ``normalized``
-        meta-path matrices, and the ``features`` blocks and embeddings.  A
-        buffer shared between forms (the NIM operator reuses its CSR's
-        index arrays) is counted once, in the first family that holds it.
-        Inspects what is cached; builds nothing.
+        their ``csr``, ``csc`` and ``nim`` operator, and the ``features``
+        blocks and embeddings.  A buffer shared between forms (the NIM
+        operator reuses its CSR's index arrays) is counted once, in the
+        first family that holds it.  Inspects what is cached; builds
+        nothing.
         """
         from repro.core.coverage_kernels import _csc
         from repro.core.neighbor_influence import _scaled_adjacency
 
         families: dict[str, list[np.ndarray]] = {
-            "words": [], "csr": [], "csc": [], "nim": [], "normalized": [], "features": [],
+            "words": [], "csr": [], "csc": [], "nim": [], "features": [],
         }
         names = {_csc: "csc", _scaled_adjacency: "nim"}
         for packed in self._packed.values():
@@ -459,8 +377,6 @@ class CondensationContext:
             for build, form in packed.derived_forms().items():
                 family = names.get(build, build.__name__)
                 families.setdefault(family, []).extend(_sparse_arrays(form))
-        for matrix in self._normalized.values():
-            families["normalized"] += _sparse_arrays(matrix)
         families["features"] += list((self._feature_blocks or {}).values())
         families["features"] += list(self._other_embeddings.values())
         if self._target_embeddings is not None:
@@ -482,7 +398,6 @@ class CondensationContext:
         self._hierarchy = None
         self._metapaths = None
         self._metapaths_to.clear()
-        self._normalized.clear()
         self._packed.clear()
         self._feature_blocks = None
         self._target_embeddings = None

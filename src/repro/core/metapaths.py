@@ -1,22 +1,23 @@
 """General meta-path generation (Section IV-A, Eq. 1).
 
 Instead of relying on expert-defined meta-paths (as HAN does), FreeHGC
-enumerates *all* meta-paths up to a maximum hop count and composes their
-adjacency matrices from the row-normalised per-hop adjacencies:
+enumerates *all* meta-paths up to a maximum hop count.  Eq. 1 defines a
+path's adjacency as the product of the row-normalised per-hop adjacencies:
 
     Â_{o_t, ..., o_s} = Â_{o_t, o_1} Â_{o_1, o_2} ... Â_{o_{k-1}, o_s}     (Eq. 1)
 
 This module provides the :class:`MetaPath` value object, enumeration over a
-schema's type-connectivity graph, and adjacency composition for a concrete
-:class:`~repro.hetero.graph.HeteroGraph`.  The same machinery feeds the HGNN
-evaluation models (pre-computed meta-path features) and every stage of the
-condensation algorithm.
+schema's type-connectivity graph, and boolean composition for a concrete
+:class:`~repro.hetero.graph.HeteroGraph`.  The normalised product itself is
+never built: feature propagation multiplies the features through one
+normalised hop at a time
+(:func:`repro.models.propagation.metapath_feature_blocks`).
 
 Boolean reachability — the receptive fields of Section IV-B — is composed
 in packed form (:func:`compose_packed`): one bit per column in uint64
 words, each hop a bit-parallel OR of the next hop's rows.  That is the
 library's one full boolean composition; CSR is derived from the words on
-demand.
+demand (``compose_packed(graph, path).to_csr()``).
 """
 
 from __future__ import annotations
@@ -24,21 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import obs
 from repro.core.coverage_kernels import PackedAdjacency
 from repro.errors import SchemaError
 from repro.hetero.graph import HeteroGraph
 from repro.hetero.schema import HeteroSchema
-from repro.hetero.sparse import row_normalize
 
 __all__ = [
     "MetaPath",
     "compose_packed",
     "compose_packed_rows",
     "enumerate_metapaths",
-    "metapath_adjacency",
     "metapaths_to_type",
 ]
 
@@ -256,29 +254,3 @@ def compose_packed_rows(
     suffix = compose_packed_rows(graph, MetaPath(chain[1:]), reached)
     return _or_neighbor_rows(block.indptr, np.searchsorted(reached, block.indices), suffix)
 
-
-def metapath_adjacency(
-    graph: HeteroGraph, metapath: MetaPath, *, normalize: bool = True
-) -> sp.csr_matrix:
-    """Compose the adjacency matrix of ``metapath`` on ``graph`` (Eq. 1).
-
-    Parameters
-    ----------
-    graph:
-        Graph providing the per-relation adjacency matrices.
-    metapath:
-        The meta-path whose hops are composed.
-    normalize:
-        If True each hop is row-normalised (the form used for feature
-        propagation); if False the boolean reachability pattern is returned
-        as canonical CSR with unit values (the form used for receptive
-        fields and Jaccard similarity), derived from :func:`compose_packed`.
-    """
-    if not normalize:
-        return compose_packed(graph, metapath).to_csr()
-    result: sp.csr_matrix | None = None
-    for src, dst in metapath.hops():
-        hop = row_normalize(graph.typed_adjacency(src, dst))
-        result = hop if result is None else (result @ hop).tocsr()
-    assert result is not None
-    return result

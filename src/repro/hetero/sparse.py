@@ -3,7 +3,7 @@
 All adjacency matrices are stored as ``scipy.sparse.csr_matrix`` with float
 data.  These helpers centralise the normalisations the paper relies on:
 
-* row normalisation (Eq. 1, meta-path composition),
+* row normalisation (Eq. 1, one hop of feature propagation),
 * boolean reachability products used by the receptive-field machinery.
 """
 

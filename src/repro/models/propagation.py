@@ -2,15 +2,27 @@
 
 Following the scalable-HGNN design the paper builds on (NARS, SeHGNN), the
 expensive neighbour aggregation is moved to a pre-processing step: for every
-meta-path ``P`` anchored at the target type we compute
+meta-path ``P = (t0, …, tk)`` anchored at the target type we compute
 
-    H_P = Â_P  X_{source(P)}
+    H_P = Â_P  X_{tk}
 
-with the row-normalised meta-path adjacency of Eq. 1.  Each HGNN in
-:mod:`repro.models` is then a (differently-structured) classifier over the
-bag ``{H_P}`` plus the raw target features, which is exactly the behavioural
-split the paper exploits: *semantic* fusion differs per architecture while
-*neighbour* aggregation is a shared mean aggregator.
+with ``Â_P`` the product of the row-normalised hops of Eq. 1.  That product
+is never built.  The features are pushed through the hops right to left,
+
+    H(t0…tk) = row_normalize(A[t0, t1]) @ H(t1…tk),    H((tk,)) = X_tk,
+
+so a hop costs its entry count times the feature width.  One call
+normalises each hop once and computes each suffix chain once: the block of
+``paper-author`` is the operand of ``paper-paper-author``, the way
+:func:`~repro.core.metapaths.compose_packed` shares suffixes for the
+boolean form.  A CSR-by-dense product computes each row from that row's
+entries alone, so a target whose neighbourhood is untouched keeps
+byte-identical features across a streaming delta.
+
+Each HGNN in :mod:`repro.models` is then a (differently-structured)
+classifier over the bag ``{H_P}`` plus the raw target features, which is
+exactly the behavioural split the paper exploits: *semantic* fusion differs
+per architecture while *neighbour* aggregation is a shared mean aggregator.
 """
 
 from __future__ import annotations
@@ -19,20 +31,56 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.metapaths import MetaPath, enumerate_metapaths, metapath_adjacency
+from repro import obs
+from repro.core.metapaths import MetaPath, enumerate_metapaths
 from repro.hetero.graph import HeteroGraph
+from repro.hetero.sparse import row_normalize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import scipy.sparse as sp
+
     from repro.core.context import CondensationContext
 
 __all__ = [
     "SELF_FEATURE_KEY",
+    "metapath_feature_blocks",
     "propagate_metapath_features",
     "standardize_features",
     "row_normalize_features",
 ]
 
 SELF_FEATURE_KEY = "self"
+
+
+def metapath_feature_blocks(
+    graph: HeteroGraph, metapaths: list[MetaPath]
+) -> dict[str, np.ndarray]:
+    """Feature block ``Â_P X`` of every path in ``metapaths``, hop by hop.
+
+    Keys are ``"self"`` (a copy of the raw target features) and then
+    ``str(path)`` in ``metapaths`` order.  Every array is fresh.  The work
+    runs under a ``models.propagate`` span whose ``products`` attribute
+    counts the hop products computed.
+    """
+    features = {SELF_FEATURE_KEY: graph.features[graph.schema.target_type].copy()}
+    hops: dict[tuple[str, ...], sp.csr_matrix] = {}
+    products: dict[tuple[str, ...], np.ndarray] = {}
+    with obs.span("models.propagate", paths=len(metapaths)) as span:
+        for metapath in metapaths:
+            chain = metapath.node_types
+            for start in range(len(chain) - 2, -1, -1):
+                suffix = chain[start:]
+                if suffix in products:
+                    continue
+                hop = suffix[:2]
+                if hop not in hops:
+                    hops[hop] = row_normalize(graph.typed_adjacency(*hop))
+                operand = products[suffix[1:]] if len(suffix) > 2 else graph.features[hop[1]]
+                products[suffix] = np.asarray(hops[hop] @ operand)
+            features[str(metapath)] = products[chain]
+        if span is not None:
+            span.attrs["products"] = len(products)
+    return features
 
 
 def propagate_metapath_features(
@@ -54,28 +102,49 @@ def propagate_metapath_features(
 
     A matching :class:`~repro.core.context.CondensationContext` short-cuts
     the computation with its memoized feature blocks.
+
+    Examples
+    --------
+    Author 0 wrote papers 0 and 1, author 1 wrote paper 1, and paper 2 has
+    no author, so its propagated rows are zero:
+
+    >>> import numpy as np
+    >>> from repro.hetero import HeteroGraphBuilder, HeteroSchema, Relation
+    >>> schema = HeteroSchema(
+    ...     node_types=("paper", "author"),
+    ...     relations=(Relation("writes", "author", "paper"),),
+    ...     target_type="paper", num_classes=2,
+    ... )
+    >>> builder = HeteroGraphBuilder(schema)
+    >>> builder.add_nodes("paper", 3, np.eye(3))
+    >>> builder.add_nodes("author", 2, np.array([[2.0, 0.0], [0.0, 4.0]]))
+    >>> builder.add_edges("writes", [0, 0, 1], [0, 1, 1])
+    >>> builder.set_labels([0, 1, 0])
+    >>> features = propagate_metapath_features(builder.build(), max_hops=2)
+    >>> list(features)
+    ['self', 'paper-author', 'paper-author-paper']
+    >>> features["paper-author"]
+    array([[2., 0.],
+           [1., 2.],
+           [0., 0.]])
+    >>> features["paper-author-paper"]
+    array([[0.5 , 0.5 , 0.  ],
+           [0.25, 0.75, 0.  ],
+           [0.  , 0.  , 0.  ]])
     """
     if context is not None and context.matches(graph, max_hops=max_hops, max_paths=max_paths):
         # Copies, not the cached arrays: callers may mutate the returned
         # blocks in place (the non-context path below also returns fresh
         # arrays), which must never poison the shared context memo.
-        blocks = {
-            key: block.copy()
-            for key, block in context.target_feature_blocks().items()
-            if include_self or key != SELF_FEATURE_KEY
-        }
-        return blocks
-    target = graph.schema.target_type
-    features: dict[str, np.ndarray] = {}
-    if include_self:
-        features[SELF_FEATURE_KEY] = graph.features[target].copy()
-    metapaths: list[MetaPath] = enumerate_metapaths(
-        graph.schema, target, max_hops, max_paths=max_paths
-    )
-    for metapath in metapaths:
-        adjacency = metapath_adjacency(graph, metapath, normalize=True)
-        features[str(metapath)] = np.asarray(adjacency @ graph.features[metapath.end])
-    return features
+        blocks = {key: block.copy() for key, block in context.target_feature_blocks().items()}
+    else:
+        metapaths = enumerate_metapaths(
+            graph.schema, graph.schema.target_type, max_hops, max_paths=max_paths
+        )
+        blocks = metapath_feature_blocks(graph, metapaths)
+    if not include_self:
+        del blocks[SELF_FEATURE_KEY]
+    return blocks
 
 
 def standardize_features(features: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

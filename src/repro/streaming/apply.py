@@ -11,7 +11,9 @@ delta touches:
   row-patched or dropped iff the delta edits an edge on one of the path's
   hops or changes the node count of a type on the path; intermediate
   suffix products are always dropped;
-* per-type embeddings are dropped only for the touched types;
+* per-type embeddings are dropped only for the touched types, and the
+  propagated target feature blocks whenever any type is touched (they are
+  recomputed hop by hop from the mutated graph);
 * schema-level artifacts (hierarchy, enumerated meta-paths) always survive.
 
 Everything else in the context keeps serving cache hits, which is what makes
@@ -357,7 +359,7 @@ class DeltaApplier:
                 old_typed[(src, dst)] = hop
             return hop
 
-        for key in context.cached_path_keys(normalize=False):
+        for key in context.cached_path_keys():
             metapath = MetaPath(key)
             for hop in metapath.hops():
                 typed_new(*hop)
@@ -380,14 +382,6 @@ class DeltaApplier:
             context.install_adjacency(key, patched)
             report.patched_paths.append(key)
 
-        # Normalised forms are not patched: drop the ones a touched hop feeds.
-        stale_normalized = [
-            key
-            for key in context.cached_path_keys(normalize=True)
-            if any(frozenset(hop) in changed for hop in MetaPath(key).hops())
-        ]
-        if stale_normalized:
-            report.invalidated_paths.extend(context.invalidate_paths(stale_normalized))
         touched_types = {t for pair in report.touched_type_pairs for t in pair}
         touched_types |= report.touched_node_types
         if touched_types:

@@ -9,29 +9,23 @@ import repro.core.metapaths as metapaths_module
 import repro.core.neighbor_influence as nim_module
 from repro.core import CondensationContext, FreeHGC
 from repro.core.criterion import TargetNodeSelector
-from repro.core.metapaths import compose_packed, enumerate_metapaths, metapath_adjacency
+from repro.core.metapaths import compose_packed, enumerate_metapaths
 from repro.core.neighbor_influence import NeighborInfluenceMaximizer
 
 
 def _install_composition_spy(monkeypatch, calls):
     """Record every real composition: each packed chain (meta-paths and the
-    suffix products behind them) and each normalised product."""
+    suffix products behind them)."""
 
     def packed_spy(graph, metapath, products=None):
         if products is None or metapath.node_types not in products:
             calls.append((metapath.node_types, "packed"))
         return compose_packed(graph, metapath, products)
 
-    def normalized_spy(graph, metapath, *, normalize=True):
-        if normalize:
-            calls.append((metapath.node_types, "normalized"))
-        return metapath_adjacency(graph, metapath, normalize=normalize)
-
     # compose_packed recurses through its module global, so suffix
     # compositions are recorded too.
     for module in (metapaths_module, context_module, criterion_module, nim_module):
         monkeypatch.setattr(module, "compose_packed", packed_spy)
-    monkeypatch.setattr(context_module, "metapath_adjacency", normalized_spy)
 
 
 def _install_enumeration_spy(monkeypatch, calls):
@@ -47,19 +41,18 @@ class TestMemoization:
     def test_adjacency_computed_once(self, toy_graph):
         ctx = CondensationContext(toy_graph, max_hops=2, max_paths=8)
         path = ctx.metapaths()[0]
-        first = ctx.adjacency(path)
-        second = ctx.adjacency(path)
+        first = ctx.receptive_field(path)
+        second = ctx.receptive_field(path)
         assert first is second
         assert ctx.stats["adjacency_builds"] == 1
         assert ctx.stats["adjacency_hits"] == 1
 
-    def test_normalized_and_boolean_cached_separately(self, toy_graph):
+    def test_feature_blocks_memoized(self, toy_graph):
         ctx = CondensationContext(toy_graph, max_hops=2, max_paths=8)
-        path = ctx.metapaths()[0]
-        boolean = ctx.adjacency(path, normalize=False)
-        normalized = ctx.adjacency(path, normalize=True)
-        assert boolean is not normalized
-        assert ctx.stats["adjacency_builds"] == 2
+        blocks = ctx.target_feature_blocks()
+        assert ctx.target_feature_blocks() is blocks
+        assert (ctx.stats["embedding_builds"], ctx.stats["embedding_hits"]) == (1, 1)
+        assert not any(block.flags.writeable for block in blocks.values())
 
     def test_enumeration_memoized(self, toy_graph):
         ctx = CondensationContext(toy_graph, max_hops=2, max_paths=8)
@@ -80,9 +73,9 @@ class TestMemoization:
     def test_clear_resets_memo(self, toy_graph):
         ctx = CondensationContext(toy_graph, max_hops=2, max_paths=8)
         path = ctx.metapaths()[0]
-        ctx.adjacency(path)
+        ctx.receptive_field(path)
         ctx.clear()
-        ctx.adjacency(path)
+        ctx.receptive_field(path)
         assert ctx.stats["adjacency_builds"] == 2
 
     def test_invalid_settings_rejected(self, toy_graph):
@@ -90,6 +83,24 @@ class TestMemoization:
             CondensationContext(toy_graph, max_hops=0)
         with pytest.raises(ValueError):
             CondensationContext(toy_graph, max_paths=0)
+
+
+class TestFeatureBlockInvalidation:
+    def test_dropped_with_an_invalidated_path_never_memoized(self, toy_graph):
+        # The blocks are propagated along every meta-path, so invalidating
+        # one drops them even when its receptive fields were never composed.
+        ctx = CondensationContext(toy_graph, max_hops=2, max_paths=8)
+        blocks = ctx.target_feature_blocks()
+        assert ctx.invalidate_paths([ctx.metapaths()[-1].node_types]) == []
+        rebuilt = ctx.target_feature_blocks()
+        assert rebuilt is not blocks
+        assert all(np.array_equal(rebuilt[key], blocks[key]) for key in blocks)
+
+    def test_survive_invalidating_a_path_they_do_not_read(self, toy_graph):
+        ctx = CondensationContext(toy_graph, max_hops=2, max_paths=8)
+        blocks = ctx.target_feature_blocks()
+        ctx.invalidate_paths([("author", "paper")])
+        assert ctx.target_feature_blocks() is blocks
 
 
 class TestCondenseBuildsEachArtifactOnce:
@@ -193,7 +204,7 @@ class TestCachedResultsIdentical:
 
 
 class TestCacheBytes:
-    FAMILIES = {"words", "csr", "csc", "nim", "normalized", "features", "total"}
+    FAMILIES = {"words", "csr", "csc", "nim", "features", "total"}
 
     def test_families_after_condense(self, toy_graph):
         condenser = FreeHGC(max_hops=2, max_paths=8)

@@ -8,11 +8,12 @@ from repro.core import (
     TypeHierarchy,
     classify_node_types,
     enumerate_metapaths,
-    metapath_adjacency,
     metapaths_to_type,
 )
+from repro.core.metapaths import compose_packed
 from repro.datasets import dataset_config, schema_from_config
 from repro.errors import SchemaError
+from repro.models.propagation import metapath_feature_blocks
 
 
 class TestMetaPath:
@@ -75,28 +76,30 @@ class TestEnumeration:
 
 class TestAdjacency:
     def test_normalized_rows(self, toy_graph):
+        # Propagating all-ones features yields the row sums of the
+        # normalised path operator: one wherever the path reaches a node.
         path = MetaPath(("paper", "author"))
-        adjacency = metapath_adjacency(toy_graph, path, normalize=True)
-        sums = np.asarray(adjacency.sum(axis=1)).ravel()
+        graph = toy_graph.copy()
+        graph.features["author"] = np.ones((graph.num_nodes["author"], 1))
+        sums = metapath_feature_blocks(graph, [path])[str(path)].ravel()
         nonzero = sums > 0
+        assert nonzero.any()
         np.testing.assert_allclose(sums[nonzero], 1.0)
 
     def test_boolean_mode(self, toy_graph):
         path = MetaPath(("paper", "author", "paper"))
-        adjacency = metapath_adjacency(toy_graph, path, normalize=False)
+        adjacency = compose_packed(toy_graph, path).to_csr()
         assert set(np.unique(adjacency.data)) <= {1.0}
 
     def test_shape(self, toy_graph):
         path = MetaPath(("paper", "author", "paper"))
-        adjacency = metapath_adjacency(toy_graph, path, normalize=False)
+        adjacency = compose_packed(toy_graph, path).to_csr()
         n = toy_graph.num_nodes["paper"]
         assert adjacency.shape == (n, n)
 
     def test_two_hop_reaches_more_than_one_hop(self, toy_graph):
-        one = metapath_adjacency(toy_graph, MetaPath(("paper", "author")), normalize=False)
-        two = metapath_adjacency(
-            toy_graph, MetaPath(("paper", "author", "paper")), normalize=False
-        )
+        one = compose_packed(toy_graph, MetaPath(("paper", "author"))).to_csr()
+        two = compose_packed(toy_graph, MetaPath(("paper", "author", "paper"))).to_csr()
         assert two.nnz >= one.shape[0]  # 2-hop fan-out is at least self-reachability
 
 

@@ -1,13 +1,49 @@
 """Tests for meta-path feature propagation and normalisation."""
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.models.propagation as propagation_module
+from repro import obs
+from repro.core import CondensationContext, enumerate_metapaths
+from repro.datasets import load_dataset
 from repro.models.propagation import (
     SELF_FEATURE_KEY,
+    metapath_feature_blocks,
     propagate_metapath_features,
     row_normalize_features,
     standardize_features,
 )
+from tests.core.test_packed_kernels import random_hin
+from tests.oracles import compose_matmul, composed_metapath_features
+
+
+def target_metapaths(graph, max_hops, max_paths=16):
+    return enumerate_metapaths(
+        graph.schema, graph.schema.target_type, max_hops, max_paths=max_paths
+    )
+
+
+def suffix_chains(metapaths):
+    """Every chain of one hop or more that ends a path: the hop products."""
+    return {path.node_types[start:] for path in metapaths for start in range(path.length)}
+
+
+def assert_matches_composed(graph, max_hops, max_paths=16):
+    """Hop by hop agrees with the composed ``Â_P X`` to 1e-12, key for key,
+    and targets the path never leaves get rows of exact zeros."""
+    metapaths = target_metapaths(graph, max_hops, max_paths)
+    fast = propagate_metapath_features(graph, max_hops=max_hops, max_paths=max_paths)
+    reference = composed_metapath_features(graph, metapaths)
+    assert list(fast) == list(reference)
+    for key, block in reference.items():
+        assert fast[key].shape == block.shape, key
+        np.testing.assert_allclose(fast[key], block, rtol=1e-12, atol=1e-12, err_msg=key)
+    for path in metapaths:
+        unreached = compose_matmul(graph, path).getnnz(axis=1) == 0
+        assert not fast[str(path)][unreached].any(), str(path)
 
 
 class TestPropagation:
@@ -50,6 +86,78 @@ class TestPropagation:
         source = toy_graph.features["venue"]
         assert block.max() <= source.max() + 1e-9
         assert block.min() >= source.min() - 1e-9
+
+
+class TestHopByHop:
+    """Hop-by-hop propagation against the composed-matrix oracle."""
+
+    @pytest.mark.parametrize("max_hops", [1, 2, 3])
+    def test_matches_composed_on_toy_graph(self, toy_graph, max_hops):
+        assert_matches_composed(toy_graph, max_hops)
+
+    @pytest.mark.parametrize("max_hops", [1, 2, 3])
+    @pytest.mark.parametrize("dataset", ["acm", "dblp", "imdb"])
+    def test_matches_composed_on_datasets(self, dataset, max_hops):
+        assert_matches_composed(load_dataset(dataset, scale=0.1, seed=0), max_hops)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.booleans())
+    @example(seed=3, max_hops=3, empty_relation=True)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_composed_on_random_hins(self, seed, max_hops, empty_relation):
+        # Every type keeps isolated nodes; an empty relation zeroes whole blocks.
+        graph = random_hin(seed, empty_relation=empty_relation)
+        assert_matches_composed(graph, max_hops, max_paths=64)
+
+    def test_each_hop_normalised_and_each_suffix_product_computed_once(
+        self, monkeypatch, toy_graph
+    ):
+        normalised: list[int] = []
+        products: list[tuple[int, int]] = []
+
+        class HopSpy:
+            def __init__(self, matrix):
+                self.matrix = matrix
+
+            def __matmul__(self, operand):
+                products.append((id(self), id(operand)))
+                return self.matrix @ operand
+
+        def normalize_spy(matrix):
+            normalised.append(id(matrix))
+            return HopSpy(row_normalize(matrix))
+
+        row_normalize = propagation_module.row_normalize
+        monkeypatch.setattr(propagation_module, "row_normalize", normalize_spy)
+        metapaths = target_metapaths(toy_graph, 3)
+        hops = {hop for path in metapaths for hop in path.hops()}
+        suffixes = suffix_chains(metapaths)
+        assert len(suffixes) < sum(path.length for path in metapaths), "paths share suffixes"
+        with obs.tracing("t-propagate-once") as tracer:
+            metapath_feature_blocks(toy_graph, metapaths)
+            [span] = [s for s in tracer.drain_spans() if s.name == "models.propagate"]
+        assert len(normalised) == len(set(normalised)) == len(hops)
+        assert len(products) == len(set(products)) == len(suffixes)
+        assert span.attrs["paths"] == len(metapaths)
+        assert span.attrs["products"] == len(suffixes)
+
+    def test_traced_matches_untraced(self, toy_graph):
+        untraced = propagate_metapath_features(toy_graph, max_hops=3)
+        with obs.tracing("t-propagate") as tracer:
+            traced = propagate_metapath_features(toy_graph, max_hops=3)
+            spans = [s for s in tracer.drain_spans() if s.name == "models.propagate"]
+        assert len(spans) == 1
+        assert list(traced) == list(untraced)
+        for key, block in untraced.items():
+            assert traced[key].tobytes() == block.tobytes(), key
+
+    def test_context_serves_the_same_bytes(self, toy_graph):
+        context = CondensationContext(toy_graph, max_hops=3, max_paths=16)
+        served = propagate_metapath_features(toy_graph, max_hops=3, context=context)
+        direct = propagate_metapath_features(toy_graph, max_hops=3)
+        assert list(served) == list(direct)
+        for key, block in direct.items():
+            assert served[key].tobytes() == block.tobytes(), key
+            assert served[key].flags.writeable, "callers get copies, not the memo"
 
 
 class TestNormalization:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from repro.hetero.sparse import boolean_csr, to_csr
+from repro.hetero.sparse import boolean_csr, row_normalize, to_csr
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.losses import cross_entropy
 from repro.nn.metrics import accuracy
@@ -36,6 +36,24 @@ def compose_matmul(graph, metapath) -> sp.csr_matrix:
     if result.nnz:
         result.data = np.ones_like(result.data)
     return result
+
+
+def composed_metapath_features(graph, metapaths) -> dict:
+    """Meta-path feature blocks through the composed normalised adjacency.
+
+    Eq. 1 term by term: normalise each hop, multiply the hop matrices into
+    the vertex-vertex ``Â_P``, then multiply ``Â_P`` by the end type's
+    features.  Keys and their order match
+    :func:`repro.models.propagation.metapath_feature_blocks`.
+    """
+    features = {"self": graph.features[graph.schema.target_type].copy()}
+    for metapath in metapaths:
+        result = None
+        for src, dst in metapath.hops():
+            hop = row_normalize(graph.typed_adjacency(src, dst))
+            result = hop if result is None else (result @ hop).tocsr()
+        features[str(metapath)] = np.asarray(result @ graph.features[metapath.end])
+    return features
 
 
 def csr_row_jaccard(a: sp.csr_matrix, b: sp.csr_matrix) -> np.ndarray:

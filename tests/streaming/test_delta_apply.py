@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from repro.core import CondensationContext
-from repro.core.metapaths import MetaPath, metapath_adjacency
+from repro.core.metapaths import MetaPath
 from repro.datasets import load_acm
 from repro.streaming import DeltaApplier, DeltaValidationError, GraphDelta
+from tests.oracles import compose_matmul
 
 
 @pytest.fixture()
@@ -178,14 +179,14 @@ class TestContextRefresh:
     def test_untouched_paths_survive(self, graph):
         context = self._context_with_all_paths(graph)
         survivors = {
-            path.node_types: context.cached_adjacency(path.node_types)
+            path.node_types: context.cached_packed(path.node_types).source
             for path in context.metapaths()
             if not any({"paper", "term"} == set(hop) for hop in path.hops())
         }
         delta = edge_delta(graph, "paper-term", n=5)
         DeltaApplier().apply(graph, delta, context=context)
         for key, matrix in survivors.items():
-            assert context.cached_adjacency(key) is matrix
+            assert context.cached_packed(key).source is matrix
 
     def test_refreshed_paths_match_recomposition(self, graph):
         context = self._context_with_all_paths(graph)
@@ -194,7 +195,7 @@ class TestContextRefresh:
         assert report.patched_paths or report.invalidated_paths
         for path in context.metapaths():
             served = context.receptive_field(path)
-            fresh = metapath_adjacency(graph, path, normalize=False)
+            fresh = compose_matmul(graph, path)
             assert served.shape == fresh.shape
             assert served.nnz == fresh.nnz
             assert (served != fresh).nnz == 0
@@ -210,7 +211,7 @@ class TestContextRefresh:
         DeltaApplier().apply(graph, delta, context=context)
         for path in context.metapaths():
             served = context.receptive_field(path)
-            fresh = metapath_adjacency(graph, path, normalize=False)
+            fresh = compose_matmul(graph, path)
             assert served.shape == fresh.shape
             assert (served != fresh).nnz == 0
 
@@ -223,7 +224,7 @@ class TestContextRefresh:
         assert report.patched_paths
         for key in report.patched_paths:
             packed = context.cached_packed(key)
-            fresh = metapath_adjacency(graph, MetaPath(key), normalize=False)
+            fresh = compose_matmul(graph, MetaPath(key))
             np.testing.assert_array_equal(packed.words, PackedAdjacency.from_csr(fresh).words)
             derived = packed.to_csr()
             np.testing.assert_array_equal(derived.indptr, fresh.indptr)
