@@ -71,13 +71,13 @@ from repro.datasets.generators import generate_delta_schedule, generate_hin
 from repro.evaluation.timing import summarize_latencies
 from repro.runner.plan import ServeConfig
 from repro.serving import InferenceSession, ServingController, ServingServer
+from repro.serving.server import MAX_BATCH
 
 SPEEDUP_FACTOR = 5.0
 QUEUE_DEPTH = int(os.environ.get("REPRO_BENCH_SERVE_QUEUE", "2048"))
 STEPS = int(os.environ.get("REPRO_BENCH_SERVE_STEPS", "5"))
 RATIO = 0.05
 MAX_HOPS = 2
-MICRO_BATCH = 256
 #: concurrent client tasks hammering /predict during the hot-swap replay
 CLIENTS = 8
 #: node ids per /predict request in the hot-swap phase
@@ -142,7 +142,7 @@ def throughput_gate(controller: ServingController, num_targets: int, rng) -> dic
     unbatched_out = [unbatched_session.predict(one) for one in singles]
     unbatched_seconds = time.perf_counter() - start
 
-    chunks = [queue[i : i + MICRO_BATCH] for i in range(0, queue.size, MICRO_BATCH)]
+    chunks = [queue[i : i + MAX_BATCH] for i in range(0, queue.size, MAX_BATCH)]
     start = time.perf_counter()
     batched_out = [batched_session.predict(chunk) for chunk in chunks]
     batched_seconds = time.perf_counter() - start
@@ -161,9 +161,7 @@ def throughput_gate(controller: ServingController, num_targets: int, rng) -> dic
 
 async def hotswap_gate(controller: ServingController, seed: int) -> dict:
     """Concurrent load through the real server during a delta replay."""
-    server = ServingServer(
-        controller, port=0, max_batch=MICRO_BATCH, batch_window_seconds=0.002
-    )
+    server = ServingServer(controller, port=0)
     host, port = await server.start()
     num_targets = controller.session.num_targets
     all_ids = np.arange(num_targets, dtype=np.int64)
@@ -318,17 +316,13 @@ def _tier_main(root: str, workers: int, port_file: str, snapshot_every: int) -> 
         if workers == 0:
             controller = _make_bench_controller()
             controller.start()
-            server = ServingServer(
-                controller, port=0, max_batch=MICRO_BATCH,
-                batch_window_seconds=0.001,
-            )
+            server = ServingServer(controller, port=0)
         else:
             server = ReplicatedServer(
                 _make_bench_controller,
                 config=ReplicatedConfig(
                     root=root, port=0, workers=workers,
                     snapshot_every=snapshot_every,
-                    batch_window_seconds=0.001,
                 ),
                 genesis=GENESIS,
             )
@@ -461,9 +455,7 @@ async def replicated_kill_phase(workers: int) -> dict:
     tmp = tempfile.mkdtemp(prefix="bench-repl-kill-")
     server = ReplicatedServer(
         _make_bench_controller,
-        config=ReplicatedConfig(
-            root=tmp, port=0, workers=workers, batch_window_seconds=0.001
-        ),
+        config=ReplicatedConfig(root=tmp, port=0, workers=workers),
         genesis=GENESIS,
     )
     host, port = await server.start()
@@ -720,9 +712,7 @@ async def replicated_chaos_phase(workers: int) -> dict:
     faults.install(injector)
     server = ReplicatedServer(
         _chaos_controller,
-        config=ReplicatedConfig(
-            root=tmp, port=0, workers=workers, batch_window_seconds=0.001
-        ),
+        config=ReplicatedConfig(root=tmp, port=0, workers=workers),
         genesis=GENESIS,
     )
     host, port = await server.start()
@@ -1188,7 +1178,7 @@ def main() -> int:
             "phase": "micro-batched",
             "requests": throughput["queued_requests"],
             "rps": f"{throughput['batched_rps']:.0f}",
-            "note": f"batches of {MICRO_BATCH} (cache off), {throughput['speedup']:.1f}x",
+            "note": f"batches of {MAX_BATCH} (cache off), {throughput['speedup']:.1f}x",
         },
         {
             "phase": "served (hot-swap)",

@@ -101,7 +101,8 @@ def propagate_metapath_features(
     condensed graph be evaluated on the original graph.
 
     A matching :class:`~repro.core.context.CondensationContext` short-cuts
-    the computation with its memoized feature blocks.
+    the computation with its memoized feature blocks: the returned dict is
+    new, but its arrays are the memo's own and are read-only.
 
     Examples
     --------
@@ -133,10 +134,9 @@ def propagate_metapath_features(
            [0.  , 0.  , 0.  ]])
     """
     if context is not None and context.matches(graph, max_hops=max_hops, max_paths=max_paths):
-        # Copies, not the cached arrays: callers may mutate the returned
-        # blocks in place (the non-context path below also returns fresh
-        # arrays), which must never poison the shared context memo.
-        blocks = {key: block.copy() for key, block in context.target_feature_blocks().items()}
+        # A new dict (include_self=False must not delete from the memo)
+        # over the memo's read-only arrays: an in-place write raises.
+        blocks = dict(context.target_feature_blocks())
     else:
         metapaths = enumerate_metapaths(
             graph.schema, graph.schema.target_type, max_hops, max_paths=max_paths

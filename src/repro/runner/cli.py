@@ -146,9 +146,6 @@ _OPTIONS: dict[str, tuple[str, dict]] = {
     "port": ("--port", dict(type=int, help="TCP port; 0 picks an ephemeral port")),
     "cache_size": ("--cache-size", dict(
         type=int, help="LRU prediction-cache capacity, 0 disables")),
-    "max_batch": ("--max-batch", dict(type=int, help="micro-batch flush size")),
-    "batch_window_ms": ("--batch-window-ms", dict(
-        type=float, help="micro-batch flush window in ms")),
     "bundle_store": ("--bundle-store", dict(
         metavar="DIR",
         help="published-version store: warm-start from the stored bundle and "
@@ -316,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_experiment_options(serve, ServeConfig)
     srv = _add_options(serve, "serving", ServeConfig, (
-        "host", "port", "cache_size", "max_batch", "batch_window_ms", "bundle_store",
+        "host", "port", "cache_size", "bundle_store",
     ))
     srv.add_argument("--selftest", type=int, default=0, metavar="STEPS",
                      help="do not serve: replay STEPS deltas against an "
@@ -884,8 +881,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         controller,
         host=config.host,
         port=config.port,
-        max_batch=config.max_batch,
-        batch_window_seconds=config.batch_window_ms / 1e3,
         # selftest deltas are synthetic: persisting their bundles would
         # shadow the cold-start bundle the next deployment warm-starts from
         on_swap=None if args.selftest else lineage.persist,

@@ -371,8 +371,6 @@ class ServeConfig:
     epochs: int = 80
     recondense_threshold: float = 0.05
     cache_size: int = 4096
-    max_batch: int = 256
-    batch_window_ms: float = 2.0
     host: str = "127.0.0.1"
     port: int = 8765
     bundle_store: str | None = None
@@ -392,10 +390,6 @@ class ServeConfig:
             )
         if self.cache_size < 0:
             raise ReproError(f"cache_size must be >= 0, got {self.cache_size}")
-        if self.max_batch < 1:
-            raise ReproError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.batch_window_ms < 0:
-            raise ReproError(f"batch_window_ms must be >= 0, got {self.batch_window_ms}")
         if self.max_hops is not None:
             check_max_hops(self.max_hops)
         if self.workers < 0:
@@ -495,8 +489,6 @@ class ServeConfig:
             max_pending=self.max_pending,
             max_body_bytes=self.max_body_bytes,
             cache_size=self.cache_size,
-            max_batch=self.max_batch,
-            batch_window_seconds=self.batch_window_ms / 1e3,
         )
         return ReplicatedServer(self.build_controller, config=config, genesis=genesis)
 

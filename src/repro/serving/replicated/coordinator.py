@@ -119,8 +119,6 @@ class ReplicatedConfig:
     max_pending: int = 0
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     cache_size: int = 4096
-    max_batch: int = 256
-    batch_window_seconds: float = 0.002
     #: how long the commit waits for each worker's swap ack
     ack_timeout_seconds: float = 15.0
     wal_filename: str = "wal.log"
@@ -455,8 +453,6 @@ class ReplicatedServer:
             host=self.host,
             port=self.port,
             sock=sock,
-            max_batch=cfg.max_batch,
-            batch_window_seconds=cfg.batch_window_seconds,
             max_body_bytes=cfg.max_body_bytes,
             admission_capacity=cfg.max_pending,
             metrics=slot0,
@@ -485,8 +481,6 @@ class ReplicatedServer:
             "port": self.port,
             "admin_port": self.admin_port,
             "cache_size": cfg.cache_size,
-            "max_batch": cfg.max_batch,
-            "batch_window_seconds": cfg.batch_window_seconds,
             "max_body_bytes": cfg.max_body_bytes,
             "max_pending": cfg.max_pending,
             "fault_plans": [dict(spec) for spec in cfg.worker_fault_plans],

@@ -349,8 +349,6 @@ async def _worker_async(slot: int, options: dict) -> None:
         host=options["host"],
         port=int(options["port"]),
         sock=sock,
-        max_batch=int(options.get("max_batch", 256)),
-        batch_window_seconds=float(options.get("batch_window_seconds", 0.002)),
         max_body_bytes=int(options.get("max_body_bytes", DEFAULT_MAX_BODY_BYTES)),
         admission_capacity=int(options.get("max_pending", 0)),
         metrics=metrics,

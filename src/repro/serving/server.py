@@ -10,11 +10,12 @@ but real HTTP/1.1 with keep-alive and JSON bodies:
     (:func:`repro.evaluation.timing.summarize_latencies`).
 ``POST /predict``  body ``{"nodes": [id, ...]}``
     ``{"labels": [...], "version": N}``.  Requests are **coalesced**: the
-    handler enqueues the ids and awaits a shared
-    :class:`MicroBatcher`, which drains the queue every few milliseconds
-    (or once ``max_batch`` ids are pending) and answers the whole batch
-    with one vectorised :meth:`~repro.serving.engine.InferenceSession.predict`
-    call.  Each response is stamped with the session version that served it.
+    handler enqueues the ids and awaits a shared :class:`MicroBatcher`,
+    which gathers requests for up to :data:`MAX_WAIT_SECONDS` after the
+    first (or until :data:`MAX_BATCH` ids are pending) and answers the
+    whole batch with one vectorised
+    :meth:`~repro.serving.engine.InferenceSession.predict` call.  Each
+    response is stamped with the session version that served it.
 ``POST /delta``  body: :meth:`repro.streaming.delta.GraphDelta.to_payload`
     Applies the delta through the controller's hot-swap path **in a worker
     thread** — the event loop keeps answering ``/predict`` from the live
@@ -61,6 +62,8 @@ from repro.streaming.delta import GraphDelta
 
 __all__ = [
     "HttpRequestError",
+    "MAX_BATCH",
+    "MAX_WAIT_SECONDS",
     "MicroBatcher",
     "ServingServer",
     "read_http_request",
@@ -68,6 +71,10 @@ __all__ = [
 ]
 
 DEFAULT_MAX_BODY_BYTES = 16 * 1024 * 1024
+#: a batch stops taking queued requests once this many node ids are pending
+MAX_BATCH = 256
+#: how long a batch waits for more requests after its first one arrives
+MAX_WAIT_SECONDS = 0.002
 
 _REASONS = {
     200: "OK",
@@ -183,29 +190,22 @@ async def write_http_response(
 class MicroBatcher:
     """Coalesces concurrent prediction requests into vectorised batches.
 
+    The drain loop takes the first queued request, then whatever else is
+    queued or arrives within :data:`MAX_WAIT_SECONDS` of it, until
+    :data:`MAX_BATCH` ids are pending, and answers the batch at once.
+    Requests already queued join without waiting, so a backlog is cut into
+    full batches; the wait bounds the latency it adds to a lone request.
+
     Parameters
     ----------
     get_session:
         Zero-argument callable returning the current
         :class:`~repro.serving.engine.InferenceSession` (read once per
         drained batch, so a whole batch is answered by one session).
-    max_batch:
-        Flush once this many node ids are pending.
-    window_seconds:
-        Flush after this long even when the batch is not full (the latency
-        bound a mostly-idle server adds to a lone request).
     """
 
-    def __init__(
-        self,
-        get_session,
-        *,
-        max_batch: int = 256,
-        window_seconds: float = 0.002,
-    ) -> None:
+    def __init__(self, get_session) -> None:
         self.get_session = get_session
-        self.max_batch = int(max_batch)
-        self.window_seconds = float(window_seconds)
         self._queue: asyncio.Queue = asyncio.Queue()
         self._task: asyncio.Task | None = None
         self.batches_served = 0
@@ -237,15 +237,18 @@ class MicroBatcher:
             first = await self._queue.get()
             batch = [first]
             pending = int(first[0].size)
-            deadline = perf_counter() + self.window_seconds
-            while pending < self.max_batch:
-                remaining = deadline - perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
+            deadline = perf_counter() + MAX_WAIT_SECONDS
+            while pending < MAX_BATCH:
+                if self._queue.empty():
+                    remaining = deadline - perf_counter()
+                    if remaining <= 0:
+                        break
+                    try:
+                        item = await asyncio.wait_for(self._queue.get(), remaining)
+                    except asyncio.TimeoutError:
+                        break
+                else:
+                    item = self._queue.get_nowait()
                 batch.append(item)
                 pending += int(item[0].size)
             ids = np.concatenate([item[0] for item in batch])
@@ -258,7 +261,7 @@ class MicroBatcher:
                     version = session.version
             except Exception:
                 # Isolate the offender: retry each request on its own so a
-                # single bad batch member cannot fail its window-mates.
+                # single bad batch member cannot fail its batch-mates.
                 for request_ids, future in batch:
                     try:
                         session = self.get_session()
@@ -289,8 +292,6 @@ class MicroBatcher:
             "mean_requests_per_batch": (
                 round(self.requests_served / served, 3) if served else 0.0
             ),
-            "max_batch": self.max_batch,
-            "window_seconds": self.window_seconds,
         }
 
 
@@ -303,8 +304,6 @@ class ServingServer:
         *,
         host: str = "127.0.0.1",
         port: int = 8765,
-        max_batch: int = 256,
-        batch_window_seconds: float = 0.002,
         on_swap=None,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         admission_capacity: int = 0,
@@ -337,8 +336,6 @@ class ServingServer:
             # *replaces* the controller after a quarantine rebuild, and the
             # batcher must follow it rather than pin the constructor's one.
             lambda: self.controller.session,
-            max_batch=max_batch,
-            window_seconds=batch_window_seconds,
         )
         self._server: asyncio.AbstractServer | None = None
         self._swap_pool = ThreadPoolExecutor(

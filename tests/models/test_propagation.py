@@ -151,13 +151,23 @@ class TestHopByHop:
             assert traced[key].tobytes() == block.tobytes(), key
 
     def test_context_serves_the_same_bytes(self, toy_graph):
+        """The context short-cut hands out the memo's own arrays, uncopied
+        and read-only, in a new dict: the same bytes as a direct call, and
+        neither an in-place write nor ``include_self=False`` reaches the memo."""
         context = CondensationContext(toy_graph, max_hops=3, max_paths=16)
         served = propagate_metapath_features(toy_graph, max_hops=3, context=context)
         direct = propagate_metapath_features(toy_graph, max_hops=3)
         assert list(served) == list(direct)
         for key, block in direct.items():
             assert served[key].tobytes() == block.tobytes(), key
-            assert served[key].flags.writeable, "callers get copies, not the memo"
+            assert not served[key].flags.writeable, "callers get the read-only memo"
+        with pytest.raises(ValueError):
+            served["self"][0, 0] = 1.0
+        without_self = propagate_metapath_features(
+            toy_graph, max_hops=3, include_self=False, context=context
+        )
+        assert "self" not in without_self
+        assert "self" in context.target_feature_blocks()
 
 
 class TestNormalization:

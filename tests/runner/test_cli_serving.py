@@ -106,10 +106,6 @@ class TestServeConfig:
         with pytest.raises(ReproError):
             ServeConfig(dataset="acm", ratio=0.0)
 
-    def test_rejects_bad_batch(self):
-        with pytest.raises(ReproError):
-            ServeConfig(dataset="acm", ratio=0.1, max_batch=0)
-
     def test_rejects_negative_cache(self):
         with pytest.raises(ReproError):
             ServeConfig(dataset="acm", ratio=0.1, cache_size=-1)
@@ -154,7 +150,6 @@ class TestServeConfig:
             "hidden_dim": 32, "epochs": 80, "max_hops": 3,
         }
         assert server.config.root == tmp_path and server.config.wal_filename == "wal.log"
-        assert server.config.batch_window_seconds == 0.002
 
     def test_replicated_unknown_dataset_fails_before_the_wal(self, tmp_path, capsys):
         argv = ["serve", "--dataset", "nope", "--ratio", "0.2", "--workers", "1",

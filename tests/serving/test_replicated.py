@@ -254,10 +254,7 @@ class TestLivePool:
         worker kill + respawn, and the aggregated /metrics page."""
 
         async def scenario():
-            config = ReplicatedConfig(
-                root=tmp_path, port=0, workers=2,
-                batch_window_seconds=0.001,
-            )
+            config = ReplicatedConfig(root=tmp_path, port=0, workers=2)
             server = ReplicatedServer(
                 make_controller_factory(), config=config,
                 genesis={"dataset": "acm", "scale": 0.12, "seed": 0},

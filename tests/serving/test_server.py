@@ -12,6 +12,7 @@ from repro.core.condenser import FreeHGC
 from repro.datasets import load_acm
 from repro.models.hetero_sgc import HeteroSGC
 from repro.serving import MicroBatcher, ServingController, ServingServer
+from repro.serving.server import MAX_BATCH
 from repro.streaming import GraphDelta
 
 
@@ -48,7 +49,7 @@ async def http(host, port, method, path, payload=None):
 
 def run_with_server(controller, coroutine_factory):
     async def runner():
-        server = ServingServer(controller, port=0, batch_window_seconds=0.001)
+        server = ServingServer(controller, port=0)
         host, port = await server.start()
         try:
             return await coroutine_factory(server, host, port)
@@ -219,7 +220,7 @@ class TestMicroBatcherUnit:
         session = controller.session
 
         async def scenario():
-            batcher = MicroBatcher(lambda: session, max_batch=64, window_seconds=0.005)
+            batcher = MicroBatcher(lambda: session)
             batcher.start()
             try:
                 results = await asyncio.gather(
@@ -229,16 +230,71 @@ class TestMicroBatcherUnit:
                 )
             finally:
                 await batcher.stop()
-            return results
+            return results, batcher
 
-        results = asyncio.run(scenario())
+        results, batcher = asyncio.run(scenario())
         flat = np.concatenate([labels for labels, _ in results])
         expected = session.predict(np.arange(6))
         assert np.array_equal(flat, expected)
+        # all three were queued before the drain woke: one batch answers them
+        assert batcher.batches_served == 1
+
+    def test_request_arriving_within_the_wait_joins_the_batch(self, controller):
+        session = controller.session
+
+        async def scenario():
+            batcher = MicroBatcher(lambda: session)
+            batcher.start()
+            try:
+                await asyncio.sleep(0)  # let the drain loop block on the queue
+                first = asyncio.ensure_future(batcher.submit(np.array([3])))
+                await asyncio.sleep(0)  # the drain loop takes it and waits for more
+                await asyncio.sleep(0)
+                assert not first.done()
+                results = await asyncio.gather(first, batcher.submit(np.array([7])))
+            finally:
+                await batcher.stop()
+            return results, batcher.batches_served
+
+        results, batches = asyncio.run(scenario())
+        assert batches == 1
+        for (labels, version), node in zip(results, (3, 7)):
+            assert labels.tolist() == session.predict(np.array([node])).tolist()
+            assert version == session.version
+
+    def test_queued_requests_split_into_full_batches(self, controller):
+        session = controller.session
+        ids = np.arange(300) % session.num_targets
+        batch_sizes = []
+
+        class RecordingSession:
+            version = session.version
+
+            def predict(self, batch_ids):
+                batch_sizes.append(int(batch_ids.size))
+                return session.predict(batch_ids)
+
+        recording = RecordingSession()
+
+        async def scenario():
+            batcher = MicroBatcher(lambda: recording)
+            batcher.start()
+            try:
+                return await asyncio.gather(
+                    *(batcher.submit(ids[i : i + 1]) for i in range(ids.size))
+                )
+            finally:
+                await batcher.stop()
+
+        results = asyncio.run(scenario())
+        assert batch_sizes == [MAX_BATCH, ids.size - MAX_BATCH] == [256, 44]
+        flat = np.concatenate([labels for labels, _ in results])
+        serial = np.concatenate([session.predict(ids[i : i + 1]) for i in range(ids.size)])
+        assert np.array_equal(flat, serial)
 
     def test_errors_propagate_to_submitters(self, controller):
         async def scenario():
-            batcher = MicroBatcher(lambda: controller.session, window_seconds=0.001)
+            batcher = MicroBatcher(lambda: controller.session)
             batcher.start()
             try:
                 with pytest.raises(Exception):
@@ -346,20 +402,36 @@ class TestAdmissionAndMetrics:
     def test_predict_sheds_with_429_beyond_capacity(self, controller):
         async def scenario(server, host, port):
             server.admission.capacity = 1
-            # a wide window holds the first batch open so later arrivals
-            # stack up behind the single admitted slot
-            server.batcher.window_seconds = 0.25
-            results = await asyncio.gather(
-                *(http(host, port, "POST", "/predict", {"nodes": [i]}) for i in range(12))
+            # Hold the one admitted request inside the batcher until the
+            # other eleven have been shed against the single slot.
+            release = asyncio.Event()
+            submit = server.batcher.submit
+
+            async def held_submit(ids):
+                await release.wait()
+                return await submit(ids)
+
+            async def release_once_all_shed():
+                # bounded, so a gate that never sheds fails the asserts below
+                deadline = asyncio.get_running_loop().time() + 30
+                while server.admission.shed < 11 and asyncio.get_running_loop().time() < deadline:
+                    await asyncio.sleep(0.001)
+                release.set()
+
+            server.batcher.submit = held_submit
+            results, _ = await asyncio.gather(
+                asyncio.gather(
+                    *(http(host, port, "POST", "/predict", {"nodes": [i]}) for i in range(12))
+                ),
+                release_once_all_shed(),
             )
             return results, server.admission.stats
 
         results, stats = run_with_server(controller, scenario)
         statuses = [status for status, _ in results]
-        assert stats["shed"] >= 1 and 429 in statuses
-        assert statuses.count(200) >= 1
+        assert stats["shed"] == 11
+        assert statuses.count(429) == 11 and statuses.count(200) == 1
         for status, payload in results:
-            assert status in (200, 429)
             if status == 429:
                 assert "error" in payload
 
