@@ -446,6 +446,11 @@ async def replicated_kill_phase(workers: int) -> dict:
     *dropped* when its retries are exhausted.  *Stale* means a response
     carries a version older than one whose ``/delta`` had already been
     acknowledged when the request was sent.
+
+    ``respawn_s`` is the time from the ``SIGKILL`` until the killed slot's
+    new worker has registered and every slot is registered again: the
+    worker's whole start, paid on every respawn.  It includes up to one
+    0.25 s supervisor tick before the death is noticed.
     """
     import signal as _signal
     import tempfile
@@ -538,6 +543,13 @@ async def replicated_kill_phase(workers: int) -> dict:
             else:
                 dropped += 1
 
+    async def registered_again(killed_at: float) -> float:
+        while True:
+            link = server._links.get(1)
+            if len(server._links) == workers and link is not None and link.pid != killed_pid:
+                return time.perf_counter() - killed_at
+            await asyncio.sleep(0.005)
+
     clients = [asyncio.create_task(client(i)) for i in range(CLIENTS)]
     killed_pid = None
     try:
@@ -547,6 +559,7 @@ async def replicated_kill_phase(workers: int) -> dict:
                 victim = server.pool._processes[1]
                 killed_pid = victim.pid
                 os.kill(victim.pid, _signal.SIGKILL)
+                respawned = asyncio.create_task(registered_again(time.perf_counter()))
             # Deltas go to the coordinator's loopback admin listener (the
             # handler workers forward to): on the shared SO_REUSEPORT port
             # the kernel can queue this connection on the just-killed
@@ -562,11 +575,10 @@ async def replicated_kill_phase(workers: int) -> dict:
                   f"acked_workers={payload['acked_workers']}"
                   + (" (worker killed)" if index == 2 else ""))
             await asyncio.sleep(0.2)
-        deadline = time.monotonic() + 60
-        while server.pool.respawns < 1 or len(server._links) < workers:
-            if time.monotonic() > deadline:
-                raise RuntimeError("killed worker was not respawned")
-            await asyncio.sleep(0.05)
+        try:
+            respawn_s = await asyncio.wait_for(respawned, timeout=60)
+        except asyncio.TimeoutError:
+            raise RuntimeError("killed worker was not respawned") from None
         respawns = server.pool.respawns
     finally:
         stop.set()
@@ -582,6 +594,7 @@ async def replicated_kill_phase(workers: int) -> dict:
         "stale": stale,
         "incorrect": incorrect,
         "respawns": respawns,
+        "respawn_s": respawn_s,
     }
 
 
@@ -1046,7 +1059,8 @@ def replicated_main(workers: int, phases: set[str], inject_faults: bool = False)
         print(
             f"worker-kill: {kill['answered']} answered, {kill['retries']} retried, "
             f"{kill['dropped']} dropped, {kill['stale']} stale, "
-            f"{kill['incorrect']} incorrect, {kill['respawns']} respawns"
+            f"{kill['incorrect']} incorrect, {kill['respawns']} respawns, "
+            f"respawned worker registered {kill['respawn_s']:.3f}s after the kill"
         )
         if kill["dropped"] or kill["stale"] or kill["incorrect"]:
             failures.append(

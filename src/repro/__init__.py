@@ -42,8 +42,7 @@ True
 """
 
 from repro import registry
-from repro.api import condense
-from repro.core import CondensationContext, FreeHGC
+from repro._lazy import lazy_exports
 from repro.errors import (
     BudgetError,
     CondensationError,
@@ -55,9 +54,19 @@ from repro.errors import (
     ReproError,
     SchemaError,
 )
-from repro.hetero import HeteroGraph, HeteroGraphBuilder, HeteroSchema, Relation
 
 __version__ = "1.2.0"
+
+# The facade, the condenser and the graph types load on first access
+# (PEP 562), so importing any ``repro`` submodule stays cheap.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.api": ("condense",),
+        "repro.core": ("FreeHGC", "CondensationContext"),
+        "repro.hetero": ("HeteroGraph", "HeteroGraphBuilder", "HeteroSchema", "Relation"),
+    },
+)
 
 __all__ = [
     "condense",

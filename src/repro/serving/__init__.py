@@ -32,34 +32,24 @@ byte-identity, a >=5x batched-over-unbatched throughput floor, and a
 zero-error hot-swap under concurrent load.
 """
 
-from repro.serving.artifacts import (
-    BUNDLE_FORMAT,
-    ModelBundle,
-    last_good_version,
-    load_bundle,
-    save_bundle,
-    verify_version_dir,
-)
-from repro.serving.canary import CanaryConfig, CanaryReport
-from repro.serving.engine import InferenceSession, LRUCache
-from repro.serving.hotswap import ServingController, SwapReport
-from repro.serving.integrity import write_manifest
-from repro.serving.server import MicroBatcher, ServingServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BUNDLE_FORMAT",
-    "CanaryConfig",
-    "CanaryReport",
-    "InferenceSession",
-    "LRUCache",
-    "MicroBatcher",
-    "ModelBundle",
-    "ServingController",
-    "ServingServer",
-    "SwapReport",
-    "last_good_version",
-    "load_bundle",
-    "save_bundle",
-    "verify_version_dir",
-    "write_manifest",
-]
+# Resolved on first access (PEP 562): a replicated worker imports the read
+# path of this package without the controller, condenser and model stack.
+_EXPORTS = {
+    "repro.serving.artifacts": (
+        "BUNDLE_FORMAT",
+        "ModelBundle",
+        "last_good_version",
+        "load_bundle",
+        "save_bundle",
+        "verify_version_dir",
+    ),
+    "repro.serving.canary": ("CanaryConfig", "CanaryReport"),
+    "repro.serving.engine": ("InferenceSession", "LRUCache"),
+    "repro.serving.hotswap": ("ServingController", "SwapReport"),
+    "repro.serving.integrity": ("write_manifest",),
+    "repro.serving.server": ("MicroBatcher", "ServingServer"),
+}
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

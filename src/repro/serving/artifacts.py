@@ -45,17 +45,19 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import registry
 from repro.errors import IntegrityError, ServingError
-from repro.hetero.graph import HeteroGraph
-from repro.hetero.io import graph_from_arrays, graph_to_arrays, json_default
-from repro.models.base import HGNNClassifier
 from repro.serving import integrity
 from repro.utils import faults
 from repro.utils.durable import atomic_dir, atomic_write, sync_dir
+
+if TYPE_CHECKING:
+    from repro.hetero.graph import HeteroGraph
+    from repro.models.base import HGNNClassifier
 
 __all__ = [
     "BUNDLE_FORMAT",
@@ -142,6 +144,9 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> Path:
     An existing bundle at ``path`` is replaced only once the new one is
     durable (see :func:`~repro.utils.durable.atomic_dir`).
     """
+    # The graph codec brings SciPy; workers only ever open published logits.
+    from repro.hetero.io import graph_to_arrays, json_default
+
     arrays: dict[str, np.ndarray] = {
         f"{_WEIGHT_PREFIX}{name}": np.asarray(value, dtype=np.float64)
         for name, value in bundle.weights.items()
@@ -174,6 +179,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
     when its header is unreadable, or when its format version is newer than
     this library understands.
     """
+    from repro.hetero.io import graph_from_arrays
+
     path = Path(path)
     header_path = path / _HEADER
     if not header_path.is_file():

@@ -26,14 +26,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import ServingError
-from repro.hetero.graph import HeteroGraph
-from repro.models.base import HGNNClassifier
-from repro.nn.autograd import no_grad
+
+if TYPE_CHECKING:
+    from repro.hetero.graph import HeteroGraph
+    from repro.models.base import HGNNClassifier
 
 __all__ = ["LRUCache", "InferenceSession"]
 
@@ -158,6 +159,10 @@ class InferenceSession:
         cache_size: int = 4096,
         context=None,
     ) -> None:
+        # Only a session built from a model needs the model stack; replicated
+        # workers build theirs from published logits and never import it.
+        from repro.nn.autograd import no_grad
+
         self.model = model
         self.graph = graph
         self.version = int(version)

@@ -32,34 +32,26 @@ on restart.  This package removes both limits:
 worker-kill survival, coordinator kill -9 + WAL replay byte-identity).
 """
 
-from repro.serving.replicated.admission import AdmissionGate
-from repro.serving.replicated.coordinator import (
-    ReplicatedConfig,
-    ReplicatedServer,
-    recover_from_wal,
-)
-from repro.serving.replicated.metrics import MetricsBoard, render_prometheus
-from repro.serving.replicated.pool import WorkerPool, published_session
-from repro.serving.replicated.wal import (
-    DeltaWAL,
-    WALRecord,
-    deadletter_path,
-    read_deadletter,
-    read_wal,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionGate",
-    "DeltaWAL",
-    "MetricsBoard",
-    "ReplicatedConfig",
-    "ReplicatedServer",
-    "WALRecord",
-    "WorkerPool",
-    "deadletter_path",
-    "published_session",
-    "read_deadletter",
-    "read_wal",
-    "recover_from_wal",
-    "render_prometheus",
-]
+# Resolved on first access (PEP 562): importing the worker module must not
+# pull in the coordinator, which imports the whole controller stack.
+_EXPORTS = {
+    "repro.serving.replicated.admission": ("AdmissionGate",),
+    "repro.serving.replicated.coordinator": (
+        "ReplicatedConfig",
+        "ReplicatedServer",
+        "recover_from_wal",
+    ),
+    "repro.serving.replicated.metrics": ("MetricsBoard", "render_prometheus"),
+    "repro.serving.replicated.pool": ("WorkerPool", "published_session"),
+    "repro.serving.replicated.wal": (
+        "DeltaWAL",
+        "WALRecord",
+        "deadletter_path",
+        "read_deadletter",
+        "read_wal",
+    ),
+}
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,6 +23,13 @@ loads a version at least as new as every acked delta; the acks guarantee no
 registered worker answers with a stale version after the client sees the
 delta response.
 
+Boot (:meth:`ReplicatedServer.start`) spawns the worker pool *before*
+recovery, so each worker's interpreter start overlaps the coordinator's
+condense and train on another CPU.  A worker's hello is answered only
+after the boot version is published and ``CURRENT`` names it; the
+worker's import closure is kept free of SciPy and the model stack so that
+its start finishes first.
+
 Recovery (:func:`recover_from_wal`) is pure replay: rebuild the base state
 from the genesis recipe (or restore the newest usable snapshot's graph and
 the bundle of the version dir it names) and re-apply the logged deltas.
@@ -54,6 +61,8 @@ import contextvars
 import hashlib
 import io
 import json
+import socket
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -408,10 +417,31 @@ class ReplicatedServer:
         self._control_server: asyncio.AbstractServer | None = None
         self._admin_server: asyncio.AbstractServer | None = None
         self._supervisor: asyncio.Task | None = None
+        #: set once the boot version is published; workers get no welcome
+        #: before it (see :meth:`start`)
+        self._booted = asyncio.Event()
+        self._booted_at: float | None = None
 
     # ------------------------------------------------------------------ #
     async def start(self) -> tuple[str, int]:
-        """Recover, publish, and bring the whole tier up; returns (host, port)."""
+        """Boot the tier and return its ``(host, port)``.
+
+        The worker pool spawns *before* recovery, so each worker's
+        interpreter start overlaps the coordinator's condense and train:
+
+        1. the metrics board and the fault sink;
+        2. the control server, the HTTP socket and the admin socket, bound
+           but not yet serving, so every worker option is known;
+        3. the pool spawns; a worker that is ready says hello and waits;
+        4. WAL recovery, the boot publish and ``CURRENT``;
+        5. the boot event: only now does a worker get its welcome, so none
+           reads ``CURRENT`` before it names the boot version;
+        6. the HTTP and admin servers, then the supervisor.
+
+        When a step raises, the pool is stopped and every socket closed
+        before the error propagates, so a refused recovery (say, a genesis
+        mismatch) leaves no live worker and no bound port behind.
+        """
         from repro.serving.replicated.metrics import MetricsBoard
 
         cfg = self.config
@@ -425,50 +455,69 @@ class ReplicatedServer:
         if injector is not None and injector.sink is None:
             injector.sink = slot0.observe_fault
 
-        # reprolint: disable-next=REP-A401 boot path: the loop serves no requests until start() returns
-        controller, wal, recovery = recover_from_wal(
-            cfg.wal_path,
-            root=root,
-            make_controller=self.make_controller,
-            genesis_config=self.genesis,
-        )
-        self.controller, self.wal, self.recovery = controller, wal, recovery
-        self.deltas_committed = int(recovery["deltas_logged"])
-        self.quarantined = int(recovery.get("quarantined", 0))
-        if recovery.get("quarantined_now"):
-            slot0.observe_quarantine(int(recovery["quarantined_now"]))
-        self._publish(controller.version)
-        set_current(root, controller.version)  # reprolint: disable=REP-A401 boot path: the loop serves no requests until start() returns
+        sockets: list[socket.socket] = []
+        try:
+            cfg.control_path.unlink(missing_ok=True)
+            self._control_server = await asyncio.start_unix_server(
+                self._handle_control, path=str(cfg.control_path)
+            )
+            http_sock = make_listen_socket(cfg.host, cfg.port)
+            sockets.append(http_sock)
+            self.host, self.port = http_sock.getsockname()[:2]
+            # Loopback admin listener: where workers forward POST /delta to.
+            admin_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sockets.append(admin_sock)
+            admin_sock.bind(("127.0.0.1", 0))
+            self.admin_port = int(admin_sock.getsockname()[1])
 
-        cfg.control_path.unlink(missing_ok=True)
-        self._control_server = await asyncio.start_unix_server(
-            self._handle_control, path=str(cfg.control_path)
-        )
+            self.pool = WorkerPool(
+                workers=cfg.workers, options=self._worker_options(), metrics=slot0
+            )
+            self.pool.start()
 
-        sock = make_listen_socket(cfg.host, cfg.port)
-        self.host, self.port = sock.getsockname()[:2]
-        self.http = _CoordinatorHTTP(
-            self,
-            controller,
-            host=self.host,
-            port=self.port,
-            sock=sock,
-            max_body_bytes=cfg.max_body_bytes,
-            admission_capacity=cfg.max_pending,
-            metrics=slot0,
-        )
-        await self.http.start()
-        # Loopback admin listener: where workers forward POST /delta to.
-        self._admin_server = await asyncio.start_server(
-            self.http._handle_connection, "127.0.0.1", 0
-        )
-        self.admin_port = int(self._admin_server.sockets[0].getsockname()[1])
+            with obs.span("boot.recover") as recover_span:
+                # reprolint: disable-next=REP-A401 boot path: the loop serves no requests until start() returns
+                controller, wal, recovery = recover_from_wal(
+                    cfg.wal_path,
+                    root=root,
+                    make_controller=self.make_controller,
+                    genesis_config=self.genesis,
+                )
+                if recover_span is not None:
+                    recover_span.attrs["mode"] = recovery["mode"]
+            self.controller, self.wal, self.recovery = controller, wal, recovery
+            self.deltas_committed = int(recovery["deltas_logged"])
+            self.quarantined = int(recovery.get("quarantined", 0))
+            if recovery.get("quarantined_now"):
+                slot0.observe_quarantine(int(recovery["quarantined_now"]))
+            with obs.span("boot.publish", version=int(controller.version)):
+                self._publish(controller.version)
+                set_current(root, controller.version)  # reprolint: disable=REP-A401 boot path: the loop serves no requests until start() returns
+            self._booted_at = time.monotonic()
+            self._booted.set()
 
-        self.pool = WorkerPool(
-            workers=cfg.workers, options=self._worker_options(), metrics=slot0
-        )
-        self.pool.start()
-        self._supervisor = asyncio.create_task(self.pool.supervise())
+            self.http = _CoordinatorHTTP(
+                self,
+                controller,
+                host=self.host,
+                port=self.port,
+                sock=http_sock,
+                max_body_bytes=cfg.max_body_bytes,
+                admission_capacity=cfg.max_pending,
+                metrics=slot0,
+            )
+            await self.http.start()
+            self._admin_server = await asyncio.start_server(
+                self.http._handle_connection, sock=admin_sock
+            )
+            self._supervisor = asyncio.create_task(self.pool.supervise())
+        except BaseException:
+            try:
+                await self.close()
+            finally:
+                for sock in sockets:  # a no-op for those a server closed
+                    sock.close()
+            raise
         return self.host, self.port
 
     def _worker_options(self) -> dict:
@@ -525,18 +574,30 @@ class ReplicatedServer:
             hello = json.loads(await reader.readline())
             if hello.get("type") != "hello":
                 return
-            link = _WorkerLink(
-                slot=int(hello["slot"]), pid=int(hello.get("pid", 0)), writer=writer
-            )
-            self._links[link.slot] = link
-            assert self.controller is not None
-            writer.write(
-                json.dumps(
-                    {"type": "welcome", "version": self.controller.version}
-                ).encode("utf-8")
-                + b"\n"
-            )
-            await writer.drain()
+            slot = int(hello["slot"])
+            with obs.span("pool.register", slot=slot) as span:
+                # Workers spawn before recovery: the welcome waits for the
+                # boot publish, so no worker reads an older CURRENT.
+                await self._booted.wait()
+                if self._booted_at is None:
+                    return  # close() after a failed start woke us
+                link = _WorkerLink(slot=slot, pid=int(hello.get("pid", 0)), writer=writer)
+                self._links[slot] = link
+                assert self.controller is not None
+                writer.write(
+                    json.dumps(
+                        {"type": "welcome", "version": self.controller.version}
+                    ).encode("utf-8")
+                    + b"\n"
+                )
+                await writer.drain()
+                if span is not None:
+                    # The hello stamp is the worker's time.monotonic():
+                    # CLOCK_MONOTONIC, one clock for every process on the
+                    # host.  Positive: the worker was ready before the boot
+                    # publish; negative: it said hello that long after it.
+                    sent = float(hello.get("sent", self._booted_at))
+                    span.attrs["waited_s"] = round(self._booted_at - sent, 6)
             while True:
                 line = await reader.readline()
                 if not line:
@@ -779,6 +840,9 @@ class ReplicatedServer:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, self.pool.stop)
             self.pool = None
+        # Wake control handlers still waiting for a boot that failed, so the
+        # control server can close their connections.
+        self._booted.set()
         for server in (self._admin_server, self._control_server):
             if server is not None:
                 server.close()

@@ -324,9 +324,15 @@ async def _worker_async(slot: int, options: dict) -> None:
 
     # Register on the control channel BEFORE loading a session or serving:
     # any version committed after this handshake will be fanned out to us,
-    # and CURRENT (read next) covers everything committed before it.
+    # and CURRENT (read next) covers everything committed before it.  The
+    # welcome comes only once the coordinator's boot version is published;
+    # ``sent`` lets its trace tell how long this worker was ready before.
     reader, writer = await asyncio.open_unix_connection(options["control"])
-    writer.write(_control_line({"type": "hello", "slot": slot, "pid": os.getpid()}))
+    writer.write(
+        _control_line(
+            {"type": "hello", "slot": slot, "pid": os.getpid(), "sent": time.monotonic()}
+        )
+    )
     await writer.drain()
     welcome = json.loads(await reader.readline())
     if welcome.get("type") != "welcome":  # pragma: no cover - defensive

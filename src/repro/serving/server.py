@@ -50,6 +50,7 @@ import contextvars
 import json
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -57,8 +58,9 @@ from repro import obs
 from repro.errors import CanaryRejectedError, ReproError, ServingError
 from repro.evaluation.timing import summarize_latencies
 from repro.obs.propagate import TRACE_HEADER, TraceContext, stamp_delta
-from repro.serving.hotswap import ServingController
-from repro.streaming.delta import GraphDelta
+
+if TYPE_CHECKING:
+    from repro.serving.hotswap import ServingController
 
 __all__ = [
     "HttpRequestError",
@@ -545,6 +547,10 @@ class ServingServer:
         }
 
     async def _handle_delta(self, body: bytes) -> tuple[int, dict]:
+        # Workers override this method, so only a server that applies
+        # deltas imports the streaming stack.
+        from repro.streaming.delta import GraphDelta
+
         payload = _parse_json(body)
         # Stamp the serve.delta span's context onto the delta metadata: it
         # rides to_payload() into the WAL, so replay spans correlate with

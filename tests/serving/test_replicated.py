@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import asyncio
+import importlib
 import json
+import multiprocessing
 import os
 import signal
+import socket
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +23,12 @@ from repro.datasets import load_acm
 from repro.errors import ReproError, ServingError, WALError
 from repro.models.hetero_sgc import HeteroSGC
 from repro.serving import ServingController
-from repro.serving.replicated import ReplicatedConfig, ReplicatedServer, recover_from_wal
+from repro.serving.replicated import (
+    DeltaWAL,
+    ReplicatedConfig,
+    ReplicatedServer,
+    recover_from_wal,
+)
 from repro.serving.replicated.pool import (
     current_version,
     publish_version,
@@ -338,3 +350,141 @@ class TestLivePool:
                 await server.close()
 
         asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------- #
+# Boot: workers spawn before recovery, from a lean import
+# ---------------------------------------------------------------------- #
+SRC = Path(__file__).resolve().parents[2] / "src"
+#: what a worker must not load: the model and condensation stack
+WORKER_FORBIDDEN = ("scipy",) + tuple(
+    f"repro.{name}"
+    for name in (
+        "core", "models", "nn", "streaming", "baselines", "datasets", "hetero", "runner",
+    )
+)
+GENESIS = {"dataset": "acm", "scale": 0.12, "seed": 0}
+
+
+def test_worker_import_closure_is_scipy_free():
+    script = "import sys, repro.serving.replicated.pool; print(*sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        check=True,
+    )
+    loaded = out.stdout.split()
+    assert "repro.serving.replicated.pool" in loaded
+    assert [
+        name for name in loaded
+        if any(name == bad or name.startswith(bad + ".") for bad in WORKER_FORBIDDEN)
+    ] == []
+
+
+@pytest.mark.parametrize(
+    "package", ["repro", "repro.serving", "repro.serving.replicated", "repro.evaluation"]
+)
+def test_lazy_package_names(package):
+    module = importlib.import_module(package)
+    listed = dir(module)
+    for name in module.__all__:
+        getattr(module, name)
+        assert name in listed
+    with pytest.raises(AttributeError):
+        module.no_such_name
+
+
+class TestBoot:
+    def test_welcome_waits_for_the_boot_publish(self, tmp_path):
+        """A worker that says hello during recovery is welcomed only once
+        CURRENT names the boot version."""
+        hello_sent = threading.Event()
+        seen: dict = {}
+
+        def early_worker():
+            path = tmp_path / "control.sock"
+            deadline = time.monotonic() + 60
+            while not path.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            try:
+                with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                    sock.connect(str(path))
+                    sock.sendall(b'{"type": "hello", "slot": 9, "pid": 0}\n')
+                    hello_sent.set()
+                    seen["welcome"] = json.loads(sock.makefile("rb").readline())
+                    seen["current"] = current_version(tmp_path)[0]
+            except Exception as exc:  # reported by the assertions below
+                seen["error"] = repr(exc)
+
+        factory = make_controller_factory()
+
+        def make_controller(graph=None):
+            # Recovery cannot finish before the early worker's hello is out.
+            assert hello_sent.wait(60), "the control socket never took a hello"
+            return factory(graph)
+
+        async def scenario():
+            server = ReplicatedServer(
+                make_controller,
+                config=ReplicatedConfig(root=tmp_path, port=0, workers=1),
+                genesis=GENESIS,
+            )
+            thread = threading.Thread(target=early_worker, daemon=True)
+            thread.start()
+            await server.start()
+            try:
+                await asyncio.get_running_loop().run_in_executor(None, thread.join, 30)
+                return server.controller.version
+            finally:
+                await server.close()
+
+        version = asyncio.run(scenario())
+        assert seen == {"welcome": {"type": "welcome", "version": version}, "current": version}
+
+    def test_hello_gets_no_welcome_before_the_boot_event(self, tmp_path):
+        async def scenario():
+            server = ReplicatedServer(
+                make_controller_factory(),
+                config=ReplicatedConfig(root=tmp_path, port=0, workers=1),
+            )
+            path = str(tmp_path / "control.sock")
+            server._control_server = await asyncio.start_unix_server(
+                server._handle_control, path=path
+            )
+            reader, writer = await asyncio.open_unix_connection(path)
+            writer.write(b'{"type": "hello", "slot": 1, "pid": 0}\n')
+            await writer.drain()
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(reader.readline(), timeout=0.3)
+            # A start that failed before its publish: close() still returns,
+            # and the waiting connection is closed without a welcome.
+            await asyncio.wait_for(server.close(), timeout=10)
+            assert await reader.readline() == b""
+            assert server._links == {}
+            writer.close()
+
+        asyncio.run(scenario())
+
+    def test_failed_start_leaves_nothing_behind(self, tmp_path):
+        wal, _ = DeltaWAL.open(tmp_path / "wal.log")
+        wal.append_genesis({**GENESIS, "seed": 7})
+        wal.close()
+
+        async def scenario():
+            server = ReplicatedServer(
+                make_controller_factory(),
+                config=ReplicatedConfig(root=tmp_path, port=0, workers=1),
+                genesis=GENESIS,
+            )
+            with pytest.raises(WALError):
+                await server.start()
+            return server
+
+        server = asyncio.run(scenario())
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "control.sock").exists()
+        for port in (server.port, server.admin_port):
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+                sock.bind(("127.0.0.1", port))
