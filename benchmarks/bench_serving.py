@@ -57,6 +57,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 _ROOT = Path(__file__).resolve().parent.parent
 for _entry in (str(_ROOT), str(_ROOT / "src")):
@@ -66,12 +67,13 @@ for _entry in (str(_ROOT), str(_ROOT / "src")):
 import numpy as np
 
 from benchmarks.common import EPOCHS, SCALE, emit, emit_json
-from repro.datasets.base import NodeTypeSpec, RelationSpec, SyntheticHINConfig
-from repro.datasets.generators import generate_delta_schedule, generate_hin
-from repro.evaluation.timing import summarize_latencies
-from repro.runner.plan import ServeConfig
-from repro.serving import InferenceSession, ServingController, ServingServer
-from repro.serving.server import MAX_BATCH
+
+# The library is imported inside the functions that use it: ``spawn`` re-runs
+# this module's top level in every worker the replicated tier starts, and a
+# worker needs none of it.
+if TYPE_CHECKING:
+    from repro.datasets.base import SyntheticHINConfig
+    from repro.serving import ServingController
 
 SPEEDUP_FACTOR = 5.0
 QUEUE_DEPTH = int(os.environ.get("REPRO_BENCH_SERVE_QUEUE", "2048"))
@@ -86,6 +88,8 @@ IDS_PER_REQUEST = 16
 
 def serving_config() -> SyntheticHINConfig:
     """ACM-shaped HIN sized so the target pool is ≥2k at scale 1."""
+    from repro.datasets.base import NodeTypeSpec, RelationSpec, SyntheticHINConfig
+
     return SyntheticHINConfig(
         name="acm-serve",
         target_type="paper",
@@ -109,6 +113,8 @@ def serving_config() -> SyntheticHINConfig:
 
 def identity_gate(controller: ServingController, ids: np.ndarray) -> None:
     """Batched == serial == offline forward, byte for byte (raises on fail)."""
+    from repro.serving import InferenceSession
+
     batched_session = InferenceSession(
         controller._model, controller.graph, version=100, cache_size=0
     )
@@ -129,6 +135,9 @@ def identity_gate(controller: ServingController, ids: np.ndarray) -> None:
 
 def throughput_gate(controller: ServingController, num_targets: int, rng) -> dict:
     """Measure unbatched vs micro-batched throughput on cache-less sessions."""
+    from repro.serving import InferenceSession
+    from repro.serving.server import MAX_BATCH
+
     queue = rng.integers(0, num_targets, size=QUEUE_DEPTH).astype(np.int64)
     unbatched_session = InferenceSession(
         controller._model, controller.graph, version=102, cache_size=0
@@ -161,6 +170,10 @@ def throughput_gate(controller: ServingController, num_targets: int, rng) -> dic
 
 async def hotswap_gate(controller: ServingController, seed: int) -> dict:
     """Concurrent load through the real server during a delta replay."""
+    from repro.datasets.generators import generate_delta_schedule
+    from repro.evaluation.timing import summarize_latencies
+    from repro.serving import ServingServer
+
     server = ServingServer(controller, port=0)
     host, port = await server.start()
     num_targets = controller.session.num_targets
@@ -277,18 +290,21 @@ LOAD_SECONDS = float(os.environ.get("REPRO_BENCH_LOAD_SECONDS", "2.0"))
 GENESIS = {"benchmark": "bench_serving", "shape": "acm-serve", "seed": 7}
 
 
-#: the served deployment every phase builds; the graph is the bench's own
-#: ``acm-serve`` HIN, so the dataset name is only a label
-BENCH_SERVE = ServeConfig(
-    dataset="acm-serve", ratio=RATIO, max_hops=MAX_HOPS, model="heterosgc", epochs=EPOCHS
-)
-
-
 def _make_bench_controller(graph=None, canary=None) -> ServingController:
-    """The deterministic controller shared by every tier process."""
+    """The deterministic controller shared by every tier process.
+
+    The graph is the bench's own ``acm-serve`` HIN, so the served config's
+    dataset name is only a label.
+    """
+    from repro.datasets.generators import generate_hin
+    from repro.runner.plan import ServeConfig
+
     if graph is None:
         graph = generate_hin(serving_config(), scale=SCALE, seed=7)
-    return BENCH_SERVE.build_controller(graph, canary=canary)
+    serve = ServeConfig(
+        dataset="acm-serve", ratio=RATIO, max_hops=MAX_HOPS, model="heterosgc", epochs=EPOCHS
+    )
+    return serve.build_controller(graph, canary=canary)
 
 
 def _chaos_controller(graph=None) -> ServingController:
@@ -310,6 +326,7 @@ def _tier_main(root: str, workers: int, port_file: str, snapshot_every: int) -> 
     """Child-process entry: serve a tier (or one plain server) until killed."""
     import asyncio
 
+    from repro.serving import ServingServer
     from repro.serving.replicated import ReplicatedConfig, ReplicatedServer
 
     async def run() -> None:
@@ -455,6 +472,7 @@ async def replicated_kill_phase(workers: int) -> dict:
     import signal as _signal
     import tempfile
 
+    from repro.datasets.generators import generate_delta_schedule
     from repro.serving.replicated import ReplicatedConfig, ReplicatedServer
 
     tmp = tempfile.mkdtemp(prefix="bench-repl-kill-")
@@ -601,6 +619,7 @@ async def replicated_kill_phase(workers: int) -> dict:
 def replicated_recovery_phase(ctx, root: Path, workers: int) -> dict:
     """``kill -9`` the coordinator; WAL replay must restore byte-identical
     model state and identical predictions for the full query set."""
+    from repro.datasets.generators import generate_delta_schedule
     from repro.serving.artifacts import load_bundle
     from repro.serving.replicated.pool import current_version
     from repro.streaming.incremental import graphs_equal
@@ -710,6 +729,7 @@ async def replicated_chaos_phase(workers: int) -> dict:
     import signal as _signal
     import tempfile
 
+    from repro.datasets.generators import generate_delta_schedule
     from repro.serving.replicated import (
         ReplicatedConfig,
         ReplicatedServer,
@@ -1148,6 +1168,9 @@ def replicated_main(workers: int, phases: set[str], inject_faults: bool = False)
 
 
 def main() -> int:
+    from repro.datasets.generators import generate_hin
+    from repro.serving.server import MAX_BATCH
+
     graph = generate_hin(serving_config(), scale=SCALE, seed=7)
     num_targets = graph.num_nodes[graph.schema.target_type]
     controller = _make_bench_controller(graph)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.datasets.base import RelationSpec, SyntheticHINConfig
 from repro.hetero.builder import HeteroGraphBuilder
 from repro.hetero.schema import HeteroSchema, Relation
@@ -68,6 +69,12 @@ def _sample_relation_edges(
     Every source node draws ``Poisson(avg_degree) + 1`` destinations.  With
     probability ``affinity`` the destination is drawn from the same-topic
     pool (weighted by popularity); otherwise from the full destination set.
+
+    The RNG sees the same calls in the same order as one ``rng.choice(members,
+    size=n_same, p=probs)`` per row, the loop ``tests/oracles.py`` keeps, so
+    datasets are byte-identical to it.  Each pool's CDF is built once, and
+    ``choice``'s checks of ``probs`` run once, by a draw-free ``choice(size=0)``;
+    a pool that fails them raises at its first same-topic draw, as ``choice`` does.
     """
     n_src = src_topics.shape[0]
     n_dst = dst_topics.shape[0]
@@ -76,29 +83,32 @@ def _sample_relation_edges(
 
     popularity = _popularity_weights(n_dst, rel.degree_skew, rng)
     all_dst = np.arange(n_dst)
-    per_topic_nodes: list[np.ndarray] = []
-    per_topic_probs: list[np.ndarray] = []
+    pools: list[tuple[np.ndarray, np.ndarray | None, ValueError | None]] = []
     for topic in range(num_topics):
         members = all_dst[dst_topics == topic]
-        per_topic_nodes.append(members)
+        cdf = error = None
         if members.size:
             probs = popularity[members]
-            per_topic_probs.append(probs / probs.sum())
-        else:
-            per_topic_probs.append(np.empty(0))
+            probs = probs / probs.sum()
+            try:
+                rng.choice(members, size=0, p=probs)
+            except ValueError as exc:
+                error = exc
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+        pools.append((members, cdf, error))
 
     degrees = rng.poisson(rel.avg_degree, size=n_src) + 1
-    src_out: list[np.ndarray] = []
-    dst_out: list[np.ndarray] = []
-    for src_node in range(n_src):
-        deg = int(degrees[src_node])
-        topic = int(src_topics[src_node]) % num_topics
-        same_topic = rng.random(deg) < rel.affinity
-        n_same = int(same_topic.sum())
-        chosen = np.empty(deg, dtype=np.int64)
-        members = per_topic_nodes[topic]
+    dst = np.empty(int(degrees.sum()), dtype=np.int64)
+    start = 0
+    for deg, topic in zip(degrees.tolist(), (src_topics % num_topics).tolist()):
+        n_same = np.count_nonzero(rng.random(deg) < rel.affinity)
+        members, cdf, error = pools[topic]
         if n_same and members.size:
-            chosen[:n_same] = rng.choice(members, size=n_same, p=per_topic_probs[topic])
+            if error is not None:
+                raise error
+            same = cdf.searchsorted(rng.random(n_same), side="right")
+            dst[start : start + n_same] = members[same]
         else:
             n_same = 0
         n_rest = deg - n_same
@@ -107,10 +117,9 @@ def _sample_relation_edges(
             # popularity-weighted, so hub nodes stay topic-pure — the property
             # of real academic/knowledge graphs that makes receptive-field
             # maximisation a sensible selection signal.
-            chosen[n_same:] = rng.integers(0, n_dst, size=n_rest)
-        src_out.append(np.full(deg, src_node, dtype=np.int64))
-        dst_out.append(chosen)
-    return np.concatenate(src_out), np.concatenate(dst_out)
+            dst[start + n_same : start + deg] = rng.integers(0, n_dst, size=n_rest)
+        start += deg
+    return np.repeat(np.arange(n_src, dtype=np.int64), degrees), dst
 
 
 def _topic_features(
@@ -161,44 +170,47 @@ def generate_hin(
     counts = config.scaled_counts(scale)
     num_topics = config.num_classes
 
-    topics: dict[str, np.ndarray] = {
-        spec.name: _assign_topics(counts[spec.name], num_topics, rng)
-        for spec in config.node_types
-    }
+    with obs.span("datasets.generate", dataset=config.name, scale=float(scale)) as span:
+        topics: dict[str, np.ndarray] = {
+            spec.name: _assign_topics(counts[spec.name], num_topics, rng)
+            for spec in config.node_types
+        }
 
-    builder = HeteroGraphBuilder(schema)
-    for spec in config.node_types:
-        features = _topic_features(
-            topics[spec.name],
-            spec.feature_dim,
-            spec.feature_noise,
-            config.feature_signal,
-            num_topics,
-            rng,
+        builder = HeteroGraphBuilder(schema)
+        for spec in config.node_types:
+            features = _topic_features(
+                topics[spec.name],
+                spec.feature_dim,
+                spec.feature_noise,
+                config.feature_signal,
+                num_topics,
+                rng,
+            )
+            builder.add_nodes(spec.name, counts[spec.name], features)
+
+        for rel in config.relations:
+            src, dst = _sample_relation_edges(
+                rel, topics[rel.src], topics[rel.dst], num_topics, rng
+            )
+            builder.add_edges(rel.name, src, dst)
+
+        target_topics = topics[config.target_type]
+        builder.set_labels(target_topics)
+
+        n_target = counts[config.target_type]
+        order = rng.permutation(n_target)
+        n_train = max(1, int(round(config.train_fraction * n_target)))
+        n_val = max(1, int(round(config.val_fraction * n_target)))
+        builder.set_splits(
+            train=order[:n_train],
+            val=order[n_train : n_train + n_val],
+            test=order[n_train + n_val :],
         )
-        builder.add_nodes(spec.name, counts[spec.name], features)
+        builder.set_metadata(name=config.name, scale=scale, **dict(config.metadata))
 
-    for rel in config.relations:
-        src, dst = _sample_relation_edges(
-            rel, topics[rel.src], topics[rel.dst], num_topics, rng
-        )
-        builder.add_edges(rel.name, src, dst)
-
-    target_topics = topics[config.target_type]
-    builder.set_labels(target_topics)
-
-    n_target = counts[config.target_type]
-    order = rng.permutation(n_target)
-    n_train = max(1, int(round(config.train_fraction * n_target)))
-    n_val = max(1, int(round(config.val_fraction * n_target)))
-    builder.set_splits(
-        train=order[:n_train],
-        val=order[n_train : n_train + n_val],
-        test=order[n_train + n_val :],
-    )
-    builder.set_metadata(name=config.name, scale=scale, **dict(config.metadata))
-
-    graph: HeteroGraph = builder.build()
+        graph: HeteroGraph = builder.build()
+        if span is not None:
+            span.attrs.update(nodes=graph.total_nodes, edges=graph.total_edges)
     return graph
 
 

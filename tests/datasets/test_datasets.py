@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.datasets import (
     DATASETS,
     NodeTypeSpec,
@@ -106,6 +107,15 @@ class TestConfigValidation:
             tiny_config().node_type("zzz")
 
 
+def _array_bytes(graph) -> list[bytes]:
+    arrays = [graph.labels, graph.splits.train, graph.splits.val, graph.splits.test]
+    for name in sorted(graph.adjacency):
+        matrix = graph.adjacency[name]
+        arrays += [matrix.indptr, matrix.indices, matrix.data]
+    arrays += [graph.features[name] for name in sorted(graph.features)]
+    return [array.tobytes() for array in arrays]
+
+
 class TestGenerator:
     def test_schema_from_config(self):
         schema = schema_from_config(tiny_config())
@@ -160,6 +170,20 @@ class TestGenerator:
         small = generate_hin(tiny_config(), scale=0.5, seed=0)
         large = generate_hin(tiny_config(), scale=1.0, seed=0)
         assert small.num_nodes["a"] < large.num_nodes["a"]
+
+    def test_traced_generation_matches_untraced(self):
+        untraced = load_dataset("acm", scale=0.05, seed=3)
+        with obs.tracing("t-generate") as tracer:
+            traced = load_dataset("acm", scale=0.05, seed=3)
+            spans = [s for s in tracer.drain_spans() if s.name == "datasets.generate"]
+        assert len(spans) == 1
+        assert spans[0].attrs == {
+            "dataset": "acm",
+            "scale": 0.05,
+            "nodes": untraced.total_nodes,
+            "edges": untraced.total_edges,
+        }
+        assert _array_bytes(traced) == _array_bytes(untraced)
 
 
 class TestRegistry:

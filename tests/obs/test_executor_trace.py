@@ -66,7 +66,11 @@ def test_parallel_span_tree_matches_serial():
 def check_parallel_tree_matches_serial(kind, plan):
     # force=True bypasses the per-process condensed-artifact memo: forked
     # workers inherit the parent's memo, which would hide their condense
-    # spans and make the trees trivially different.
+    # spans and make the trees trivially different.  The dataset memo is
+    # warmed instead: otherwise the serial run's first cell generates the
+    # graph under a ``datasets.generate`` span that the forked workers,
+    # inheriting the loaded graph, never open.
+    execute_plan(plan)
     serial_outcomes, serial_spans = traced_run(plan, "t-serial", force=True)
     parallel_outcomes, parallel_spans = traced_run(plan, "t-parallel", workers=2, force=True)
 

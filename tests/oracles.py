@@ -13,6 +13,8 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
+from repro.datasets.base import RelationSpec
+from repro.datasets.generators import _popularity_weights
 from repro.hetero.sparse import boolean_csr, row_normalize, to_csr
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.losses import cross_entropy
@@ -280,3 +282,63 @@ def eager_fit(
         train_seconds=time.perf_counter() - start,
         history=history,
     )
+
+
+def sample_relation_edges_reference(
+    rel: RelationSpec,
+    src_topics: np.ndarray,
+    dst_topics: np.ndarray,
+    num_topics: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample edge endpoints for one relation, one ``rng.choice`` per source row.
+
+    :func:`repro.datasets.generators._sample_relation_edges` makes the same
+    draws in the same order from a CDF built once per topic pool.
+
+    Every source node draws ``Poisson(avg_degree) + 1`` destinations.  With
+    probability ``affinity`` the destination is drawn from the same-topic
+    pool (weighted by popularity); otherwise from the full destination set.
+    """
+    n_src = src_topics.shape[0]
+    n_dst = dst_topics.shape[0]
+    if n_src == 0 or n_dst == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+    popularity = _popularity_weights(n_dst, rel.degree_skew, rng)
+    all_dst = np.arange(n_dst)
+    per_topic_nodes: list[np.ndarray] = []
+    per_topic_probs: list[np.ndarray] = []
+    for topic in range(num_topics):
+        members = all_dst[dst_topics == topic]
+        per_topic_nodes.append(members)
+        if members.size:
+            probs = popularity[members]
+            per_topic_probs.append(probs / probs.sum())
+        else:
+            per_topic_probs.append(np.empty(0))
+
+    degrees = rng.poisson(rel.avg_degree, size=n_src) + 1
+    src_out: list[np.ndarray] = []
+    dst_out: list[np.ndarray] = []
+    for src_node in range(n_src):
+        deg = int(degrees[src_node])
+        topic = int(src_topics[src_node]) % num_topics
+        same_topic = rng.random(deg) < rel.affinity
+        n_same = int(same_topic.sum())
+        chosen = np.empty(deg, dtype=np.int64)
+        members = per_topic_nodes[topic]
+        if n_same and members.size:
+            chosen[:n_same] = rng.choice(members, size=n_same, p=per_topic_probs[topic])
+        else:
+            n_same = 0
+        n_rest = deg - n_same
+        if n_rest:
+            # Background (cross-topic) edges are uniform rather than
+            # popularity-weighted, so hub nodes stay topic-pure — the property
+            # of real academic/knowledge graphs that makes receptive-field
+            # maximisation a sensible selection signal.
+            chosen[n_same:] = rng.integers(0, n_dst, size=n_rest)
+        src_out.append(np.full(deg, src_node, dtype=np.int64))
+        dst_out.append(chosen)
+    return np.concatenate(src_out), np.concatenate(dst_out)
