@@ -643,13 +643,11 @@ def _cmd_generalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from repro.core.condenser import FreeHGC
     from repro.datasets.generators import generate_delta_schedule
     from repro.evaluation.pipeline import make_model_factory
     from repro.evaluation.protocol import train_on_condensed
-    from repro.streaming import IncrementalCondenser, graphs_equal
+    from repro.streaming import IncrementalCondenser, replay, summarize
 
     config = _config(StreamConfig, args)
     entry = registry.datasets.get(config.dataset)
@@ -666,7 +664,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         removal_every=config.removal_every,
         removal_count=config.removal_count,
     )
-    replica = graph.copy() if config.verify_every else None
     incremental = IncrementalCondenser(
         graph,
         condenser=FreeHGC(max_hops=max_hops),
@@ -691,60 +688,38 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         return f"{model.evaluate(incremental.graph):.4f}"
 
     watch = Stopwatch()
-    rows: list[dict] = []
-    mismatches = 0
     with watch.measure("cold"):
         base = incremental.condense()
-    rows.append(
+    rows: list[dict] = [
         {
             "step": 0,
             "mode": "full",
-            "edges±": "",
-            "nodes±": "",
-            "delta%": "",
-            "condense_s": f"{watch.get('cold'):.3f}",
+            "step_s": f"{watch.get('cold'):.3f}",
             "drift": 0,
-            "verified": "",
-            "full_s": "",
             "accuracy": quality(base),
         }
-    )
+    ]
     if not args.quiet:
         print(f"step 0: cold condensation in {watch.get('cold'):.3f}s", flush=True)
-    from repro.streaming import DeltaApplier
-
-    replica_applier = DeltaApplier()
-    for delta in schedule:
-        report = incremental.step(delta)
-        verified, full_seconds = "", ""
-        if replica is not None:
-            replica_applier.apply(replica, delta)
-        if config.verify_every and delta.step % config.verify_every == 0:
-            with watch.measure(f"full-{delta.step}"):
-                full = FreeHGC(max_hops=max_hops).condense(
-                    replica, config.ratio, seed=config.seed
-                )
-            full_seconds = f"{watch.get(f'full-{delta.step}'):.3f}"
-            if graphs_equal(report.condensed, full):
-                verified = "identical"
-            else:
-                verified = "MISMATCH"
-                mismatches += 1
-        apply_report = report.apply_report
+    records = []
+    for record in replay(incremental, schedule, verify_every=config.verify_every):
+        records.append(record)
+        verified = {None: "", True: "identical", False: "MISMATCH"}[record.identical]
+        apply_report = record.apply_report
         rows.append(
             {
-                "step": delta.step,
-                "mode": report.mode,
+                "step": record.step,
+                "mode": record.mode,
                 "edges±": f"+{apply_report.edges_added}/-{apply_report.edges_removed}",
                 "nodes±": f"+{apply_report.nodes_added}/-{apply_report.nodes_removed}",
-                "delta%": f"{100.0 * report.edge_fraction:.2f}",
-                "condense_s": f"{report.condense_seconds:.3f}",
-                "drift": report.selection_drift,
+                "delta%": f"{100.0 * record.edge_fraction:.2f}",
+                "step_s": f"{record.step_seconds:.3f}",
+                "drift": record.selection_drift,
                 "verified": verified,
-                "full_s": full_seconds,
+                "full_s": "" if record.full_seconds is None else f"{record.full_seconds:.3f}",
                 "accuracy": (
-                    quality(report.condensed)
-                    if config.eval_every and delta.step % config.eval_every == 0
+                    quality(record.condensed)
+                    if config.eval_every and record.step % config.eval_every == 0
                     else ""
                 ),
             }
@@ -752,21 +727,18 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         if not args.quiet:
             extra = f"  [{verified}]" if verified else ""
             print(
-                f"step {delta.step}: {report.mode} condense "
-                f"{report.condense_seconds:.3f}s drift={report.selection_drift}{extra}",
+                f"step {record.step}: {record.mode} in "
+                f"{record.step_seconds:.3f}s drift={record.selection_drift}{extra}",
                 flush=True,
             )
 
-    incremental_times = [
-        float(row["condense_s"]) for row in rows[1:] if row["mode"] == "incremental"
-    ]
-    full_times = [float(row["full_s"]) for row in rows if row["full_s"]]
     if not args.quiet:
+        median_step, median_full, _ = summarize(records)
         summary = f"{len(schedule)} steps"
-        if incremental_times:
-            summary += f", median incremental condense {np.median(incremental_times):.3f}s"
-        if full_times:
-            summary += f", median full recondense {np.median(full_times):.3f}s"
+        if median_step is not None:
+            summary += f", median incremental step {median_step:.3f}s"
+        if median_full is not None:
+            summary += f", median full recondense {median_full:.3f}s"
         memo = incremental.selection_memo.stats
         summary += (
             f" (coverage hits {memo['hits']}, warm starts {memo['warm_starts']}, "
@@ -775,14 +747,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print(summary + "\n")
     columns = ("step", "mode", "edges±", "nodes±", "delta%", "drift", "verified", "accuracy")
     if not args.no_timings:
-        columns = columns[:5] + ("condense_s", "full_s") + columns[5:]
+        columns = columns[:5] + ("step_s", "full_s") + columns[5:]
     _render(
         rows,
         args,
         title=f"Streaming condensation — {config.dataset} @ ratio {config.ratio:g}",
         columns=[c for c in columns if any(str(row.get(c, "")) for row in rows)],
     )
-    return 1 if mismatches else 0
+    return 1 if any(record.identical is False for record in records) else 0
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
@@ -827,6 +799,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         )
     columns = ("dataset", "scale", "regime", "load", "full/incr", "dirty_max",
                "delta%max", "speedup", "p95_ms", "faults", "verified", "gates")
+    if args.no_timings:
+        columns = tuple(c for c in columns if c not in ("speedup", "p95_ms"))
     _render(
         rows,
         args,

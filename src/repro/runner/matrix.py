@@ -192,12 +192,6 @@ def plan_matrix(config: MatrixConfig) -> ExperimentPlan:
 # --------------------------------------------------------------------------- #
 # Cell execution
 # --------------------------------------------------------------------------- #
-def _should_verify(cell: MatrixCell, step: int) -> bool:
-    if cell.verify_every:
-        return step % cell.verify_every == 0
-    return step == cell.steps  # default: final checkpoint only
-
-
 def run_matrix_cell(cell: MatrixCell) -> dict:
     """Execute one cell; returns a JSON-safe result dict.
 
@@ -208,7 +202,7 @@ def run_matrix_cell(cell: MatrixCell) -> dict:
     from repro.core.condenser import FreeHGC
     from repro.datasets.generators import generate_delta_schedule
     from repro.evaluation.timing import summarize_latencies
-    from repro.streaming import DeltaApplier, IncrementalCondenser, graphs_equal
+    from repro.streaming import IncrementalCondenser, replay, summarize
     from repro.utils import faults
 
     started = perf_counter()
@@ -228,6 +222,7 @@ def run_matrix_cell(cell: MatrixCell) -> dict:
     )
 
     controller = None
+    swap = None
     if cell.load == "none":
         incremental = IncrementalCondenser(
             graph,
@@ -258,6 +253,19 @@ def run_matrix_cell(cell: MatrixCell) -> dict:
             # canary-rejections matrix gate pins that count at zero.
             canary=CanaryConfig(size=32, min_consistency=0.0, seed=cell.seed),
         )
+        incremental = controller.incremental
+
+        def swap(delta):
+            try:
+                controller.apply_delta(delta)
+            except CanaryRejectedError:
+                # The candidate was rejected (non-finite logits) and the
+                # previous session keeps serving.  Refusing the step keeps
+                # the replica in sync and moves on: the canary-rejections
+                # gate fails the cell from the recorded count instead of
+                # crashing the whole suite run.
+                return None
+            return incremental.last_report
 
     injector = None
     if cell.inject_faults and controller is not None:
@@ -267,18 +275,9 @@ def run_matrix_cell(cell: MatrixCell) -> dict:
         injector.plan("hotswap.delay_publish", every=2, seconds=0.001)
         faults.install(injector)
 
-    replica = graph.copy()
-    replica_applier = DeltaApplier()
-    modes: dict[str, int] = {"full": 0, "incremental": 0}
-    incremental_seconds: list[float] = []
-    full_seconds: list[float] = []
+    records = []
     latencies: list[float] = []
-    queries = 0
     prediction_failures = 0
-    verified_checkpoints = 0
-    mismatches = 0
-    max_edge_fraction = 0.0
-    dirty_max = 0
 
     try:
         cold_start = perf_counter()
@@ -288,54 +287,15 @@ def run_matrix_cell(cell: MatrixCell) -> dict:
             controller.start()
         cold_seconds = perf_counter() - cold_start
 
-        for delta in schedule:
-            live = graph  # both paths mutate the originally loaded graph
-            max_edge_fraction = max(max_edge_fraction, delta.edge_fraction(live))
-            if controller is None:
-                step_report = incremental.step(delta)
-                mode = step_report.mode
-                condense_seconds = step_report.condense_seconds
-                condensed = step_report.condensed
-                dirty = getattr(step_report.apply_report, "dirty_targets", None)
-                if dirty is not None:
-                    dirty_max = max(dirty_max, int(np.asarray(dirty).size))
-            else:
-                try:
-                    swap = controller.apply_delta(delta)
-                except CanaryRejectedError:
-                    # The candidate was rejected (non-finite logits) and the
-                    # previous session keeps serving.  Keep the replica in
-                    # sync and move on: the canary-rejections gate fails the
-                    # cell from the recorded count instead of crashing the
-                    # whole suite run.
-                    replica_applier.apply(replica, delta)
-                    continue
-                mode = swap.mode
-                condense_seconds = swap.condense_seconds
-                condensed = controller.condensed
-                if swap.dirty_count >= 0:
-                    dirty_max = max(dirty_max, int(swap.dirty_count))
-            modes[mode] = modes.get(mode, 0) + 1
-            if mode == "incremental":
-                incremental_seconds.append(condense_seconds)
-
-            replica_applier.apply(replica, delta)
-            if _should_verify(cell, delta.step):
-                full_start = perf_counter()
-                full = FreeHGC(max_hops=cell.max_hops).condense(
-                    replica, cell.ratio, seed=cell.seed
-                )
-                full_seconds.append(perf_counter() - full_start)
-                verified_checkpoints += 1
-                if not graphs_equal(condensed, full):
-                    mismatches += 1
-
+        # ``--verify-every 0`` verifies the final step only.
+        verify_every = cell.verify_every or cell.steps
+        for record in replay(incremental, schedule, verify_every=verify_every, step=swap):
+            records.append(record)
             if controller is not None:
                 session = controller.session
                 per_step = _QUERIES_PER_STEP[cell.load]
-                rng = np.random.default_rng([cell.seed, delta.step])
-                issued = 0
-                while issued < per_step:
+                rng = np.random.default_rng([cell.seed, record.step])
+                for issued in range(0, per_step, _QUERY_BATCH):
                     size = min(_QUERY_BATCH, per_step - issued)
                     ids = rng.integers(0, session.num_targets, size=size)
                     t0 = perf_counter()
@@ -343,21 +303,16 @@ def run_matrix_cell(cell: MatrixCell) -> dict:
                     latencies.append(perf_counter() - t0)
                     expected = np.argmax(session.logits(ids), axis=1)
                     prediction_failures += int((predictions != expected).sum())
-                    issued += size
-                queries += issued
     finally:
         if injector is not None:
             faults.uninstall()
 
-    median_incremental = (
-        float(np.median(incremental_seconds)) if incremental_seconds else None
-    )
-    median_full = float(np.median(full_seconds)) if full_seconds else None
-    speedup = (
-        median_full / median_incremental
-        if median_incremental and median_full
-        else None
-    )
+    modes = {"full": 0, "incremental": 0}
+    for record in records:
+        modes[record.mode] += 1
+    dirty = [record.apply_report.dirty_targets for record in records]
+    checkpoints = [record.identical for record in records if record.identical is not None]
+    median_step, median_full, speedup = summarize(records)
     result: dict[str, object] = {
         "dataset": cell.dataset,
         "scale": cell.scale,
@@ -366,16 +321,16 @@ def run_matrix_cell(cell: MatrixCell) -> dict:
         "steps": cell.steps,
         "target_nodes": target_nodes,
         "modes": modes,
-        "threshold_fallbacks": int(modes.get("full", 0)),
-        "max_edge_fraction": float(max_edge_fraction),
-        "dirty_targets_max": int(dirty_max),
+        "threshold_fallbacks": modes["full"],
+        "max_edge_fraction": float(max((r.edge_fraction for r in records), default=0.0)),
+        "dirty_targets_max": max((d.size for d in dirty if d is not None), default=0),
         "cold_condense_seconds": float(cold_seconds),
-        "median_incremental_seconds": median_incremental,
+        "median_incremental_seconds": median_step,
         "median_full_seconds": median_full,
         "speedup": speedup,
-        "verified_checkpoints": int(verified_checkpoints),
-        "mismatches": int(mismatches),
-        "queries": int(queries),
+        "verified_checkpoints": len(checkpoints),
+        "mismatches": checkpoints.count(False),
+        "queries": _QUERIES_PER_STEP[cell.load] * len(records),
         "prediction_failures": int(prediction_failures),
         "canary_evaluations": (
             len(controller.canary_history) if controller is not None else 0

@@ -67,6 +67,7 @@ class SwapReport:
     dirty_count: int
     #: LRU entries carried over from the previous session's cache
     cache_carried: int
+    #: the whole incremental step: apply, context refresh and condense
     condense_seconds: float
     train_seconds: float
     #: total wall-clock of the swap (apply + condense + train + precompute)
@@ -298,7 +299,7 @@ class ServingController:
                 retrained=retrain,
                 dirty_count=-1 if dirty is None else int(np.asarray(dirty).size),
                 cache_carried=carried,
-                condense_seconds=step.condense_seconds,
+                condense_seconds=step.step_seconds,
                 train_seconds=train_seconds,
                 swap_seconds=perf_counter() - swap_start,
             )

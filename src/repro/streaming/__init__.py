@@ -17,11 +17,11 @@ top of the condensation core:
   warm starts of the greedy coverage kernel from the previous selection;
 * :class:`~repro.streaming.incremental.IncrementalCondenser` — the driver:
   apply, invalidate, re-condense, with a ``recondense_threshold`` fallback
-  to full condensation for large deltas.
-
-``python -m repro stream`` replays a synthetic delta schedule through this
-machinery and ``benchmarks/bench_streaming.py`` gates that the incremental
-output is byte-identical to full recondensation at every checkpoint.
+  to full condensation for large deltas;
+* :func:`~repro.streaming.replay.replay` — the one loop that replays a
+  delta schedule and checks each checkpoint against a full recondense byte
+  for byte; ``python -m repro stream``, the scenario matrix and
+  ``benchmarks/bench_streaming.py`` all run on it.
 """
 
 from repro.streaming.apply import ApplyReport, DeltaApplier
@@ -34,6 +34,7 @@ from repro.streaming.incremental import (
     assert_graphs_equal,
     graphs_equal,
 )
+from repro.streaming.replay import replay, summarize
 from repro.streaming.warmstart import SelectionMemo, changed_rows, warm_start_coverage
 
 __all__ = [
@@ -49,5 +50,7 @@ __all__ = [
     "assert_graphs_equal",
     "changed_rows",
     "graphs_equal",
+    "replay",
+    "summarize",
     "warm_start_coverage",
 ]

@@ -54,8 +54,6 @@ class ApplyReport:
     edges_removed: int = 0
     nodes_added: int = 0
     nodes_removed: int = 0
-    #: touched edges / pre-delta edge count (drives the recondense fallback)
-    edge_fraction: float = 0.0
     touched_relations: set[str] = field(default_factory=set)
     touched_type_pairs: set[tuple[str, str]] = field(default_factory=set)
     touched_node_types: set[str] = field(default_factory=set)
@@ -106,19 +104,16 @@ class DeltaApplier:
         delta: GraphDelta,
         *,
         context: CondensationContext | None = None,
-        edge_fraction: float | None = None,
     ) -> ApplyReport:
         """Apply ``delta`` to ``graph`` in place and invalidate stale memos.
 
         Order of operations: node insertions (edge endpoints may reference
         the new ids), edge insertions, edge removals, node removals
         (tombstoning also removes every incident edge).  The mutated graph
-        is re-validated before the method returns.  ``edge_fraction`` lets a
-        caller that already computed ``delta.edge_fraction(graph)`` (the
-        incremental condenser's threshold check) avoid paying for it twice.
+        is re-validated before the method returns.
         """
         with obs.span("stream.apply_delta", step=int(delta.step)):
-            return self._apply(graph, delta, context=context, edge_fraction=edge_fraction)
+            return self._apply(graph, delta, context=context)
 
     def _apply(
         self,
@@ -126,14 +121,10 @@ class DeltaApplier:
         delta: GraphDelta,
         *,
         context: CondensationContext | None,
-        edge_fraction: float | None,
     ) -> ApplyReport:
         delta.validate_against(graph)
         report = ApplyReport(
             step=delta.step,
-            edge_fraction=(
-                delta.edge_fraction(graph) if edge_fraction is None else edge_fraction
-            ),
             touched_relations=delta.touched_relations(),
             touched_type_pairs=delta.touched_type_pairs(graph),
             touched_node_types=delta.touched_node_types(),

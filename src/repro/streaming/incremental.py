@@ -27,13 +27,12 @@ cheaper than patching when most paths are dirty anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
 from repro import obs
-from repro.baselines.base import per_class_budgets  # noqa: F401  (re-export convenience)
 from repro.core.condenser import FreeHGC
 from repro.core.context import CondensationContext
 from repro.core.criterion import TargetSelectionResult
@@ -203,12 +202,16 @@ class StepReport:
     mode: str
     #: touched-edge fraction of the delta (pre-application)
     edge_fraction: float
-    condense_seconds: float
+    #: the whole step: apply, context refresh and condense
+    step_seconds: float
     condensed: HeteroGraph
     apply_report: ApplyReport | None = None
     #: |previous Δ current| of the condensed target-node selection
     selection_drift: int = 0
-    memo_stats: dict[str, int] = field(default_factory=dict)
+    #: at a :func:`~repro.streaming.replay.replay` checkpoint: the full
+    #: recondense's seconds and whether its graph is byte-identical
+    full_seconds: float | None = None
+    identical: bool | None = None
 
 
 class GraphMismatchError(AssertionError):
@@ -324,8 +327,9 @@ class IncrementalCondenser:
         self.selection_memo = SelectionMemo()
         self.stage_memo = StageMemo()
         self._context: CondensationContext | None = None
-        self._steps = 0
         self._previous_selection: np.ndarray | None = None
+        #: the report of the most recent :meth:`step`
+        self.last_report: StepReport | None = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -363,51 +367,42 @@ class IncrementalCondenser:
         return condensed
 
     def step(self, delta: GraphDelta) -> StepReport:
-        """Apply ``delta``, re-condense, and report what happened."""
-        with obs.span("stream.step", step=int(delta.step)):
-            return self._step(delta)
-
-    def _step(self, delta: GraphDelta) -> StepReport:
-        fraction = delta.edge_fraction(self.graph)
-        incremental = (
-            self._context is not None and fraction <= self.recondense_threshold
-        )
-        if incremental:
-            apply_report = self.applier.apply(
-                self.graph, delta, context=self._context, edge_fraction=fraction
-            )
-            mode = "incremental"
-        else:
-            apply_report = self.applier.apply(
-                self.graph, delta, edge_fraction=fraction
-            )
-            self.invalidate()
-            mode = "full"
-
-        obs.event("stream.mode", mode=mode, edge_fraction=round(fraction, 6))
-        previous = self._previous_selection
+        """Apply ``delta``, re-condense, and report what happened (also as
+        :attr:`last_report`); ``step_seconds`` is the ``stream.step`` span."""
         start = perf_counter()
-        condensed = self.condense()
-        elapsed = perf_counter() - start
-
-        selection = self._previous_selection
-        drift = 0
-        if previous is not None and selection is not None:
-            drift = int(
-                np.setdiff1d(selection, previous).size
-                + np.setdiff1d(previous, selection).size
+        with obs.span("stream.step", step=int(delta.step)):
+            fraction = delta.edge_fraction(self.graph)
+            incremental = (
+                self._context is not None and fraction <= self.recondense_threshold
             )
-        self._steps += 1
-        return StepReport(
+            if incremental:
+                apply_report = self.applier.apply(self.graph, delta, context=self._context)
+                mode = "incremental"
+            else:
+                apply_report = self.applier.apply(self.graph, delta)
+                self.invalidate()
+                mode = "full"
+
+            obs.event("stream.mode", mode=mode, edge_fraction=round(fraction, 6))
+            previous = self._previous_selection
+            condensed = self.condense()
+            selection = self._previous_selection
+            drift = 0
+            if previous is not None and selection is not None:
+                drift = int(
+                    np.setdiff1d(selection, previous).size
+                    + np.setdiff1d(previous, selection).size
+                )
+        self.last_report = StepReport(
             step=delta.step,
             mode=mode,
             edge_fraction=fraction,
-            condense_seconds=elapsed,
+            step_seconds=perf_counter() - start,
             condensed=condensed,
             apply_report=apply_report,
             selection_drift=drift,
-            memo_stats={**self.selection_memo.stats, **self.stage_memo.stats},
         )
+        return self.last_report
 
     def _selected_targets(self) -> np.ndarray | None:
         outcome = self.condenser.last_target_selection

@@ -235,6 +235,18 @@ class TestModuleEntryPoint:
         assert second.returncode == 0, second.stderr
         assert first.stdout == second.stdout  # resumed run renders identical bytes
 
+    def test_cli_import_defers_streaming(self):
+        """The commands import the streaming stack when they run, not before."""
+        script = "import sys, repro.runner.cli; print(*sorted(sys.modules))"
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        )
+        loaded = [name for name in out.stdout.split() if name.split(".")[0] == "repro"]
+        assert "repro.runner.cli" in loaded and len(loaded) <= 85
+        assert [name for name in loaded if name.startswith("repro.streaming")] == []
+
     def test_python_dash_m_repro_list(self, tmp_path):
         env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin", "HOME": str(tmp_path)}
         out = subprocess.run(

@@ -248,3 +248,28 @@ class TestCLI:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "cached" in out and " ran " not in out
+
+    def test_no_timings_is_byte_stable(self, capsys):
+        from repro.runner.cli import main
+
+        argv = [
+            "matrix",
+            "--datasets", "acm",
+            "--scales", "0.1",
+            "--regimes", "steady",
+            "--loads", "none,light",
+            "--steps", "2",
+            "--ratio", "0.2",
+            "--max-hops", "2",
+            "--epochs", "4",
+            "--hidden-dim", "8",
+            "--verify-every", "1",
+            "--no-store", "--quiet", "--no-timings",
+        ]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "speedup" not in outputs[0] and "p95_ms" not in outputs[0]
+        assert "identical" in outputs[0]

@@ -158,7 +158,7 @@ class TestMemoBehaviour:
             )
         )
         assert report.selection_drift >= 0
-        assert report.condense_seconds > 0
+        assert report.step_seconds > 0
 
 
 class TestStepScopedMemory:
