@@ -21,9 +21,16 @@ gates on every invocation:
 * **hot-swap correctness** — the real asyncio HTTP server answers a
   sustained stream of concurrent predictions while a delta schedule is
   replayed through ``POST /delta`` (incremental condensation → optional
-  retrain → atomic session swap).  Every response must carry a known
-  session version and labels byte-equal to that version's offline forward;
-  zero dropped or incorrect responses is a hard gate.
+  retrain → atomic session swap); zero dropped or incorrect responses is a
+  hard gate.
+
+Every load phase here, like ``python -m repro serve --selftest``, runs the
+one check of :mod:`repro.serving.probe`: an answer is correct when it is a
+200 that names a version the label book recorded, or the live one, with
+labels byte-equal to that version's.  The worker-kill phase adds a floor
+(no answer older than the last version acked before it was sent).  Every
+phase posts its deltas through ``probe.commit``, which acks the version a
+swap returns in the label book.
 
 Latency of the served requests is reported as p50/p95/p99 through
 :func:`repro.evaluation.timing.summarize_latencies` and persisted with the
@@ -80,10 +87,6 @@ QUEUE_DEPTH = int(os.environ.get("REPRO_BENCH_SERVE_QUEUE", "2048"))
 STEPS = int(os.environ.get("REPRO_BENCH_SERVE_STEPS", "5"))
 RATIO = 0.05
 MAX_HOPS = 2
-#: concurrent client tasks hammering /predict during the hot-swap replay
-CLIENTS = 8
-#: node ids per /predict request in the hot-swap phase
-IDS_PER_REQUEST = 16
 
 
 def serving_config() -> SyntheticHINConfig:
@@ -108,6 +111,15 @@ def serving_config() -> SyntheticHINConfig:
         ),
         train_fraction=0.9,
         val_fraction=0.05,
+    )
+
+
+def _deltas(graph, steps: int, seed: int) -> list:
+    """Every replay's schedule: 0.05% of ``paper-term`` edges churned per step."""
+    from repro.datasets.generators import generate_delta_schedule
+
+    return generate_delta_schedule(
+        graph, steps=steps, seed=seed, edge_churn=0.0005, relations=("paper-term",)
     )
 
 
@@ -169,112 +181,41 @@ def throughput_gate(controller: ServingController, num_targets: int, rng) -> dic
 
 
 async def hotswap_gate(controller: ServingController, seed: int) -> dict:
-    """Concurrent load through the real server during a delta replay."""
-    from repro.datasets.generators import generate_delta_schedule
+    """Verified concurrent load through the real server during a delta replay."""
     from repro.evaluation.timing import summarize_latencies
     from repro.serving import ServingServer
+    from repro.serving.probe import LabelBook, replay, request, verified_reads
 
     server = ServingServer(controller, port=0)
     host, port = await server.start()
-    num_targets = controller.session.num_targets
-    all_ids = np.arange(num_targets, dtype=np.int64)
-
-    def snapshot() -> np.ndarray:
-        # straight from the logits: also catches bad LRU carry-over
-        return np.argmax(controller.session.logits(all_ids), axis=-1)
-
-    expected: dict[int, np.ndarray] = {controller.version: snapshot()}
-    schedule = generate_delta_schedule(
-        controller.graph,
-        steps=STEPS,
-        seed=seed,
-        edge_churn=0.0005,
-        relations=("paper-term",),
-    )
-    failures = 0
-    answered = 0
-    latencies: list[float] = []
-    stop = asyncio.Event()
-    rng = np.random.default_rng(seed + 1)
-    # pre-draw ids so client tasks do no RNG work in the hot loop
-    id_pool = rng.integers(0, num_targets, size=(4096, IDS_PER_REQUEST)).astype(np.int64)
-
-    async def request(method: str, path: str, payload: dict) -> tuple[int, dict]:
-        reader, writer = await asyncio.open_connection(host, port)
-        body = json.dumps(payload).encode()
-        writer.write(
-            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode() + body
-        )
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        head, _, response_body = raw.partition(b"\r\n\r\n")
-        return int(head.split(b" ", 2)[1]), json.loads(response_body or b"{}")
-
-    async def client(worker: int) -> None:
-        nonlocal failures, answered
-        cursor = worker
-        while not stop.is_set():
-            ids = id_pool[cursor % id_pool.shape[0]]
-            cursor += CLIENTS
-            start = time.perf_counter()
-            try:
-                status, payload = await request(
-                    "POST", "/predict", {"nodes": ids.tolist()}
-                )
-            except (ConnectionError, asyncio.IncompleteReadError):
-                failures += 1
-                continue
-            latencies.append(time.perf_counter() - start)
-            answered += 1
-            if status != 200:
-                failures += 1
-                continue
-            version = payload["version"]
-            reference = expected.get(version)
-            if reference is None and version == controller.version:
-                reference = snapshot()
-                expected[version] = reference
-            if reference is None or not np.array_equal(
-                np.asarray(payload["labels"]), reference[ids]
-            ):
-                failures += 1
-
-    clients = [asyncio.create_task(client(i)) for i in range(CLIENTS)]
+    book = LabelBook(lambda: controller.session)
+    schedule = _deltas(controller.graph, STEPS, seed=seed)
     swaps = []
-    load_start = time.perf_counter()
-    for delta in schedule:
-        status, payload = await request("POST", "/delta", delta.to_payload())
-        if status != 200:
-            failures += 1
-            continue
-        expected.setdefault(payload["version"], snapshot())
+
+    def on_swap(payload: dict) -> None:
         swaps.append(payload)
         print(
             f"swap {payload['step']}: version {payload['version']} "
             f"mode={payload['mode']} retrained={payload['retrained']} "
             f"dirty={payload['dirty_count']} carried={payload['cache_carried']} "
             f"swap {payload['swap_seconds']:.3f}s "
-            f"({answered} requests answered so far)",
+            f"({tally.answered} requests answered so far)",
             flush=True,
         )
-        # keep the load going a moment on the fresh session
-        await asyncio.sleep(0.05)
-    load_seconds = time.perf_counter() - load_start
-    stop.set()
-    await asyncio.gather(*clients, return_exceptions=True)
-    _, stats = await request("GET", "/stats", {})
+
+    load_start = time.perf_counter()
+    async with verified_reads(host, port, book, seed=seed + 1) as tally:
+        failures = await replay(host, port, book, schedule, on_swap)
+        load_seconds = time.perf_counter() - load_start
+    _, stats = await request(host, port, "GET", "/stats")
     await server.close()
     return {
-        "requests": answered,
-        "failures": failures,
+        "requests": tally.answered,
+        "failures": failures + tally.failures,
         "swaps": swaps,
-        "load_seconds": load_seconds,
-        "served_rps": answered / load_seconds if load_seconds else 0.0,
-        "latency": summarize_latencies(latencies),
+        "served_rps": tally.answered / load_seconds if load_seconds else 0.0,
+        "latency": summarize_latencies(tally.latencies),
         "batcher": stats.get("batcher", {}),
-        "server_errors": stats.get("errors", 0),
     }
 
 
@@ -453,16 +394,41 @@ def replicated_throughput_phase(ctx, root: Path, workers: int) -> dict:
     }
 
 
+async def _until(ready, failure: str) -> float:
+    """Poll ``ready()`` until it holds; returns the seconds that took, or raises past 60 s."""
+    start = time.perf_counter()
+    while not ready():
+        if time.perf_counter() - start > 60:
+            raise RuntimeError(failure)
+        await asyncio.sleep(0.005)
+    return time.perf_counter() - start
+
+
+async def _start_tier(make_controller, workers: int, prefix: str):
+    """Start an in-process tier under a fresh root; returns ``(server, host, port)``
+    once every worker has registered."""
+    import tempfile
+
+    from repro.serving.replicated import ReplicatedConfig, ReplicatedServer
+
+    server = ReplicatedServer(
+        make_controller,
+        config=ReplicatedConfig(root=tempfile.mkdtemp(prefix=prefix), port=0, workers=workers),
+        genesis=GENESIS,
+    )
+    host, port = await server.start()
+    await _until(lambda: len(server._links) == workers, "workers failed to register")
+    return server, host, port
+
+
 async def replicated_kill_phase(workers: int) -> dict:
     """Worker SIGKILL mid delta-replay: zero dropped, zero stale responses.
 
     The tier runs in-process (the benchmark is the coordinator) so the
-    authoritative session is at hand for expected labels and worker pids
-    are known for the kill.  Clients retry on connection resets — a killed
-    worker's in-flight sockets die — and a logical request only counts as
-    *dropped* when its retries are exhausted.  *Stale* means a response
-    carries a version older than one whose ``/delta`` had already been
-    acknowledged when the request was sent.
+    authoritative session is at hand for the label book and worker pids
+    are known for the kill.  The readers try each read up to 30 times (a
+    killed worker's sockets reset) and take the acked version as their
+    floor (:func:`repro.serving.probe.verified_reads`).
 
     ``respawn_s`` is the time from the ``SIGKILL`` until the killed slot's
     new worker has registered and every slot is registered again: the
@@ -470,184 +436,90 @@ async def replicated_kill_phase(workers: int) -> dict:
     0.25 s supervisor tick before the death is noticed.
     """
     import signal as _signal
-    import tempfile
 
-    from repro.datasets.generators import generate_delta_schedule
-    from repro.serving.replicated import ReplicatedConfig, ReplicatedServer
+    from repro.serving.probe import LabelBook, commit, verified_reads
 
-    tmp = tempfile.mkdtemp(prefix="bench-repl-kill-")
-    server = ReplicatedServer(
-        _make_bench_controller,
-        config=ReplicatedConfig(root=tmp, port=0, workers=workers),
-        genesis=GENESIS,
-    )
-    host, port = await server.start()
-    deadline = time.monotonic() + 60
-    while len(server._links) < workers:
-        if time.monotonic() > deadline:
-            raise RuntimeError("workers failed to register")
-        await asyncio.sleep(0.05)
+    server, host, port = await _start_tier(_make_bench_controller, workers, "bench-repl-kill-")
+    book = LabelBook(lambda: server.controller.session)
+    schedule = _deltas(server.controller.graph, 4, seed=29)
 
-    controller = server.controller
-    num_targets = controller.session.num_targets
-    all_ids = np.arange(num_targets, dtype=np.int64)
+    def registered_again() -> bool:
+        link = server._links.get(1)
+        return len(server._links) == workers and link is not None and link.pid != killed_pid
 
-    def snapshot() -> np.ndarray:
-        return np.argmax(controller.session.logits(all_ids), axis=-1)
-
-    expected: dict[int, np.ndarray] = {controller.version: snapshot()}
-    acked_floor = controller.version
-    schedule = generate_delta_schedule(
-        controller.graph, steps=4, seed=29,
-        edge_churn=0.0005, relations=("paper-term",),
-    )
-    answered = 0
-    dropped = 0
-    stale = 0
-    incorrect = 0
-    retries = 0
-    stop = asyncio.Event()
-    rng = np.random.default_rng(31)
-    id_pool = rng.integers(0, num_targets, size=(1024, IDS_PER_REQUEST)).astype(np.int64)
-
-    async def request(
-        method: str, path: str, payload: dict, *, to: tuple[str, int] = (host, port)
-    ) -> tuple[int, dict]:
-        reader, writer = await asyncio.open_connection(*to)
-        body = json.dumps(payload).encode()
-        writer.write(
-            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode()
-            + body
-        )
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        if not raw:
-            raise ConnectionResetError("empty response")
-        head, _, response_body = raw.partition(b"\r\n\r\n")
-        return int(head.split(b" ", 2)[1]), json.loads(response_body or b"{}")
-
-    async def client(worker: int) -> None:
-        nonlocal answered, dropped, stale, incorrect, retries
-        cursor = worker
-        while not stop.is_set():
-            ids = id_pool[cursor % id_pool.shape[0]]
-            cursor += CLIENTS
-            floor = acked_floor  # committed before this request started
-            for attempt in range(30):
-                try:
-                    status, payload = await request(
-                        "POST", "/predict", {"nodes": ids.tolist()}
-                    )
-                except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                    retries += 1
-                    await asyncio.sleep(0.02)
-                    continue
-                if status != 200:
-                    retries += 1
-                    await asyncio.sleep(0.02)
-                    continue
-                answered += 1
-                version = payload["version"]
-                if version < floor:
-                    stale += 1
-                reference = expected.get(version)
-                if reference is not None and not np.array_equal(
-                    np.asarray(payload["labels"]), reference[ids]
-                ):
-                    incorrect += 1
-                break
-            else:
-                dropped += 1
-
-    async def registered_again(killed_at: float) -> float:
-        while True:
-            link = server._links.get(1)
-            if len(server._links) == workers and link is not None and link.pid != killed_pid:
-                return time.perf_counter() - killed_at
-            await asyncio.sleep(0.005)
-
-    clients = [asyncio.create_task(client(i)) for i in range(CLIENTS)]
     killed_pid = None
     try:
-        for index, delta in enumerate(schedule):
-            if index == 2:
-                # mid-replay: SIGKILL one worker while load is in flight
-                victim = server.pool._processes[1]
-                killed_pid = victim.pid
-                os.kill(victim.pid, _signal.SIGKILL)
-                respawned = asyncio.create_task(registered_again(time.perf_counter()))
-            # Deltas go to the coordinator's loopback admin listener (the
-            # handler workers forward to): on the shared SO_REUSEPORT port
-            # the kernel can queue this connection on the just-killed
-            # worker's socket, which then resets it.
-            status, payload = await request(
-                "POST", "/delta", delta.to_payload(), to=("127.0.0.1", server.admin_port)
-            )
-            if status != 200:
-                raise RuntimeError(f"delta {index} failed: {payload}")
-            expected[payload["version"]] = snapshot()
-            acked_floor = payload["version"]
-            print(f"delta {index}: version {payload['version']} "
-                  f"acked_workers={payload['acked_workers']}"
-                  + (" (worker killed)" if index == 2 else ""))
-            await asyncio.sleep(0.2)
-        try:
-            respawn_s = await asyncio.wait_for(respawned, timeout=60)
-        except asyncio.TimeoutError:
-            raise RuntimeError("killed worker was not respawned") from None
-        respawns = server.pool.respawns
+        async with verified_reads(host, port, book, seed=31, attempts=30, floor=True) as tally:
+            for index, delta in enumerate(schedule):
+                if index == 2:
+                    # mid-replay: SIGKILL one worker while load is in flight
+                    victim = server.pool._processes[1]
+                    killed_pid = victim.pid
+                    os.kill(victim.pid, _signal.SIGKILL)
+                    respawned = asyncio.create_task(
+                        _until(registered_again, "killed worker was not respawned")
+                    )
+                # Deltas go to the coordinator's loopback admin listener (the
+                # handler workers forward to): on the shared SO_REUSEPORT port
+                # the kernel can queue this connection on the just-killed
+                # worker's socket, which then resets it.
+                status, payload = await commit("127.0.0.1", server.admin_port, book, delta)
+                if status != 200:
+                    raise RuntimeError(f"delta {index} failed: {payload}")
+                print(f"delta {index}: version {payload['version']} "
+                      f"acked_workers={payload['acked_workers']}"
+                      + (" (worker killed)" if index == 2 else ""))
+                await asyncio.sleep(0.2)
+            respawn_s = await respawned
+            respawns = server.pool.respawns
     finally:
-        stop.set()
-        await asyncio.gather(*clients, return_exceptions=True)
         await server.close()
     return {
         "workers": workers,
         "deltas": len(schedule),
         "killed_pid": killed_pid,
-        "answered": answered,
-        "retries": retries,
-        "dropped": dropped,
-        "stale": stale,
-        "incorrect": incorrect,
+        "answered": tally.answered,
+        "retries": tally.retries,
+        "dropped": tally.dropped,
+        "stale": tally.stale,
+        "incorrect": tally.incorrect,
         "respawns": respawns,
         "respawn_s": respawn_s,
     }
 
 
+def _weights_identical(recovered, reference) -> bool:
+    """Do two model bundles hold the same weight arrays, byte for byte?"""
+    return set(recovered.weights) == set(reference.weights) and all(
+        np.asarray(recovered.weights[name]).tobytes()
+        == np.asarray(reference.weights[name]).tobytes()
+        for name in reference.weights
+    )
+
+
 def replicated_recovery_phase(ctx, root: Path, workers: int) -> dict:
     """``kill -9`` the coordinator; WAL replay must restore byte-identical
     model state and identical predictions for the full query set."""
-    from repro.datasets.generators import generate_delta_schedule
     from repro.serving.artifacts import load_bundle
+    from repro.serving.probe import request
     from repro.serving.replicated.pool import current_version
     from repro.streaming.incremental import graphs_equal
 
     # The mirror: same recipe, same deltas — what the tier *must* recover to.
     mirror = _make_bench_controller()
     mirror.start()
-    schedule = generate_delta_schedule(
-        mirror.graph, steps=4, seed=43, edge_churn=0.0005, relations=("paper-term",),
-    )
+    schedule = _deltas(mirror.graph, 4, seed=43)
 
     tier_root = root / "recovery"
     proc, host, port, tier_pid = _spawn_tier(ctx, tier_root, workers, snapshot_every=2)
     try:
-        import http.client
-
-        conn = http.client.HTTPConnection(host, port, timeout=120)
         for delta in schedule:
             mirror.apply_delta(delta)
-            conn.request(
-                "POST", "/delta", body=json.dumps(delta.to_payload()),
-                headers={"Content-Type": "application/json"},
+            status, payload = asyncio.run(
+                request(host, port, "POST", "/delta", delta.to_payload())
             )
-            response = conn.getresponse()
-            payload = json.loads(response.read())
-            if response.status != 200:
+            if status != 200:
                 raise RuntimeError(f"delta failed: {payload}")
-        conn.close()
         assert payload["version"] == mirror.version, "tier/mirror diverged pre-kill"
     finally:
         print(f"kill -9 coordinator (pid {tier_pid}) after {len(schedule)} deltas")
@@ -658,20 +530,12 @@ def replicated_recovery_phase(ctx, root: Path, workers: int) -> dict:
     proc, host, port, _ = _spawn_tier(ctx, tier_root, workers, snapshot_every=2)
     recovery_seconds = time.monotonic() - restart_start
     try:
-        import http.client
-
         all_ids = np.arange(mirror.session.num_targets, dtype=np.int64)
         expected_labels = mirror.session.predict(all_ids)
-        conn = http.client.HTTPConnection(host, port, timeout=120)
-        conn.request(
-            "POST", "/predict",
-            body=json.dumps({"nodes": all_ids.tolist()}),
-            headers={"Content-Type": "application/json"},
+        status, payload = asyncio.run(
+            request(host, port, "POST", "/predict", {"nodes": all_ids.tolist()})
         )
-        response = conn.getresponse()
-        payload = json.loads(response.read())
-        conn.close()
-        if response.status != 200:
+        if status != 200:
             raise RuntimeError(f"post-recovery predict failed: {payload}")
         predictions_identical = payload["labels"] == expected_labels.tolist()
         version_identical = payload["version"] == mirror.version
@@ -680,11 +544,7 @@ def replicated_recovery_phase(ctx, root: Path, workers: int) -> dict:
         version, vdir = current_version(tier_root)
         recovered = load_bundle(vdir / "bundle")
         reference = mirror.export_bundle()
-        weights_identical = set(recovered.weights) == set(reference.weights) and all(
-            np.asarray(recovered.weights[name]).tobytes()
-            == np.asarray(reference.weights[name]).tobytes()
-            for name in reference.weights
-        )
+        weights_identical = _weights_identical(recovered, reference)
         state_identical = json.dumps(
             recovered.state, sort_keys=True, default=str
         ) == json.dumps(reference.state, sort_keys=True, default=str)
@@ -715,9 +575,8 @@ async def replicated_chaos_phase(workers: int) -> dict:
 
     * **zero dropped** — every logical request is answered within its retry
       budget;
-    * **zero garbage** — every answer carries a *published* version and
-      labels byte-equal to that version's snapshot (a degraded worker
-      serving last-good is fine; an unknown version or wrong labels is not);
+    * **zero garbage** — no answer is incorrect by ``LabelBook.judge``
+      (readers take no floor: a degraded worker serving last-good is fine);
     * **converged recovery** — a fresh boot from the surviving WAL replays
       with ``quarantined_now == 0`` (poisoned records skip without work)
       and restores state byte-identical to a mirror controller that applied
@@ -727,131 +586,44 @@ async def replicated_chaos_phase(workers: int) -> dict:
     metrics board so the coordinator's ``/metrics`` page tells the story.
     """
     import signal as _signal
-    import tempfile
 
-    from repro.datasets.generators import generate_delta_schedule
-    from repro.serving.replicated import (
-        ReplicatedConfig,
-        ReplicatedServer,
-        read_deadletter,
-        recover_from_wal,
-    )
+    from repro.serving.probe import LabelBook, commit, request, verified_reads
+    from repro.serving.replicated import read_deadletter, recover_from_wal
     from repro.serving.replicated.pool import current_version
     from repro.utils import faults
     from repro.utils.faults import FaultInjector
 
-    tmp = Path(tempfile.mkdtemp(prefix="bench-repl-chaos-"))
     injector = FaultInjector(seed=11)
     faults.install(injector)
-    server = ReplicatedServer(
-        _chaos_controller,
-        config=ReplicatedConfig(root=tmp, port=0, workers=workers),
-        genesis=GENESIS,
-    )
-    host, port = await server.start()
-    deadline = time.monotonic() + 60
-    while len(server._links) < workers:
-        if time.monotonic() > deadline:
-            raise RuntimeError("workers failed to register")
-        await asyncio.sleep(0.05)
+    server, host, port = await _start_tier(_chaos_controller, workers, "bench-repl-chaos-")
+    tmp = server.config.root_path
+    book = LabelBook(lambda: server.controller.session)
+    schedule = _deltas(server.controller.graph, 4, seed=53)
 
-    def snapshot() -> np.ndarray:
-        session = server.controller.session
-        ids = np.arange(session.num_targets, dtype=np.int64)
-        return np.argmax(session.logits(ids), axis=-1)
-
-    num_targets = server.controller.session.num_targets
-    expected: dict[int, np.ndarray] = {server.controller.version: snapshot()}
-    schedule = generate_delta_schedule(
-        server.controller.graph, steps=4, seed=53,
-        edge_churn=0.0005, relations=("paper-term",),
-    )
-    answered = 0
-    dropped = 0
-    garbage = 0
-    retries = 0
-    stop = asyncio.Event()
-    rng = np.random.default_rng(59)
-    id_pool = rng.integers(0, num_targets, size=(1024, IDS_PER_REQUEST)).astype(np.int64)
-
-    async def raw_request(method: str, path: str, body: bytes) -> tuple[int, bytes]:
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(
-            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode()
-            + body
-        )
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        if not raw:
-            raise ConnectionResetError("empty response")
-        head, _, payload = raw.partition(b"\r\n\r\n")
-        return int(head.split(b" ", 2)[1]), payload
-
-    async def request(method: str, path: str, payload: dict) -> tuple[int, dict]:
-        status, body = await raw_request(method, path, json.dumps(payload).encode())
-        return status, json.loads(body or b"{}")
-
-    async def client(worker: int) -> None:
-        nonlocal answered, dropped, garbage, retries
-        cursor = worker
-        while not stop.is_set():
-            ids = id_pool[cursor % id_pool.shape[0]]
-            cursor += CLIENTS
-            for _ in range(50):
-                try:
-                    status, payload = await request(
-                        "POST", "/predict", {"nodes": ids.tolist()}
-                    )
-                except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                    retries += 1
-                    await asyncio.sleep(0.02)
-                    continue
-                if status != 200:
-                    retries += 1
-                    await asyncio.sleep(0.02)
-                    continue
-                answered += 1
-                # Zero-garbage contract: a degraded (last-good) version is
-                # acceptable, but the labels must byte-match the snapshot of
-                # whichever version the response claims.  A version not yet
-                # in `expected` is a swap racing the /delta ack — resolve it
-                # against the live controller, like the hotswap gate does.
-                version = payload["version"]
-                reference = expected.get(version)
-                if reference is None and version == server.controller.version:
-                    reference = expected[version] = snapshot()
-                if reference is not None and not np.array_equal(
-                    np.asarray(payload["labels"]), reference[ids]
-                ):
-                    garbage += 1
-                break
-            else:
-                dropped += 1
-
-    async def commit(delta) -> dict:
-        status, payload = await request("POST", "/delta", delta.to_payload())
+    async def commit_clean(delta) -> None:
+        status, payload = await commit(host, port, book, delta)
         if status != 200:
             raise RuntimeError(f"clean delta failed: {payload}")
-        expected[payload["version"]] = snapshot()
-        return payload
 
-    clients = [asyncio.create_task(client(i)) for i in range(CLIENTS)]
-    try:
+    def kill_a_worker() -> int:
+        victim = min(slot for slot, proc in server.pool._processes.items() if proc.is_alive())
+        os.kill(server.pool._processes[victim].pid, _signal.SIGKILL)
+        return victim
+
+    def fallbacks() -> int:
+        return int(server.board.column("integrity_fallbacks_total").sum())
+
+    async with verified_reads(host, port, book, seed=59, attempts=50) as tally:
         # -- clean prefix: two deltas the recovered state must preserve ---- #
-        await commit(schedule[0])
-        await commit(schedule[1])
+        await commit_clean(schedule[0])
+        await commit_clean(schedule[1])
 
         # -- segment 1: canary-rejected swap rolls back ------------------- #
         # A standalone delta (not part of the surviving chain): the rebuild
         # rolls its effects back entirely, so schedule[2] still validates.
-        reject_delta = generate_delta_schedule(
-            server.controller.graph, steps=1, seed=77,
-            edge_churn=0.0005, relations=("paper-term",),
-        )[0]
+        (reject_delta,) = _deltas(server.controller.graph, 1, seed=77)
         injector.plan("canary.force_reject", every=1, limit=1)
-        status, payload = await request("POST", "/delta", reject_delta.to_payload())
+        status, payload = await commit(host, port, book, reject_delta)
         if status != 422 or not payload.get("rolled_back"):
             raise RuntimeError(f"canary rejection not surfaced: {status} {payload}")
         print(
@@ -862,12 +634,9 @@ async def replicated_chaos_phase(workers: int) -> dict:
         )
 
         # -- segment 2: poison delta quarantined to the dead letter ------- #
-        poison_delta = generate_delta_schedule(
-            server.controller.graph, steps=1, seed=79,
-            edge_churn=0.0005, relations=("paper-term",),
-        )[0]
+        (poison_delta,) = _deltas(server.controller.graph, 1, seed=79)
         injector.plan("hotswap.poison_commit", every=1, limit=1)
-        status, payload = await request("POST", "/delta", poison_delta.to_payload())
+        status, payload = await commit(host, port, book, poison_delta)
         if status != 422 or not payload.get("quarantined"):
             raise RuntimeError(f"poison delta not quarantined: {status} {payload}")
         print(
@@ -879,7 +648,7 @@ async def replicated_chaos_phase(workers: int) -> dict:
 
         # -- segment 3: corrupt publish is caught and repaired in place --- #
         injector.plan("publish.corrupt_file", every=1, limit=1)
-        await commit(schedule[2])
+        await commit_clean(schedule[2])
         if server.publish_repairs != 1:
             raise RuntimeError(
                 f"corrupt publish not repaired (repairs={server.publish_repairs})"
@@ -892,18 +661,13 @@ async def replicated_chaos_phase(workers: int) -> dict:
 
         # -- segment 4: crash-looping worker slot, bounded respawns ------- #
         injector.plan("pool.crash_loop", every=1, limit=2)
-        victim = min(
-            slot for slot, proc in server.pool._processes.items() if proc.is_alive()
+        victim = kill_a_worker()
+        await _until(
+            lambda: (
+                injector.fires.get("pool.crash_loop", 0) >= 2 and len(server._links) == workers
+            ),
+            "crash-looping slot did not recover",
         )
-        os.kill(server.pool._processes[victim].pid, _signal.SIGKILL)
-        deadline = time.monotonic() + 60
-        while (
-            injector.fires.get("pool.crash_loop", 0) < 2
-            or len(server._links) < workers
-        ):
-            if time.monotonic() > deadline:
-                raise RuntimeError("crash-looping slot did not recover")
-            await asyncio.sleep(0.05)
         print(
             f"crash loop: slot {victim} burned "
             f"{injector.fires['pool.crash_loop']} instant-crash spawns under "
@@ -912,47 +676,30 @@ async def replicated_chaos_phase(workers: int) -> dict:
         )
 
         # -- segment 5: bit rot on CURRENT; respawned worker serves last-good
-        await commit(schedule[3])
-        fallbacks_before = int(
-            server.board.column("integrity_fallbacks_total").sum()
-        )
+        await commit_clean(schedule[3])
+        fallbacks_before = fallbacks()
         version, vdir = current_version(tmp)
         with open(vdir / "logits.npy", "r+b") as handle:
             handle.seek(128)
             byte = handle.read(1)
             handle.seek(128)
             handle.write(bytes([byte[0] ^ 0xFF]) if byte else b"\xff")
-        victim = min(
-            slot for slot, proc in server.pool._processes.items() if proc.is_alive()
+        kill_a_worker()
+        await _until(
+            lambda: fallbacks() > fallbacks_before and len(server._links) == workers,
+            "bit-rotted publish did not trigger a fallback",
         )
-        os.kill(server.pool._processes[victim].pid, _signal.SIGKILL)
-        deadline = time.monotonic() + 60
-        while (
-            int(server.board.column("integrity_fallbacks_total").sum())
-            <= fallbacks_before
-            or len(server._links) < workers
-        ):
-            if time.monotonic() > deadline:
-                raise RuntimeError("bit-rotted publish did not trigger a fallback")
-            await asyncio.sleep(0.05)
-        worker_fallbacks = (
-            int(server.board.column("integrity_fallbacks_total").sum())
-            - fallbacks_before
-        )
+        worker_fallbacks = fallbacks() - fallbacks_before
         print(
             f"integrity: version {version} bit-rotted on disk; respawned "
             f"worker verified, fell back to last-good ({worker_fallbacks} "
             f"fallback(s))",
             flush=True,
         )
-        await asyncio.sleep(0.5)  # let clients exercise the degraded worker
-    finally:
-        stop.set()
-        await asyncio.gather(*clients, return_exceptions=True)
+        await asyncio.sleep(0.5)  # let the readers exercise the degraded worker
 
     # -- the /metrics page must tell the whole story ----------------------- #
-    status, metrics_body = await raw_request("GET", "/metrics", b"")
-    metrics_page = metrics_body.decode("utf-8", "replace")
+    status, metrics_page = await request(host, port, "GET", "/metrics")
     for needle in (
         "repro_quarantined_deltas_total 2",
         "repro_canary_rejections_total 1",
@@ -990,11 +737,7 @@ async def replicated_chaos_phase(workers: int) -> dict:
         )
         recovered = controller.export_bundle()
         reference = mirror.export_bundle()
-        weights_identical = set(recovered.weights) == set(reference.weights) and all(
-            np.asarray(recovered.weights[name]).tobytes()
-            == np.asarray(reference.weights[name]).tobytes()
-            for name in reference.weights
-        )
+        weights_identical = _weights_identical(recovered, reference)
         version_identical = controller.version == mirror.version
     finally:
         wal.close()
@@ -1009,10 +752,10 @@ async def replicated_chaos_phase(workers: int) -> dict:
     return {
         "workers": workers,
         "deltas_committed": len(schedule),
-        "answered": answered,
-        "retries": retries,
-        "dropped": dropped,
-        "garbage": garbage,
+        "answered": tally.answered,
+        "retries": tally.retries,
+        "dropped": tally.dropped,
+        "garbage": tally.incorrect,
         "respawns": respawns,
         "quarantined": int(stats["quarantined"]),
         "canary_rejections": int(stats["canary_rejections"]),
@@ -1048,7 +791,7 @@ def _read_baseline() -> dict:
     return payload
 
 
-def replicated_main(workers: int, phases: set[str], inject_faults: bool = False) -> int:
+def replicated_main(workers: int, phases: set[str]) -> int:
     import multiprocessing
     import tempfile
 
@@ -1107,8 +850,6 @@ def replicated_main(workers: int, phases: set[str], inject_faults: bool = False)
                 failures.append(f"recovery gate: {key} is False")
 
     if "chaos" in phases:
-        if not inject_faults:
-            raise SystemExit("the chaos phase requires --inject-faults")
         chaos = asyncio.run(replicated_chaos_phase(min(workers, 2)))
         result["chaos"] = chaos
         print(
@@ -1306,5 +1047,5 @@ if __name__ == "__main__":
             parser.error(f"unknown phases: {', '.join(sorted(unknown))}")
         if "chaos" in wanted and not cli_args.inject_faults:
             parser.error("--phases chaos requires --inject-faults")
-        sys.exit(replicated_main(cli_args.workers, wanted, cli_args.inject_faults))
+        sys.exit(replicated_main(cli_args.workers, wanted))
     sys.exit(main())

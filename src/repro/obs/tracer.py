@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 #: environment carrier for cross-process bootstrap (set by ``repro trace
-#: record`` / ``--trace`` so spawned serving workers trace themselves)
+#: record`` so spawned serving workers trace themselves)
 ENV_TRACE_FILE = "REPRO_TRACE_FILE"
 ENV_TRACE_ID = "REPRO_TRACE_ID"
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -253,14 +252,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     _add_output_options(parser)
 
 
-def _add_trace_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a span-tree trace of this run to PATH (JSONL; inspect "
-             "with `python -m repro trace report PATH`)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``python -m repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -280,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--ratios", type=_csv_floats, default=None, metavar="R1,R2,...",
                      help="condensation ratios (default: the dataset's paper ratios)")
     _add_run_options(sweep)
-    _add_trace_option(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     generalize = sub.add_parser(
@@ -304,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         "removal_every", "removal_count",
     ))
     _add_output_options(stream)
-    _add_trace_option(stream)
     stream.set_defaults(func=_cmd_stream)
 
     serve = sub.add_parser(
@@ -323,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         "workers", "wal", "snapshot_every", "max_pending", "max_body_bytes",
     ))
     _add_output_options(serve, ("quiet",))
-    _add_trace_option(serve)
     serve.set_defaults(func=_cmd_serve)
 
     matrix = sub.add_parser(
@@ -339,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     gating.add_argument("--no-gates", action="store_true",
                         help="skip baseline-derived regression gates")
     _add_run_options(matrix)
-    _add_trace_option(matrix)
     matrix.set_defaults(func=_cmd_matrix)
 
     report = sub.add_parser("report", help="render stored artifacts as a table, running nothing")
@@ -395,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--out", default="trace.jsonl", metavar="PATH",
                         help="trace JSONL output file (default: %(default)s)")
     record.add_argument("--trace-id", default=None,
-                        help="trace id (default: derived from the recorded command)")
+                        help="trace id (default: <command>-<dataset>-s<seed> of the "
+                             "recorded command)")
     record.add_argument("--profile", action="store_true",
                         help="also sample RSS (and stamp deltas) per span")
     record.add_argument("--json", action="store_true",
@@ -458,34 +446,6 @@ def _progress_printer(quiet: bool) -> Callable[[CellOutcome, int, int], None] | 
     return progress
 
 
-@contextmanager
-def _maybe_trace(args: argparse.Namespace):
-    """Install a tracer around a subcommand when it was given ``--trace``.
-
-    The trace id is derived from the command's own parameters (never the
-    clock), and the file/id are exported into the environment so spawned
-    worker processes join the session via
-    :func:`repro.obs.bootstrap_from_env`.
-    """
-    path = getattr(args, "trace", None)
-    if not path:
-        yield
-        return
-    from repro import obs
-
-    dataset = getattr(args, "dataset", None) or ",".join(
-        str(d) for d in (getattr(args, "datasets", None) or ())
-    ) or "run"
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = getattr(args, "base_seed", 0)
-    trace_id = f"{args.command}-{dataset}-s{seed}"
-    with obs.tracing(trace_id, path=path, export_env=True):
-        yield
-    if not getattr(args, "quiet", False):
-        print(f"trace written to {path}", flush=True)
-
-
 def _trace_paths(base: str | Path) -> list[Path]:
     """The main trace file plus every sidecar next to it.
 
@@ -530,7 +490,16 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         from repro.obs.profile import SpanProfiler
 
         profiler = SpanProfiler()
-    trace_id = args.trace_id or f"repro-{argv[0]}"
+    # The default id comes from the command's own parameters, never the
+    # clock; export_env lets spawned workers join the trace through
+    # repro.obs.bootstrap_from_env.
+    dataset = getattr(inner, "dataset", None) or ",".join(
+        str(d) for d in (getattr(inner, "datasets", None) or ())
+    ) or "run"
+    seed = getattr(inner, "seed", None)
+    if seed is None:
+        seed = getattr(inner, "base_seed", 0)
+    trace_id = args.trace_id or f"{inner.command}-{dataset}-s{seed}"
     with obs.tracing(trace_id, path=args.out, profiler=profiler, export_env=True):
         code = inner.func(inner)
     header, spans = read_trace_tree(_trace_paths(args.out))
@@ -773,6 +742,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         modes = result.get("modes", {})
         latency = result.get("latency_ms", {})
         speedup = result.get("speedup")
+        failed = entry["failed_gates"] + entry["failed_invariants"]
         rows.append(
             {
                 "dataset": cell["dataset"],
@@ -790,11 +760,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
                     if result.get("mismatches")
                     else ("identical" if result.get("verified_checkpoints") else "")
                 ),
-                "gates": (
-                    "FAIL:" + ",".join(entry["failed_gates"])
-                    if entry["failed_gates"]
-                    else "ok"
-                ),
+                "gates": "FAIL:" + ",".join(failed) if failed else "ok",
             }
         )
     columns = ("dataset", "scale", "regime", "load", "full/incr", "dirty_max",
@@ -819,16 +785,24 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             f"({summary['cached']} cached), "
             f"{summary['verified_checkpoints']} checkpoints verified, "
             f"{summary['mismatches']} mismatches, "
+            f"{summary['prediction_failures']} prediction failures, "
+            f"{summary['canary_rejections']} canary rejections, "
             f"{summary['gate_failures']} gate failures"
         )
     return 0 if summary["passed"] else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """``serve``: one process, or with ``--workers N --wal PATH`` the replicated tier.
+
+    The replicated tier's coordinator (this process) owns the WAL and all
+    delta writes; ``N`` spawned workers answer ``/predict`` from
+    memory-mapped published model versions, all sharing the port via
+    ``SO_REUSEPORT``.
+    """
     import asyncio
 
-    from repro.serving import ServingServer
-    from repro.serving.artifacts import BundleLineage
+    from repro.serving.server import ROUTES, ServingServer
 
     config = _config(ServeConfig, args)
 
@@ -839,72 +813,49 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if config.workers > 0:
         if args.selftest:
             raise ReproError("--selftest runs in-process; drop --workers")
-        return _serve_replicated(config, log)
-
-    controller = config.build_controller()
-    lineage = BundleLineage(
-        config.bundle_store,
-        config.bundle_key(),
-        controller,
-        metadata={"dataset": config.dataset, "ratio": config.ratio, "seed": config.seed},
-        log=log,
-    )
-    log(f"condensing {config.dataset} @ ratio {config.ratio:g} and training {config.model}...")
-    lineage.start()
-    server = ServingServer(
-        controller,
-        host=config.host,
-        port=config.port,
-        # selftest deltas are synthetic: persisting their bundles would
-        # shadow the cold-start bundle the next deployment warm-starts from
-        on_swap=None if args.selftest else lineage.persist,
-    )
-    if args.selftest:
-        return asyncio.run(_serve_selftest(server, controller, config, args.selftest, log))
-
-    async def run() -> None:
-        host, port = await server.start()
-        log(f"serving {config.dataset} on http://{host}:{port} "
-            f"(endpoints: /healthz /stats /predict /delta)")
-        try:
-            await server.serve_forever()
-        finally:
-            await server.close()
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        log("interrupted: shutting down")
-    return 0
-
-
-def _serve_replicated(config: ServeConfig, log) -> int:
-    """``serve --workers N --wal PATH``: the multi-process replicated tier.
-
-    One coordinator process (this one) owns the WAL and all delta writes;
-    ``N`` spawned workers answer ``/predict`` from memory-mapped published
-    model versions, all sharing ``config.port`` via ``SO_REUSEPORT``.
-    """
-    import asyncio
-
-    server = config.replicated_server()
-    wal = Path(config.wal)
-
-    async def run() -> None:
+        server = config.replicated_server()
+        wal = Path(config.wal)
         log(f"recovering from WAL {wal} (condense + train on cold start)...")
+    else:
+        from repro.serving.artifacts import BundleLineage
+
+        controller = config.build_controller()
+        lineage = BundleLineage(
+            config.bundle_store,
+            config.bundle_key(),
+            controller,
+            metadata={"dataset": config.dataset, "ratio": config.ratio, "seed": config.seed},
+            log=log,
+        )
+        log(f"condensing {config.dataset} @ ratio {config.ratio:g} and training {config.model}...")
+        lineage.start()
+        server = ServingServer(
+            controller,
+            host=config.host,
+            port=config.port,
+            # selftest deltas are synthetic: persisting their bundles would
+            # shadow the cold-start bundle the next deployment warm-starts from
+            on_swap=None if args.selftest else lineage.persist,
+        )
+        if args.selftest:
+            return asyncio.run(_serve_selftest(server, controller, config, args.selftest, log))
+
+    async def run() -> None:
         host, port = await server.start()
-        recovery = server.recovery
-        log(f"recovery: mode={recovery['mode']} "
-            f"deltas_replayed={recovery['deltas_replayed']} "
-            f"quarantined={recovery.get('quarantined', 0)} "
-            f"quarantined_now={recovery.get('quarantined_now', 0)} "
-            f"version={server.controller.version}")
-        if recovery.get("quarantined_now"):
-            log(f"quarantine: {recovery['quarantined_now']} poison delta(s) "
-                f"dead-lettered during this boot (see {wal}.deadletter)")
-        log(f"serving {config.dataset} on http://{host}:{port} with "
-            f"{config.workers} workers "
-            "(endpoints: /healthz /stats /predict /delta /metrics)")
+        tier = ""
+        if config.workers > 0:
+            recovery = server.recovery
+            log(f"recovery: mode={recovery['mode']} "
+                f"deltas_replayed={recovery['deltas_replayed']} "
+                f"quarantined={recovery.get('quarantined', 0)} "
+                f"quarantined_now={recovery.get('quarantined_now', 0)} "
+                f"version={server.controller.version}")
+            if recovery.get("quarantined_now"):
+                log(f"quarantine: {recovery['quarantined_now']} poison delta(s) "
+                    f"dead-lettered during this boot (see {wal}.deadletter)")
+            tier = f" with {config.workers} workers"
+        endpoints = " ".join(f"/{name}" for name in ROUTES)
+        log(f"serving {config.dataset} on http://{host}:{port}{tier} (endpoints: {endpoints})")
         try:
             await server.serve_forever()
         finally:
@@ -918,98 +869,41 @@ def _serve_replicated(config: ServeConfig, log) -> int:
 
 
 async def _serve_selftest(server, controller, config: ServeConfig, steps: int, log) -> int:
-    """In-process smoke: concurrent predictions during a live delta replay.
+    """In-process smoke: verified concurrent reads during a live delta replay.
 
-    Every response is verified against a per-version snapshot of the
-    session's own predictions, so a response served mid-swap must match
-    either the old or the new model — exactly, and stamped with the right
-    version.  Returns a non-zero exit code on any dropped or incorrect
-    response.
+    :mod:`repro.serving.probe` judges every answer: a 200 naming a recorded
+    or live version, with labels byte-equal to that version's.  Returns a
+    non-zero exit code on any failed check.
     """
-    import asyncio
-    import json as _json
-
-    import numpy as np
-
     from repro.datasets.generators import generate_delta_schedule
+    from repro.serving.probe import LabelBook, replay, request, verified_reads
 
     host, port = await server.start()
     log(f"selftest server on http://{host}:{port}")
-    num_targets = controller.session.num_targets
-    all_ids = np.arange(num_targets, dtype=np.int64)
-    def snapshot() -> "np.ndarray":
-        # Reference labels straight from the logits, bypassing the LRU
-        # cache, so the selftest also catches bad cache carry-over.
-        return np.argmax(controller.session.logits(all_ids), axis=-1)
-
-    expected = {controller.version: snapshot()}
-    rng = np.random.default_rng(config.seed + 17)
+    book = LabelBook(lambda: controller.session)
     schedule = generate_delta_schedule(
         controller.graph, steps=steps, seed=config.seed + 1, edge_churn=0.005
     )
     failures = 0
-    answered = 0
-
-    async def request(method: str, path: str, payload: dict | None = None) -> dict:
-        reader, writer = await asyncio.open_connection(host, port)
-        body = _json.dumps(payload or {}).encode()
-        writer.write(
-            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode() + body
-        )
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        head, _, response_body = raw.partition(b"\r\n\r\n")
-        status = int(head.split(b" ", 2)[1])
-        return {"http_status": status, "body": _json.loads(response_body or b"{}")}
-
-    async def verified_predict() -> None:
-        nonlocal failures, answered
-        ids = rng.choice(num_targets, size=min(16, num_targets), replace=False)
-        response = await request("POST", "/predict", {"nodes": ids.tolist()})
-        answered += 1
-        if response["http_status"] != 200:
-            failures += 1
-            return
-        version = response["body"]["version"]
-        reference = expected.get(version)
-        if reference is None and version == controller.version:
-            # A swap can land between our done() check and this response;
-            # snapshot the (deterministic) new session lazily.
-            reference = snapshot()
-            expected[version] = reference
-        if reference is None or not np.array_equal(
-            np.asarray(response["body"]["labels"]), reference[ids]
-        ):
-            failures += 1
-
-    health = await request("GET", "/healthz")
-    if health["http_status"] != 200 or health["body"].get("status") != "ok":
+    status, health = await request(host, port, "GET", "/healthz")
+    if status != 200 or health.get("status") != "ok":
         failures += 1
-    for delta in schedule:
-        swap_task = asyncio.create_task(
-            request("POST", "/delta", delta.to_payload())
-        )
-        while not swap_task.done():
-            await asyncio.gather(*(verified_predict() for _ in range(8)))
-        swap = await swap_task
-        if swap["http_status"] != 200:
-            failures += 1
-            continue
-        swapped = swap["body"]
-        expected.setdefault(swapped["version"], snapshot())
+
+    def on_swap(swapped: dict) -> None:
         log(
             f"step {swapped['step']}: version {swapped['version']} "
             f"retrained={swapped['retrained']} dirty={swapped['dirty_count']} "
-            f"({answered} verified requests so far)"
+            f"({tally.answered} verified requests so far)"
         )
-        await asyncio.gather(*(verified_predict() for _ in range(8)))
-    stats = await request("GET", "/stats")
+
+    async with verified_reads(host, port, book, seed=config.seed + 17) as tally:
+        failures += await replay(host, port, book, schedule, on_swap)
+    _, stats = await request(host, port, "GET", "/stats")
     await server.close()
-    latency = stats["body"].get("latency", {})
+    failures += tally.failures
+    latency = stats.get("latency", {})
     log(
-        f"selftest: {answered} requests, {failures} failures, "
+        f"selftest: {tally.answered} requests, {failures} failures, "
         f"p50={latency.get('p50', 0) * 1e3:.2f}ms p95={latency.get('p95', 0) * 1e3:.2f}ms"
     )
     if failures:
@@ -1135,14 +1029,6 @@ _SERVING_COMPONENTS = {
                   "mmap-shared model versions (python -m repro serve --workers N)",
 }
 
-_SERVING_ENDPOINTS = (
-    "GET /healthz",
-    "GET /stats",
-    "GET /metrics",
-    "POST /predict",
-    "POST /delta",
-)
-
 
 #: text-listing title of each ``list`` section
 _LIST_TITLES = {
@@ -1161,6 +1047,15 @@ def _listing(what: str) -> dict[str, object]:
 
     def names(reg: registry.Registry) -> dict[str, dict]:
         return {name: {"aliases": list(reg.aliases_of(name))} for name in reg.names()}
+
+    def serving() -> dict:
+        from repro.serving.server import ROUTES
+
+        return {
+            "components": dict(_SERVING_COMPONENTS),
+            "endpoints": [f"{method} /{name}" for name, method in ROUTES.items()],
+            "subcommand": "python -m repro serve",
+        }
 
     def lint() -> dict:
         from repro.lint import all_rules
@@ -1183,11 +1078,7 @@ def _listing(what: str) -> dict[str, object]:
         "models": lambda: names(registry.models),
         "target-stages": lambda: names(registry.target_stages),
         "other-stages": lambda: names(registry.other_stages),
-        "serving": lambda: {
-            "components": dict(_SERVING_COMPONENTS),
-            "endpoints": list(_SERVING_ENDPOINTS),
-            "subcommand": "python -m repro serve",
-        },
+        "serving": serving,
         "lint": lint,
     }
     wanted = sections if what == "all" else {what: sections[what]}
@@ -1245,8 +1136,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # programmatic callers never see a SystemExit traceback.
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        with _maybe_trace(args):
-            return args.func(args)
+        return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

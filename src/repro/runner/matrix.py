@@ -19,7 +19,8 @@ Per-cell **regression gates** (:mod:`repro.runner.gates`) derived from the
 committed ``BENCH_*.json`` baselines are evaluated over the consolidated
 results: byte-identity everywhere it was verified, ratio/latency thresholds
 where the baseline's preconditions hold, every outcome stamped with the
-baseline's provenance.
+baseline's provenance.  A byte-identity mismatch, a wrong served prediction
+or a canary rejection fails the suite even with no gates at all.
 
 ``python -m repro matrix`` is the CLI entry point; see ``docs/testing.md``
 for the taxonomy and how to add a regime.
@@ -53,6 +54,7 @@ from repro.runner.gates import Gate, evaluate_cell_gates
 from repro.runner.plan import ExperimentPlan, HashedCell, ServeConfig, resolve_max_hops
 
 __all__ = [
+    "INVARIANTS",
     "LOADS",
     "MatrixConfig",
     "MatrixCell",
@@ -353,22 +355,29 @@ def run_matrix_cell(cell: MatrixCell) -> dict:
     return result
 
 
+#: result counts that fail the suite when non-zero in any cell, with or
+#: without baseline gates
+INVARIANTS = ("mismatches", "prediction_failures", "canary_rejections")
+
+
 def consolidate(outcomes: list[CellOutcome], gates: tuple[Gate, ...]) -> dict:
     """Assemble the consolidated suite report (JSON-safe).
 
-    Per cell: the cell spec, its result, and every gate outcome.  The
-    summary counts enforced-gate failures and byte-identity mismatches —
-    the two conditions that fail the suite.
+    Per cell: the cell spec, its result, every gate outcome, and the
+    enforced gates and :data:`INVARIANTS` it failed.  The summary counts
+    enforced-gate failures and totals every :data:`INVARIANTS` count; any
+    of them fails the suite.
     """
     cells = []
     gate_failures = 0
-    mismatches = 0
+    totals = dict.fromkeys(INVARIANTS, 0)
     for outcome in outcomes:
         cell_dict = outcome.cell.to_dict()
         evaluated = evaluate_cell_gates(cell_dict, outcome.result, gates)
         failed = [g for g in evaluated if g.enforced and g.passed is False]
         gate_failures += len(failed)
-        mismatches += int(outcome.result.get("mismatches", 0) or 0)
+        for name in INVARIANTS:
+            totals[name] += int(outcome.result.get(name, 0) or 0)
         cells.append(
             {
                 "key": outcome.cell.key(),
@@ -378,6 +387,7 @@ def consolidate(outcomes: list[CellOutcome], gates: tuple[Gate, ...]) -> dict:
                 "result": outcome.result,
                 "gates": [g.to_dict() for g in evaluated],
                 "failed_gates": [g.name for g in failed],
+                "failed_invariants": [name for name in INVARIANTS if outcome.result.get(name)],
             }
         )
     return {
@@ -391,8 +401,8 @@ def consolidate(outcomes: list[CellOutcome], gates: tuple[Gate, ...]) -> dict:
             "verified_checkpoints": sum(
                 int(o.result.get("verified_checkpoints", 0) or 0) for o in outcomes
             ),
-            "mismatches": mismatches,
+            **totals,
             "gate_failures": gate_failures,
-            "passed": gate_failures == 0 and mismatches == 0,
+            "passed": gate_failures == 0 and not any(totals.values()),
         },
     }

@@ -25,7 +25,9 @@ graph kept fresh by :mod:`repro.streaming` into low-latency predictions:
   fallback;
 * :mod:`repro.serving.canary` — the swap gate: candidates are scored on a
   pinned canary query set and rejected (previous version keeps serving)
-  when they regress.
+  when they regress;
+* :mod:`repro.serving.probe` — the verified live-replay check: concurrent
+  readers judge every answer against the labels of the version it names.
 
 ``benchmarks/bench_serving.py`` gates the whole stack: batched == serial
 byte-identity, a >=5x batched-over-unbatched throughput floor, and a

@@ -315,7 +315,7 @@ class _CoordinatorHTTP(ServingServer):
         super().__init__(controller, **kwargs)
         self.replicated = replicated
 
-    async def _handle_delta(self, body: bytes) -> tuple[int, dict]:
+    async def _handle_delta(self, body: bytes, start: float) -> tuple[int, dict]:
         delta = GraphDelta.from_payload(_parse_json(body))
         try:
             report, acked = await self.replicated.commit_delta(delta)
@@ -353,10 +353,10 @@ class _CoordinatorHTTP(ServingServer):
             "acked_workers": acked,
         }
 
-    def _stats_payload(self) -> dict:
-        payload = super()._stats_payload()
+    async def _handle_stats(self, body: bytes, start: float) -> tuple[int, dict]:
+        status, payload = await super()._handle_stats(body, start)
         payload["replicated"] = self.replicated.stats
-        return payload
+        return status, payload
 
 
 @dataclass

@@ -71,6 +71,7 @@ from repro.serving.engine import InferenceSession
 from repro.serving.server import (
     DEFAULT_MAX_BODY_BYTES,
     ServingServer,
+    send_http_request,
 )
 
 __all__ = [
@@ -185,7 +186,7 @@ class WorkerServer(ServingServer):
         self.root = Path(root)
         self.admin_port = int(admin_port)
 
-    async def _handle_delta(self, body: bytes) -> tuple[int, dict]:
+    async def _handle_delta(self, body: bytes, start: float) -> tuple[int, dict]:
         # Workers are read-only replicas: the coordinator is the single
         # writer, reachable on its loopback admin listener.
         return await forward_delta("127.0.0.1", self.admin_port, body)
@@ -258,30 +259,10 @@ async def forward_delta(
         if attempt:
             await asyncio.sleep(delays[attempt - 1])
         try:
-            reader, writer = await asyncio.open_connection(host, port)
+            raw = await send_http_request(host, port, "POST", "/delta", body, trace_headers)
         except OSError as exc:
             failure = {"error": f"coordinator unreachable: {exc}"}
             continue
-        try:
-            writer.write(
-                (
-                    f"POST /delta HTTP/1.1\r\nHost: {host}\r\n"
-                    f"Content-Length: {len(body)}\r\n{trace_headers}"
-                    "Connection: close\r\n\r\n"
-                ).encode("latin-1")
-                + body
-            )
-            await writer.drain()
-            raw = await reader.read()
-        except (OSError, asyncio.IncompleteReadError) as exc:
-            failure = {"error": f"coordinator connection failed: {exc}"}
-            continue
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
         head, _, payload = raw.partition(b"\r\n\r\n")
         try:
             status = int(head.split(b" ", 2)[1])
@@ -409,8 +390,8 @@ async def _worker_async(slot: int, options: dict) -> None:
 
 def _worker_main(slot: int, options: dict) -> None:
     """Spawn entry point of one predictor worker process."""
-    # Pick up a trace session exported by the parent (``repro trace record``
-    # / ``--trace``): spans land in the ``<file>.worker-<slot>`` sidecar.
+    # Pick up a trace session exported by the parent (``repro trace record``):
+    # spans land in the ``<file>.worker-<slot>`` sidecar.
     tracer = obs.bootstrap_from_env(f"worker-{slot}")
     try:
         asyncio.run(_worker_async(slot, options))

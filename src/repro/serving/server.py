@@ -38,7 +38,8 @@ built session with a single attribute store, so every request is answered
 by exactly one consistent session — the old one or the new one.
 
 The low-level HTTP helpers (:func:`read_http_request`,
-:func:`write_http_response`) are shared with the replicated worker pool
+:func:`write_http_response` and the client half, :func:`send_http_request`)
+are shared with the replicated worker pool
 (:mod:`repro.serving.replicated.pool`), which speaks the same protocol
 from its own processes.
 """
@@ -67,8 +68,10 @@ __all__ = [
     "MAX_BATCH",
     "MAX_WAIT_SECONDS",
     "MicroBatcher",
+    "ROUTES",
     "ServingServer",
     "read_http_request",
+    "send_http_request",
     "write_http_response",
 ]
 
@@ -77,6 +80,10 @@ DEFAULT_MAX_BODY_BYTES = 16 * 1024 * 1024
 MAX_BATCH = 256
 #: how long a batch waits for more requests after its first one arrives
 MAX_WAIT_SECONDS = 0.002
+#: every route the server answers, ``/<name>`` -> method, in the order the
+#: ``serve`` banners and ``python -m repro list`` show them; ``<method>
+#: /<name>`` is answered by ``ServingServer._handle_<name>(body, start)``
+ROUTES = {"healthz": "GET", "stats": "GET", "metrics": "GET", "predict": "POST", "delta": "POST"}
 
 _REASONS = {
     200: "OK",
@@ -187,6 +194,30 @@ async def write_http_response(
     ).encode("latin-1")
     writer.write(head + body)
     await writer.drain()
+
+
+async def send_http_request(
+    host: str, port: int, method: str, path: str, body: bytes, headers: str = ""
+) -> bytes:
+    """Send one request on a fresh connection and return the raw reply.
+
+    ``headers`` holds extra header lines, each ending in CRLF.  The reply
+    is read to EOF; connection errors propagate.
+    """
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(
+            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\nContent-Length: {len(body)}\r\n"
+            f"{headers}Connection: close\r\n\r\n".encode("latin-1") + body
+        )
+        await writer.drain()
+        return await reader.read()
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except OSError:
+            pass
 
 
 class MicroBatcher:
@@ -436,8 +467,8 @@ class ServingServer:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _endpoint_of(path: str) -> str:
-        name = path.lstrip("/") or "other"
-        return name if name in ("predict", "delta", "healthz", "stats", "metrics") else "other"
+        name = path.lstrip("/")
+        return name if name in ROUTES else "other"
 
     async def _route(
         self, method: str, path: str, body: bytes, trace: str | None = None
@@ -471,25 +502,11 @@ class ServingServer:
     async def _dispatch(
         self, method: str, path: str, body: bytes, start: float
     ) -> tuple[int, dict | str]:
-        try:
-            if method == "GET" and path == "/healthz":
-                session = self.controller.session
-                return 200, {
-                    "status": "ok",
-                    "version": session.version,
-                    "targets": session.num_targets,
-                }
-            if method == "GET" and path == "/stats":
-                return 200, self._stats_payload()
-            if method == "GET" and path == "/metrics":
-                from repro.serving.replicated.metrics import render_prometheus
-
-                return 200, render_prometheus(self._board)
-            if method == "POST" and path == "/predict":
-                return await self._handle_predict(body, start)
-            if method == "POST" and path == "/delta":
-                return await self._handle_delta(body)
+        name = path[1:]
+        if path[:1] != "/" or ROUTES.get(name) != method:
             return 404, {"error": f"no route for {method} {path}"}
+        try:
+            return await getattr(self, f"_handle_{name}")(body, start)
         except CanaryRejectedError as exc:
             # Not a bad request: the delta was valid, the retrained candidate
             # failed the canary gate and was rolled back.  The previous
@@ -501,15 +518,25 @@ class ServingServer:
                 "canary": dict(exc.report),
                 "version": self.controller.version,
             }
-        except ServingError as exc:
-            self.errors += 1
-            return 400, {"error": str(exc)}
         except ReproError as exc:
             self.errors += 1
             return 400, {"error": str(exc)}
         except Exception as exc:  # never kill the connection loop silently
             self.errors += 1
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
+
+    async def _handle_healthz(self, body: bytes, start: float) -> tuple[int, dict]:
+        session = self.controller.session
+        return 200, {
+            "status": "ok",
+            "version": session.version,
+            "targets": session.num_targets,
+        }
+
+    async def _handle_metrics(self, body: bytes, start: float) -> tuple[int, str]:
+        from repro.serving.replicated.metrics import render_prometheus
+
+        return 200, render_prometheus(self._board)
 
     async def _handle_predict(self, body: bytes, start: float) -> tuple[int, dict]:
         payload = _parse_json(body)
@@ -546,7 +573,7 @@ class ServingServer:
             "latency_ms": round(elapsed * 1e3, 3),
         }
 
-    async def _handle_delta(self, body: bytes) -> tuple[int, dict]:
+    async def _handle_delta(self, body: bytes, start: float) -> tuple[int, dict]:
         # Workers override this method, so only a server that applies
         # deltas imports the streaming stack.
         from repro.streaming.delta import GraphDelta
@@ -582,8 +609,8 @@ class ServingServer:
             "swap_seconds": round(report.swap_seconds, 6),
         }
 
-    def _stats_payload(self) -> dict:
-        return {
+    async def _handle_stats(self, body: bytes, start: float) -> tuple[int, dict]:
+        return 200, {
             "session": self.controller.session.stats,
             "controller": self.controller.stats,
             "batcher": self.batcher.stats,

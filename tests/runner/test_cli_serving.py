@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -159,11 +160,44 @@ class TestServeConfig:
         assert not (tmp_path / "wal").exists()
 
 
+class TestServeBanner:
+    def test_banner_lists_every_route(self, capsys, monkeypatch):
+        from repro.serving.server import ServingServer
+
+        async def return_at_once(self):
+            return None
+
+        monkeypatch.setattr(ServingServer, "serve_forever", return_at_once)
+        code, out = run_cli(SELFTEST_ARGS[:-2], capsys)  # serve, not --selftest
+        assert code == 0
+        assert "(endpoints: /healthz /stats /metrics /predict /delta)" in out
+        assert re.search(r"on http://127\.0\.0\.1:\d+ ", out)
+
+
 class TestServeSelftest:
     def test_selftest_passes_end_to_end(self, capsys):
         code, out = run_cli(SELFTEST_ARGS, capsys)
         assert code == 0
         assert "0 failures" in out
+
+    def test_selftest_fails_when_one_version_answers_a_flipped_label(
+        self, capsys, monkeypatch
+    ):
+        from repro.serving.engine import InferenceSession
+
+        predict = InferenceSession.predict
+
+        def flip_version_2(self, node_ids):
+            labels = predict(self, node_ids)
+            return labels + 1 if self.version == 2 else labels
+
+        monkeypatch.setattr(InferenceSession, "predict", flip_version_2)
+        code = main(SELFTEST_ARGS)
+        captured = capsys.readouterr()
+        assert code == 1
+        failures = int(re.search(r"selftest: \d+ requests, (\d+) failures", captured.out)[1])
+        assert failures > 0
+        assert f"error: serving selftest had {failures} failed/incorrect" in captured.err
 
     def test_selftest_with_bundle_store_warm_starts(self, tmp_path, capsys):
         args = SELFTEST_ARGS + ["--bundle-store", str(tmp_path / "bundles")]

@@ -1,4 +1,4 @@
-"""``python -m repro trace`` and the ``--trace`` flag on existing commands."""
+"""``python -m repro trace``: record, report and flame."""
 
 from __future__ import annotations
 
@@ -120,10 +120,18 @@ class TestTraceReportFlame:
 
 class TestTraceFlagOnCommands:
     def test_stream_trace_flag_writes_file(self, tmp_path, capsys):
+        """``trace record`` is the one way to trace a command; its default id
+        comes from the recorded command's own parameters."""
         out_path = tmp_path / "stream.jsonl"
-        code, out = run_cli([*STREAM_ARGS, "--trace", str(out_path)], capsys)
+        code, _ = run_cli(
+            ["trace", "record", "--out", str(out_path), "--", *STREAM_ARGS], capsys
+        )
         assert code == 0
-        assert f"trace written to {out_path}" not in out  # --quiet suppresses
         header, spans = read_trace(out_path)
         assert header["trace_id"] == "stream-acm-s0"
         assert spans
+
+    @pytest.mark.parametrize("command", ["sweep", "stream", "serve", "matrix"])
+    def test_commands_take_no_trace_option(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert "--trace" not in capsys.readouterr().out

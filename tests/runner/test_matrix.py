@@ -9,6 +9,7 @@ import pytest
 from repro.datasets.adversarial import churn_regimes
 from repro.errors import ConfigurationError
 from repro.runner import ArtifactStore, execute_plan
+from repro.runner.executor import CellOutcome
 from repro.runner.gates import derive_matrix_gates
 from repro.runner.matrix import (
     MatrixCell,
@@ -222,6 +223,28 @@ class TestConsolidatedReport:
         outcomes[0].result["mismatches"] = 1  # simulate a divergence
         report = consolidate(outcomes, derive_matrix_gates("."))
         assert report["summary"]["passed"] is False
+
+    @pytest.mark.parametrize("invariant", ["prediction_failures", "canary_rejections"])
+    def test_serving_invariants_fail_the_suite_without_gates(
+        self, invariant, monkeypatch, capsys
+    ):
+        """``matrix --no-gates`` consolidates with no gates: a serving-load
+        cell with one wrong prediction or one canary rejection still fails,
+        and its row names the failed invariant."""
+        from repro.runner import cli
+
+        (cell,) = plan_matrix(small_config(regimes=("steady",), loads=("light",))).cells
+        outcome = CellOutcome(cell=cell, result={invariant: 1}, cached=False, elapsed_s=0.0)
+        report = consolidate([outcome], ())
+        assert report["summary"][invariant] == 1
+        assert report["summary"]["passed"] is False
+        assert report["cells"][0]["failed_invariants"] == [invariant]
+
+        monkeypatch.setattr(cli, "_run_plan", lambda plan, args: [outcome])
+        argv = ["matrix", "--datasets", "acm", "--scales", "0.08", "--regimes", "steady",
+                "--loads", "light", "--no-gates", "--no-store", "--quiet"]
+        assert cli.main(argv) == 1
+        assert f"FAIL:{invariant}" in capsys.readouterr().out
 
 
 class TestCLI:

@@ -8,8 +8,10 @@ import pytest
 from repro.errors import ServingError
 from repro.obs.spans import SERVING_SPAN_SITES
 from repro.serving.replicated.admission import AdmissionGate
+from repro.serving.server import ROUTES, ServingServer
 from repro.serving.replicated.metrics import (
     BOARD_LAYOUT_VERSION,
+    ENDPOINTS,
     KNOWN_SITES,
     LATENCY_BUCKETS,
     SPAN_BUCKETS,
@@ -100,6 +102,13 @@ class TestMetricsBoard:
         assert int(board.column("fault_fires__other")[0]) == 1
         for site in KNOWN_SITES:
             assert int(board.column(f"fault_fires__{site}")[0]) >= 1
+
+    def test_every_served_route_has_its_own_counters(self):
+        # the board's columns are a fixed layout; a route the server adds
+        # must get a column (and a layout bump), not fall into "other"
+        assert set(ROUTES) <= set(ENDPOINTS)
+        assert [ServingServer._endpoint_of(f"/{name}") for name in ROUTES] == list(ROUTES)
+        assert ServingServer._endpoint_of("/nope") == "other"
 
 
 class TestRenderPrometheus:

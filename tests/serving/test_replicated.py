@@ -23,6 +23,7 @@ from repro.datasets import load_acm
 from repro.errors import ReproError, ServingError, WALError
 from repro.models.hetero_sgc import HeteroSGC
 from repro.serving import ServingController
+from repro.serving.probe import request as http
 from repro.serving.replicated import (
     DeltaWAL,
     ReplicatedConfig,
@@ -233,23 +234,6 @@ class TestWALRecovery:
 # ---------------------------------------------------------------------- #
 # Live pool integration (spawns real worker processes)
 # ---------------------------------------------------------------------- #
-async def http(host, port, method, path, payload=None):
-    reader, writer = await asyncio.open_connection(host, port)
-    body = json.dumps(payload or {}).encode()
-    writer.write(
-        f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode() + body
-    )
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    head, _, response_body = raw.partition(b"\r\n\r\n")
-    status = int(head.split(b" ", 2)[1])
-    if b"application/json" in head:
-        return status, json.loads(response_body or b"{}")
-    return status, response_body.decode()
-
-
 async def wait_for(predicate, *, timeout=30.0, interval=0.05, message="condition"):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:

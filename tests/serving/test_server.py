@@ -12,7 +12,8 @@ from repro.core.condenser import FreeHGC
 from repro.datasets import load_acm
 from repro.models.hetero_sgc import HeteroSGC
 from repro.serving import MicroBatcher, ServingController, ServingServer
-from repro.serving.server import MAX_BATCH
+from repro.serving.probe import request as http
+from repro.serving.server import MAX_BATCH, ROUTES
 from repro.streaming import GraphDelta
 
 
@@ -31,20 +32,6 @@ def controller():
     )
     controller.start()
     return controller
-
-
-async def http(host, port, method, path, payload=None):
-    reader, writer = await asyncio.open_connection(host, port)
-    body = json.dumps(payload or {}).encode()
-    writer.write(
-        f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode() + body
-    )
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    head, _, response_body = raw.partition(b"\r\n\r\n")
-    return int(head.split(b" ", 2)[1]), json.loads(response_body or b"{}")
 
 
 def run_with_server(controller, coroutine_factory):
@@ -137,19 +124,32 @@ class TestEndpoints:
         status, payload = run_with_server(controller, scenario)
         assert status == 404 and "error" in payload
 
+    def test_every_route_answers_only_its_own_method(self, controller):
+        # ROUTES is the list the serve banners and `list` print
+        other = {"GET": "POST", "POST": "GET"}
+        bodies = {"predict": {"nodes": [0]}, "delta": {"add_nodes": {"no-such-type": [[0.0]]}}}
+
+        async def scenario(server, host, port):
+            statuses = {}
+            for name, method in ROUTES.items():
+                right, _ = await http(host, port, method, f"/{name}", bodies.get(name))
+                wrong, _ = await http(host, port, other[method], f"/{name}", bodies.get(name))
+                statuses[name] = (right, wrong)
+            return statuses
+
+        statuses = run_with_server(controller, scenario)
+        # the delta names an unknown node type: a 400 from its own handler
+        assert statuses == {name: (400 if name == "delta" else 200, 404) for name in ROUTES}
+
     def test_bad_json_400(self, controller):
         async def scenario(server, host, port):
-            reader, writer = await asyncio.open_connection(host, port)
             body = b"{not json"
-            writer.write(
+            return await raw_request(
+                host, port,
                 f"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}"
-                f"\r\nConnection: close\r\n\r\n".encode() + body
+                f"\r\nConnection: close\r\n\r\n".encode(),
+                body,
             )
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            head, _, response_body = raw.partition(b"\r\n\r\n")
-            return int(head.split(b" ", 2)[1]), json.loads(response_body)
 
         status, payload = run_with_server(controller, scenario)
         assert status == 400 and "error" in payload
