@@ -264,8 +264,10 @@ def _chaos_controller(graph=None) -> ServingController:
 
 
 def _tier_main(root: str, workers: int, port_file: str, snapshot_every: int) -> None:
-    """Child-process entry: serve a tier (or one plain server) until killed."""
+    """Child-process entry: serve a tier (or one plain server) until SIGTERM
+    closes it or SIGKILL stops it."""
     import asyncio
+    import signal
 
     from repro.serving import ServingServer
     from repro.serving.replicated import ReplicatedConfig, ReplicatedServer
@@ -288,7 +290,15 @@ def _tier_main(root: str, workers: int, port_file: str, snapshot_every: int) -> 
         Path(port_file).write_text(
             json.dumps({"host": host, "port": port, "pid": os.getpid()})
         )
-        await server.serve_forever()
+        # SIGTERM (_stop_tier) closes the tier, which stops every worker,
+        # booting ones included, so none outlives the run's root.
+        serving = asyncio.ensure_future(server.serve_forever())
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, serving.cancel)
+        try:
+            await serving
+        except asyncio.CancelledError:
+            pass
+        await server.close()
 
     asyncio.run(run())
 
@@ -404,16 +414,14 @@ async def _until(ready, failure: str) -> float:
     return time.perf_counter() - start
 
 
-async def _start_tier(make_controller, workers: int, prefix: str):
-    """Start an in-process tier under a fresh root; returns ``(server, host, port)``
+async def _start_tier(make_controller, workers: int, root: Path):
+    """Start an in-process tier under ``root``; returns ``(server, host, port)``
     once every worker has registered."""
-    import tempfile
-
     from repro.serving.replicated import ReplicatedConfig, ReplicatedServer
 
     server = ReplicatedServer(
         make_controller,
-        config=ReplicatedConfig(root=tempfile.mkdtemp(prefix=prefix), port=0, workers=workers),
+        config=ReplicatedConfig(root=root, port=0, workers=workers),
         genesis=GENESIS,
     )
     host, port = await server.start()
@@ -421,7 +429,7 @@ async def _start_tier(make_controller, workers: int, prefix: str):
     return server, host, port
 
 
-async def replicated_kill_phase(workers: int) -> dict:
+async def replicated_kill_phase(workers: int, root: Path) -> dict:
     """Worker SIGKILL mid delta-replay: zero dropped, zero stale responses.
 
     The tier runs in-process (the benchmark is the coordinator) so the
@@ -439,7 +447,7 @@ async def replicated_kill_phase(workers: int) -> dict:
 
     from repro.serving.probe import LabelBook, commit, verified_reads
 
-    server, host, port = await _start_tier(_make_bench_controller, workers, "bench-repl-kill-")
+    server, host, port = await _start_tier(_make_bench_controller, workers, root / "kill")
     book = LabelBook(lambda: server.controller.session)
     schedule = _deltas(server.controller.graph, 4, seed=29)
 
@@ -565,7 +573,7 @@ def replicated_recovery_phase(ctx, root: Path, workers: int) -> dict:
     }
 
 
-async def replicated_chaos_phase(workers: int) -> dict:
+async def replicated_chaos_phase(workers: int, root: Path) -> dict:
     """Adversarial chaos drill: every self-healing path fires, under load.
 
     Five failures strike a live tier while concurrent clients hammer
@@ -595,7 +603,7 @@ async def replicated_chaos_phase(workers: int) -> dict:
 
     injector = FaultInjector(seed=11)
     faults.install(injector)
-    server, host, port = await _start_tier(_chaos_controller, workers, "bench-repl-chaos-")
+    server, host, port = await _start_tier(_chaos_controller, workers, root / "chaos")
     tmp = server.config.root_path
     book = LabelBook(lambda: server.controller.session)
     schedule = _deltas(server.controller.graph, 4, seed=53)
@@ -792,11 +800,21 @@ def _read_baseline() -> dict:
 
 
 def replicated_main(workers: int, phases: set[str]) -> int:
-    import multiprocessing
+    """Run the replicated ``phases`` under one temporary root, removed on every
+    exit path once they are done: each tier's WAL, metrics board and
+    published versions live below it."""
     import tempfile
 
+    with tempfile.TemporaryDirectory(
+        prefix="bench-replicated-", ignore_cleanup_errors=True
+    ) as root:
+        return _replicated_phases(workers, phases, Path(root))
+
+
+def _replicated_phases(workers: int, phases: set[str], root: Path) -> int:
+    import multiprocessing
+
     ctx = multiprocessing.get_context("spawn")
-    root = Path(tempfile.mkdtemp(prefix="bench-replicated-"))
     result: dict = {"workers": workers, "scale": SCALE, "phases": sorted(phases)}
     failures: list[str] = []
 
@@ -817,7 +835,7 @@ def replicated_main(workers: int, phases: set[str]) -> int:
                 )
 
     if "kill" in phases:
-        kill = asyncio.run(replicated_kill_phase(workers))
+        kill = asyncio.run(replicated_kill_phase(workers, root))
         result["worker_kill"] = kill
         print(
             f"worker-kill: {kill['answered']} answered, {kill['retries']} retried, "
@@ -850,7 +868,7 @@ def replicated_main(workers: int, phases: set[str]) -> int:
                 failures.append(f"recovery gate: {key} is False")
 
     if "chaos" in phases:
-        chaos = asyncio.run(replicated_chaos_phase(min(workers, 2)))
+        chaos = asyncio.run(replicated_chaos_phase(min(workers, 2), root))
         result["chaos"] = chaos
         print(
             f"chaos: {chaos['answered']} answered, {chaos['retries']} retried, "

@@ -8,8 +8,8 @@ embedding helpers — consumes the same expensive intermediate products:
 * the composed meta-path adjacencies: boolean reachability (receptive
   fields / Jaccard similarity) composed as packed words, with every
   composed suffix product shared between the paths that end in it,
-* the canonical CSR of a receptive field, derived from its words only for
-  the consumers that read column indices,
+* the CSR index pattern of a receptive field, expanded from its words only
+  for the consumers that read column indices,
 * the root / father / leaf type hierarchy,
 * the propagated meta-path feature blocks (pushed through the hops one at
   a time, never through a composed matrix) and the derived embeddings.
@@ -42,8 +42,10 @@ from repro.models.propagation import metapath_feature_blocks, standardize_featur
 __all__ = ["CondensationContext"]
 
 
-def _sparse_arrays(matrix: sp.spmatrix) -> list[np.ndarray]:
-    return [matrix.data, matrix.indices, matrix.indptr]
+def _sparse_arrays(form: sp.spmatrix | tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    if isinstance(form, tuple):  # an index pattern
+        return list(form)
+    return [form.data, form.indices, form.indptr]
 
 
 class CondensationContext:
@@ -167,11 +169,12 @@ class CondensationContext:
     def receptive_field(self, metapath: MetaPath) -> sp.csr_matrix:
         """Boolean reachability matrix: row ``i`` is node ``i``'s receptive field.
 
-        The canonical CSR that :meth:`packed_receptive_field` builds once
-        and keeps — for consumers that read column indices.
+        The canonical unit-valued CSR of :meth:`packed_receptive_field`: its
+        kept index pattern (expanded once) wrapped with unit data — for
+        consumers that read column indices or values.
         """
         cached = self._packed.get(metapath.node_types)
-        if cached is None or cached.source is None or not self.cache_enabled:
+        if cached is None or cached.kept_pattern is None or not self.cache_enabled:
             self.stats["adjacency_builds"] += 1
         else:
             self.stats["adjacency_hits"] += 1
@@ -357,23 +360,22 @@ class CondensationContext:
         """Bytes held by each cache family, plus their ``total``.
 
         Families: receptive-field ``words`` (suffix products included),
-        their ``csr``, ``csc`` and ``nim`` operator, and the ``features``
-        blocks and embeddings.  A buffer shared between forms (the NIM
-        operator reuses its CSR's index arrays) is counted once, in the
-        first family that holds it.  Inspects what is cached; builds
-        nothing.
+        their CSR index ``pattern``, ``csc`` and ``nim`` operator, and the
+        ``features`` blocks and embeddings.  A buffer shared between forms
+        (the NIM operator reuses the pattern's index arrays) is counted
+        once, in the first family that holds it.  Inspects what is cached;
+        builds nothing.
         """
         from repro.core.coverage_kernels import _csc
         from repro.core.neighbor_influence import _scaled_adjacency
 
         families: dict[str, list[np.ndarray]] = {
-            "words": [], "csr": [], "csc": [], "nim": [], "features": [],
+            "words": [], "pattern": [], "csc": [], "nim": [], "features": [],
         }
         names = {_csc: "csc", _scaled_adjacency: "nim"}
         for packed in self._packed.values():
             families["words"].append(packed.words)
-            if packed.source is not None:
-                families["csr"] += _sparse_arrays(packed.source)
+            families["pattern"] += packed.kept_pattern or ()
             for build, form in packed.derived_forms().items():
                 family = names.get(build, build.__name__)
                 families.setdefault(family, []).extend(_sparse_arrays(form))

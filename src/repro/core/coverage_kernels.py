@@ -44,7 +44,6 @@ __all__ = [
     "CoverageResult",
     "PackedAdjacency",
     "bit_count",
-    "csr_from_words",
     "greedy_max_coverage_decremental",
     "greedy_max_coverage_packed",
     "greedy_max_coverage_reference",
@@ -102,60 +101,65 @@ def _empty_result() -> CoverageResult:
 # --------------------------------------------------------------------------- #
 # Packed representation
 # --------------------------------------------------------------------------- #
-#: temporary bytes one row block of a words->CSR expansion may unpack; a
-#: constant, so peak memory stays bounded however dense a path gets
-_UNPACK_BLOCK_BYTES = 1 << 25
+#: temporary bytes one row block of a words->pattern expansion may unpack;
+#: a constant, so peak memory stays bounded however dense a path gets
+_UNPACK_BLOCK_BYTES = 1 << 22
+#: the largest index SciPy stores in int32 CSR index arrays
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
-def _indptr_of(counts: np.ndarray) -> np.ndarray:
-    """CSR row pointers (int64) of per-row entry counts."""
-    indptr = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
+def _index_dtype(shape: tuple[int, int], nnz: int) -> type:
+    """The index dtype SciPy gives a CSR of ``shape`` with ``nnz`` entries."""
+    return np.int32 if max(*shape, nnz) <= _INT32_MAX else np.int64
 
 
-def _set_bit_columns(words: np.ndarray, nnz: int) -> np.ndarray:
-    """Column of every set bit of ``words``, in row-major bit order.
+def _expand_pattern(
+    words: np.ndarray, sizes: np.ndarray, n_cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR index pattern ``(indptr, indices)`` of the set bits of ``words``.
 
-    Row-major order is sorted CSR order, so the result needs no sort.  Rows
-    holding at least one set bit per word on average are unpacked whole
-    (``np.unpackbits`` + ``np.flatnonzero``); sparser rows expand only
-    their non-zero words.
+    Row-major bit order is sorted CSR order, so no sort runs.  Rows are
+    expanded in blocks of at most ``_UNPACK_BLOCK_BYTES`` unpacked bits,
+    straight into the index array: a block holding at least half a set
+    bit per word is unpacked whole and each set bit's flat position minus
+    its row's offset is its column; a sparser block unpacks only its
+    non-zero words.
     """
     n_rows, n_words = words.shape
+    dtype = _index_dtype((n_rows, n_cols), int(sizes.sum()))
+    indptr = np.zeros(n_rows + 1, dtype=dtype)
+    np.cumsum(sizes, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=dtype)
     stride = 64 * n_words
-    if nnz >= words.size:
-        parts = []
-        block = max(1, _UNPACK_BLOCK_BYTES // stride)
-        for start in range(0, n_rows, block):
-            chunk = np.ascontiguousarray(words[start : start + block]).view(np.uint8)
-            bits = np.unpackbits(chunk.reshape(-1), bitorder="little").view(bool)
-            parts.append(np.flatnonzero(bits) % stride)
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    flat = np.flatnonzero(words)
-    nonzero = np.ascontiguousarray(words.reshape(-1)[flat]).view(np.uint8)
-    bits = np.flatnonzero(np.unpackbits(nonzero, bitorder="little").view(bool))
-    return (flat[bits >> 6] % n_words) * 64 + (bits & 63)
+    block = max(1, _UNPACK_BLOCK_BYTES // stride)
+    for start in range(0, n_rows, block):
+        chunk = np.ascontiguousarray(words[start : start + block])
+        out = indices[indptr[start] : indptr[start + chunk.shape[0]]]
+        if 2 * out.size >= chunk.size:
+            bits = np.unpackbits(chunk.view(np.uint8), axis=1, bitorder="little")
+            offsets = np.repeat(
+                np.arange(0, chunk.shape[0] * stride, stride), sizes[start : start + block]
+            )
+            np.subtract(np.flatnonzero(bits.view(bool)), offsets, out=out, casting="unsafe")
+        else:
+            nonzero = chunk != 0
+            bits = np.unpackbits(chunk[nonzero].view(np.uint8), bitorder="little")
+            bits = np.flatnonzero(bits.view(bool))
+            word_cols = np.nonzero(nonzero)[1]
+            np.bitwise_or(word_cols[bits >> 6] << 6, bits & 63, out=out, casting="unsafe")
+    return indptr, indices
 
 
-def csr_from_words(words: np.ndarray, n_cols: int) -> sp.csr_matrix:
-    """Canonical unit-valued CSR of the set bits of ``words``.
+def _csc(packed: "PackedAdjacency") -> tuple[np.ndarray, np.ndarray]:
+    """The CSC index pattern ``(indptr, indices)`` of a packed pattern.
 
-    Row-major bit order is sorted CSR order, so no sort runs.
+    SciPy's counting-sort transpose, run over placeholder boolean values
+    that are dropped: only the inverted column->row index is kept.
     """
-    sizes = bit_count(words).sum(axis=1, dtype=np.int64)
-    nnz = int(sizes.sum())
-    csr = sp.csr_matrix(
-        (np.ones(nnz, dtype=np.float64), _set_bit_columns(words, nnz), _indptr_of(sizes)),
-        shape=(words.shape[0], n_cols),
-    )
-    csr.has_canonical_format = True
-    return csr
-
-
-def _csc(csr: sp.csr_matrix) -> sp.csc_matrix:
-    """The inverted column->row index of a canonical CSR."""
-    return csr.tocsc()
+    indptr, indices = packed.pattern()
+    flags = np.ones(indices.size, dtype=bool)
+    csc = sp.csr_matrix((flags, indices, indptr), shape=packed.shape).tocsc()
+    return csc.indptr, csc.indices
 
 
 class PackedAdjacency:
@@ -168,11 +172,15 @@ class PackedAdjacency:
     meta-paths are composed (:func:`repro.core.metapaths.compose_packed`).
 
     The object owns every form derived from its bit pattern.  The words are
-    read-only.  The canonical CSR (:meth:`to_csr`), its CSC (:meth:`to_csc`)
-    and any other form built through :meth:`derived` (NIM's Eq. 11
-    operator) are built on first use and kept for the object's lifetime, so
-    a derived form dies with its pattern and never goes stale.  Patching
-    builds a new object.
+    read-only.  The one index form it keeps is the CSR index pattern
+    (:meth:`pattern`): the source CSR's arrays when it was packed from a
+    canonical CSR, otherwise expanded from the words on first use.  The
+    unit-valued CSR (:meth:`to_csr`) wraps that pattern for the callers that
+    read values and is not kept.  The CSC index pattern
+    (:meth:`column_pattern`) and any other form built through
+    :meth:`derived` (NIM's Eq. 11 operator) are built on first use and kept
+    for the object's lifetime, so a derived form dies with its pattern and
+    never goes stale.  Patching builds a new object.
 
     Examples
     --------
@@ -184,23 +192,27 @@ class PackedAdjacency:
     False
     >>> packed.to_csr() is csr              # a canonical CSR is kept as is
     True
-    >>> packed.to_csc() is packed.to_csc()  # built once, then served by identity
+    >>> packed.pattern()[1] is csr.indices  # ... and its indices are the pattern
+    True
+    >>> packed.column_pattern() is packed.column_pattern()  # built once, then kept
     True
     """
 
-    __slots__ = ("shape", "words", "_csr", "_sizes", "_derived")
+    __slots__ = ("shape", "words", "_csr", "_pattern", "_sizes", "_derived")
 
     def __init__(
         self,
         words: np.ndarray,
         shape: tuple[int, int],
         csr: sp.csr_matrix | None = None,
+        pattern: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         words.setflags(write=False)
         self.words = words
         self.shape = (int(shape[0]), int(shape[1]))
-        #: the canonical CSR of the same pattern, when the caller has one
+        #: the canonical unit-valued CSR of the same pattern, when the caller has one
         self._csr = csr
+        self._pattern = pattern if csr is None else (csr.indptr, csr.indices)
         self._sizes: np.ndarray | None = None
         self._derived: dict = {}
 
@@ -214,8 +226,8 @@ class PackedAdjacency:
         are consecutive entries of a row in sorted CSR order, so one
         ``np.bitwise_or.reduceat`` over those runs packs the whole matrix;
         unsorted input is ordered first.  ``matrix`` is kept as the CSR form
-        only when it is canonical with unit values; otherwise :meth:`to_csr`
-        derives the CSR from the words.
+        only when it is canonical with unit values; otherwise :meth:`pattern`
+        expands the index pattern from the words.
         """
         if isinstance(matrix, cls):
             return matrix
@@ -238,35 +250,50 @@ class PackedAdjacency:
         canonical = csr.has_canonical_format and bool((csr.data == 1).all())
         return cls(words, (n_rows, n_cols), csr if canonical else None)
 
-    def to_csr(self) -> sp.csr_matrix:
-        """The canonical CSR of the set bits, built once and kept.
+    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR index pattern ``(indptr, indices)`` of the set bits, kept.
 
-        Sorted and duplicate-free, all stored values 1.0 — the form the
-        decremental coverage kernel and NIM read.
+        Sorted and duplicate-free, in the index dtype SciPy would pick.
+        Taken from the source CSR when there is one, otherwise expanded from
+        the words once (span ``core.csr``).
         """
-        if self._csr is None:
+        if self._pattern is None:
             with obs.span("core.csr", rows=self.shape[0], nnz=self.nnz):
-                self._csr = csr_from_words(self.words, self.shape[1])
-        return self._csr
+                self._pattern = _expand_pattern(self.words, self.sizes(), self.shape[1])
+        return self._pattern
 
     @property
-    def source(self) -> sp.csr_matrix | None:
-        """The CSR form if it has been kept or built, else None (never builds)."""
-        return self._csr
+    def kept_pattern(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The index pattern if it has been taken or expanded, else None (never builds)."""
+        return self._pattern
 
-    def to_csc(self) -> sp.csc_matrix:
-        """The CSC (inverted column->row index) of :meth:`to_csr`, built once."""
+    def to_csr(self) -> sp.csr_matrix:
+        """The canonical unit-valued CSR of the set bits.
+
+        The source CSR when there is one; otherwise :meth:`pattern` wrapped
+        with fresh unit data, which is not kept.  For callers that read
+        values (degree importance, analyses).
+        """
+        if self._csr is not None:
+            return self._csr
+        indptr, indices = self.pattern()
+        csr = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=self.shape)
+        csr.has_canonical_format = True
+        return csr
+
+    def column_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSC index pattern (inverted column->row index), built once."""
         return self.derived(_csc)
 
-    def derived(self, build: Callable[[sp.csr_matrix], object]):
-        """``build(self.to_csr())``, built on first use and kept.
+    def derived(self, build: Callable[["PackedAdjacency"], object]):
+        """``build(self)``, built on first use and kept.
 
-        ``build`` is a module-level function of the canonical CSR and the
+        ``build`` is a module-level function of the packed object and the
         memo key, so each derived form is built once per pattern.
         """
         form = self._derived.get(build)
         if form is None:
-            form = self._derived[build] = build(self.to_csr())
+            form = self._derived[build] = build(self)
         return form
 
     def derived_forms(self) -> dict:
@@ -478,8 +505,9 @@ def greedy_max_coverage_decremental(
     budgets) and returns the identical selection: highest current gain,
     ties broken by the lowest node id.
 
-    It reads the canonical CSR and CSC that ``packed`` builds once and
-    keeps, so per-class greedy runs over the same meta-path share them.
+    It reads the row and column index patterns that ``packed`` builds
+    once and keeps, so per-class greedy runs over the same meta-path share
+    them.
     """
     pool = np.asarray(pool, dtype=np.int64)
     budget = int(min(budget, pool.size))
@@ -487,7 +515,7 @@ def greedy_max_coverage_decremental(
         return _empty_result()
 
     n_rows, n_cols = packed.shape
-    adjacency, csc = packed.to_csr(), packed.to_csc()
+    (indptr, indices), (col_indptr, col_rows) = packed.pattern(), packed.column_pattern()
     if pool.size > 1 and bool(np.all(pool[1:] > pool[:-1])):
         candidates = pool  # already sorted and duplicate-free
     else:
@@ -496,7 +524,7 @@ def greedy_max_coverage_decremental(
     # Selected / non-candidate entries are parked at -1, so the per-round
     # argmax needs no mask; first-max ties resolve to the lowest node id
     # because ``candidates`` is sorted ascending.
-    cand_gain = np.diff(adjacency.indptr).astype(np.int64)[candidates]
+    cand_gain = np.diff(indptr).astype(np.int64)[candidates]
     # Non-candidate rows map to a spill bin (index ``candidates.size``) so
     # the per-round bincount needs no filtering pass.
     position_of_row = np.full(n_rows, candidates.size, dtype=np.int64)
@@ -508,9 +536,7 @@ def greedy_max_coverage_decremental(
     selected: list[int] = []
     gains: list[float] = []
 
-    indptr, indices = adjacency.indptr, adjacency.indices
-    col_indptr = csc.indptr.astype(np.int64)
-    col_rows = csc.indices
+    col_indptr = col_indptr.astype(np.int64)
 
     while len(selected) < budget and n_alive:
         best_pos = int(np.argmax(cand_gain))

@@ -16,8 +16,9 @@ normalised hop at a time
 Boolean reachability — the receptive fields of Section IV-B — is composed
 in packed form (:func:`compose_packed`): one bit per column in uint64
 words, each hop a bit-parallel OR of the next hop's rows.  That is the
-library's one full boolean composition; CSR is derived from the words on
-demand (``compose_packed(graph, path).to_csr()``).
+library's one full boolean composition; the CSR index pattern is expanded
+from the words on demand (``compose_packed(graph, path).pattern()``, or
+``.to_csr()`` with unit values).
 """
 
 from __future__ import annotations
@@ -209,8 +210,8 @@ def compose_packed(
     Composed right to left: row ``i`` of ``RF(t0…tk)`` is the OR of the
     ``RF(t1…tk)`` rows of ``i``'s ``t0→t1`` neighbours, so a hop costs its
     own entry count times the end type's word count.  The last hop is
-    packed directly from its typed adjacency, which it keeps as the path's
-    CSR form when that is canonical.
+    packed directly from its typed adjacency, whose arrays it keeps as the
+    path's index pattern when that is canonical.
 
     ``products`` caches every composed chain, keyed by its node types:
     pass one dict across calls to share suffix products between paths (the

@@ -45,25 +45,26 @@ def _inverse_sqrt(degrees: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _scaled_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
+def _scaled_adjacency(adjacency: PackedAdjacency) -> sp.csr_matrix:
     """The target→father block of the symmetric-normalised bipartite graph.
 
     Eq. 11 normalises the block matrix ``[[0, A], [Aᵀ, 0]]`` of a unit-weight
     target→father adjacency ``A``: entry ``(i, j)`` becomes
     ``r_inv[i] · c_inv[j]`` with ``r_inv``/``c_inv`` the inverse square
-    roots of the row/column entry counts.  That scaling of ``A``, sharing
-    ``A``'s index arrays, is the whole operator: its transpose (a CSC view
-    of the same arrays) is the father→target block.  It depends only on the
-    pattern, so :func:`bipartite_pagerank` builds it through
+    roots of the row/column entry counts.  That scaling of ``A``, built on
+    the index pattern ``A``'s packed form keeps and sharing its arrays, is
+    the whole operator: its transpose (a CSC view of the same arrays) is the
+    father→target block, and no unit-valued CSR is built.  It depends only
+    on the pattern, so :func:`bipartite_pagerank` builds it through
     :meth:`PackedAdjacency.derived` and re-anchored PPR runs pay only the
     iterations.
     """
-    row_counts = np.diff(adjacency.indptr)
-    col_counts = np.bincount(adjacency.indices, minlength=adjacency.shape[1])
+    indptr, indices = adjacency.pattern()
+    row_counts = np.diff(indptr)
+    col_counts = np.bincount(indices, minlength=adjacency.shape[1])
     row_inv, col_inv = _inverse_sqrt(row_counts), _inverse_sqrt(col_counts)
     return sp.csr_matrix(
-        (np.repeat(row_inv, row_counts) * col_inv[adjacency.indices],
-         adjacency.indices, adjacency.indptr),
+        (np.repeat(row_inv, row_counts) * col_inv[indices], indices, indptr),
         shape=adjacency.shape,
     )
 
@@ -91,8 +92,9 @@ def bipartite_pagerank(
     SpMVs.  The chain stops early once ``‖F_k − F_{k−2}‖₁ < tolerance``.
     Unless a stop fires, the scores are bit for bit the father half of the
     block-matrix iteration, which ran both chains side by side and tested
-    the change of the whole iterate.  ``S`` is built from the canonical CSR
-    of the packed ``adjacency`` and kept by it.
+    the change of the whole iterate.  ``S`` is built on the index pattern
+    of the packed ``adjacency`` (:meth:`PackedAdjacency.pattern`), with no
+    unit-valued CSR, and kept by it.
 
     Returns the father scores and the chain steps run (``iterations``
     unless the stop fired).

@@ -54,14 +54,14 @@ def _prefers_decremental(packed: PackedAdjacency) -> bool:
     """Whether the decremental kernel is the cheaper one on ``packed``.
 
     It is when the rows are short, sparse within their words, and the
-    canonical CSR already exists.  Deriving the CSR (and its CSC) from the
-    words costs several times the kernel's own walk: on acm at scale 4,
-    with the criterion's class pools, a 2-hop path at 29 entries per row
-    took 13.6 ms that way against 5.8 ms for batched CELF.
+    index pattern already exists.  Expanding the pattern (and building its
+    CSC) from the words costs several times the kernel's own walk: on acm
+    at scale 4, with the criterion's class pools, a 2-hop path at 29
+    entries per row took 13.6 ms that way against 5.8 ms for batched CELF.
     """
     mean = packed.nnz / max(packed.shape[0], 1)
     return (
-        packed.source is not None
+        packed.kept_pattern is not None
         and mean <= _DENSITY_CUTOFF
         and mean <= _BITS_PER_WORD_CUTOFF * packed.num_words
     )
@@ -92,10 +92,10 @@ def greedy_max_coverage(
 
     Raw input is packed once (:meth:`PackedAdjacency.from_csr`); the
     kernel then follows the cost of each: the decremental inverted-index
-    kernel when the CSR already exists and rows are short (mean size up to
-    ~48) and sparse within their words (at most ~2 set bits per word),
-    batched CELF otherwise.  Only the decremental kernel reads the CSR and
-    its CSC, so the choice never derives a CSR from the words.  Both
+    kernel when the index pattern already exists and rows are short (mean
+    size up to ~48) and sparse within their words (at most ~2 set bits per
+    word), batched CELF otherwise.  Only the decremental kernel reads the
+    pattern and its CSC, so the choice never expands one from the words.  Both
     kernels return the *identical* selection — highest current marginal
     gain per round, ties broken by the lowest node id — so the choice is
     purely about speed.
@@ -110,7 +110,7 @@ def greedy_max_coverage(
         per-class loop of the unified criterion) should pass the packed
         form served by
         :meth:`repro.core.context.CondensationContext.packed_receptive_field`,
-        so the words, the derived CSR and its inverted CSC index are shared
+        so the words, the index pattern and its inverted CSC index are shared
         across runs.
     pool:
         Candidate row indices (the class-restricted training pool

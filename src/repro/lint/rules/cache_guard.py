@@ -1,8 +1,9 @@
 """Cache-guard rule: no derived data hangs off a matrix as a ``_repro_*`` attribute.
 
-Every form derived from a receptive field's bit pattern — its CSR, CSC and
-NIM operator — is owned by the :class:`~repro.core.coverage_kernels.
-PackedAdjacency` it came from and dies with it.  An attribute written onto
+Every form derived from a receptive field's bit pattern — its CSR and CSC
+index patterns and NIM operator — is owned by the
+:class:`~repro.core.coverage_kernels.PackedAdjacency` it came from and
+dies with it.  An attribute written onto
 a scipy matrix instead outlives any in-place edit of that matrix and keeps
 serving stale derived data, so every such write is a finding.
 """
@@ -39,8 +40,8 @@ class UnguardedAttributeCacheRule(LintRule):
         "    return matrix._repro_degree\n"
     )
     good_example = (
-        "def degree(csr):\n"
-        "    return csr.sum(axis=1)\n"
+        "def degree(packed):\n"
+        "    return packed.to_csr().sum(axis=1)\n"
         "\n"
         "def cached_degree(packed):\n"
         "    return packed.derived(degree)\n"

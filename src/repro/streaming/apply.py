@@ -6,11 +6,11 @@ buffer-wise) and, when handed the :class:`~repro.core.context.CondensationContex
 that serves artifacts for that graph, invalidates **exactly** the memos the
 delta touches:
 
-* a meta-path's receptive fields (packed words plus the CSR, CSC and NIM
-  caches derived from them, which die with the replaced object) are
-  row-patched or dropped iff the delta edits an edge on one of the path's
-  hops or changes the node count of a type on the path; intermediate
-  suffix products are always dropped;
+* a meta-path's receptive fields (packed words plus the index pattern,
+  CSC and NIM caches derived from them, which die with the replaced
+  object) are row-patched or dropped iff the delta edits an edge on one
+  of the path's hops or changes the node count of a type on the path;
+  intermediate suffix products are always dropped;
 * per-type embeddings are dropped only for the touched types, and the
   propagated target feature blocks whenever any type is touched (they are
   recomputed hop by hop from the mutated graph);

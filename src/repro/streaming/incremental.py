@@ -361,7 +361,7 @@ class IncrementalCondenser:
             stage_memo=self.stage_memo,
         )
         # Row diffs are only valid within one step; keeping them would pin
-        # every replaced adjacency (and its CSR, CSC and NIM caches).
+        # every replaced adjacency (and its index pattern, CSC and NIM caches).
         self.selection_memo.end_step()
         self._previous_selection = self._selected_targets()
         return condensed

@@ -12,7 +12,7 @@ previously composed words:
   re-composition);
 * :func:`patch_rows` narrows the dirty rows to the truly changed ones and
   splices them into copies of the previous words and, when one was
-  derived, of the previous CSR.
+  kept, of the previous CSR index pattern.
 
 Dirty rows are over-approximated by :func:`propagate_dirty`: the changed
 node sets of a hop are walked back to the anchor type through the union of
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.coverage_kernels import PackedAdjacency, csr_from_words
+from repro.core.coverage_kernels import PackedAdjacency, _index_dtype
 from repro.core.metapaths import MetaPath
 
 __all__ = ["patch_rows", "propagate_dirty"]
@@ -43,8 +43,9 @@ def patch_rows(
     the same endpoints).  Only rows whose words differ are spliced in, which
     keeps the selection memos' own row-diffs small — and when no row
     changed, None tells the caller to keep the old **object**, so every
-    identity-keyed memo downstream keeps hitting.  A CSR derived for
-    ``old`` is patched alongside; otherwise it is derived on demand.
+    identity-keyed memo downstream keeps hitting.  An index pattern kept
+    by ``old`` is spliced alongside, so NIM rebuilds its operator without
+    re-expanding the words; otherwise it is expanded on demand.
     """
     rows = np.asarray(rows, dtype=np.int64)
     changed = np.flatnonzero((block != old.words[rows]).any(axis=1))
@@ -53,37 +54,39 @@ def patch_rows(
     rows, block = rows[changed], block[changed]
     words = old.words.copy()
     words[rows] = block
-    csr = None
-    if old.source is not None:
-        csr = _splice_rows(old.source, rows, csr_from_words(block, old.shape[1]))
-    return PackedAdjacency(words, old.shape, csr)
+    pattern = old.kept_pattern
+    if pattern is not None:
+        block_pattern = PackedAdjacency(block, (rows.size, old.shape[1])).pattern()
+        pattern = _splice_rows(pattern, rows, block_pattern, old.shape)
+    return PackedAdjacency(words, old.shape, pattern=pattern)
 
 
 def _splice_rows(
-    old: sp.csr_matrix, rows: np.ndarray, block: sp.csr_matrix
-) -> sp.csr_matrix:
-    """Canonical ``old`` with its sorted ``rows`` replaced by ``block``'s rows.
+    old: tuple[np.ndarray, np.ndarray],
+    rows: np.ndarray,
+    block: tuple[np.ndarray, np.ndarray],
+    shape: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pattern ``old`` with its sorted ``rows`` replaced by ``block``'s rows.
 
     One concatenation of the untouched runs and the new rows: a copy of
-    the index array, no sort.
+    the index array, no sort.  The result has the index dtype a fresh
+    expansion of the same pattern would have.
     """
-    indptr = old.indptr.astype(np.int64)
+    (indptr, indices), (block_indptr, block_indices) = old, block
+    indptr = indptr.astype(np.int64)
     counts = np.diff(indptr)
-    counts[rows] = np.diff(block.indptr)
+    counts[rows] = np.diff(block_indptr)
     pieces, previous = [], 0
     for position, row in enumerate(rows.tolist()):
-        pieces.append(old.indices[indptr[previous] : indptr[row]])
-        pieces.append(block.indices[block.indptr[position] : block.indptr[position + 1]])
+        pieces.append(indices[indptr[previous] : indptr[row]])
+        pieces.append(block_indices[block_indptr[position] : block_indptr[position + 1]])
         previous = row + 1
-    pieces.append(old.indices[indptr[previous] :])
-    indices = np.concatenate(pieces).astype(old.indices.dtype, copy=False)
-    new_indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    pieces.append(indices[indptr[previous] :])
+    dtype = _index_dtype(shape, int(counts.sum()))
+    new_indptr = np.zeros(counts.size + 1, dtype=dtype)
     np.cumsum(counts, out=new_indptr[1:])
-    spliced = sp.csr_matrix(
-        (np.ones(indices.size, dtype=np.float64), indices, new_indptr), shape=old.shape
-    )
-    spliced.has_canonical_format = True
-    return spliced
+    return new_indptr, np.concatenate(pieces).astype(dtype, copy=False)
 
 
 def _rows_reaching(matrix: sp.csr_matrix, columns: np.ndarray) -> np.ndarray:

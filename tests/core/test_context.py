@@ -204,7 +204,7 @@ class TestCachedResultsIdentical:
 
 
 class TestCacheBytes:
-    FAMILIES = {"words", "csr", "csc", "nim", "features", "total"}
+    FAMILIES = {"words", "pattern", "csc", "nim", "features", "total"}
 
     def test_families_after_condense(self, toy_graph):
         condenser = FreeHGC(max_hops=2, max_paths=8)
@@ -214,7 +214,7 @@ class TestCacheBytes:
         sizes = context.cache_bytes()
         assert set(sizes) == self.FAMILIES
         assert sizes["total"] == sum(v for k, v in sizes.items() if k != "total")
-        assert sizes["words"] > 0 and sizes["csr"] > 0 and sizes["nim"] > 0
+        assert sizes["words"] > 0 and sizes["pattern"] > 0 and sizes["nim"] > 0
         assert context.stats == stats  # inspects, builds nothing
 
     def test_empty_context_holds_nothing(self, toy_graph):

@@ -93,7 +93,10 @@ class TestPackedAdjacency:
 
     def test_source_retained(self):
         matrix = random_boolean_csr(4)
-        assert PackedAdjacency.from_csr(matrix).source is matrix
+        packed = PackedAdjacency.from_csr(matrix)
+        assert packed.to_csr() is matrix
+        indptr, indices = packed.kept_pattern  # the source's own index arrays
+        assert indptr is matrix.indptr and indices is matrix.indices
 
     def test_empty_matrix(self):
         packed = PackedAdjacency.from_csr(sp.csr_matrix((3, 0)))
@@ -131,6 +134,18 @@ class TestPackedOwner:
         fast, _ = bipartite_pagerank(PackedAdjacency.from_csr(duplicated), anchor)
         expected, _ = bipartite_pagerank(PackedAdjacency.from_csr(canonical), anchor)
         assert fast.tobytes() == expected.tobytes()
+
+    def test_column_pattern_is_the_csc_index_without_values(self):
+        matrix = random_boolean_csr(32)
+        packed = PackedAdjacency(PackedAdjacency.from_csr(matrix).words, matrix.shape)
+        greedy_max_coverage_decremental(packed, np.arange(10), 3)
+        csc = matrix.tocsc()
+        for got, want in zip(packed.column_pattern(), (csc.indptr, csc.indices)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        # No form the kernel left on the adjacency holds values.
+        forms = packed.derived_forms().values()
+        assert all(array.dtype.kind == "i" for form in forms for array in form)
 
 
 def assert_same_result(result, reference):
@@ -225,18 +240,18 @@ class TestKernelEquivalence:
         assert_same_result(result, packed)
 
     def test_decremental_requires_source(self):
-        # The decremental kernel reads a CSR and its CSC.  The dispatcher
-        # picks it only where the CSR exists; without one it runs batched
-        # CELF and derives nothing from the words.
+        # The decremental kernel reads an index pattern and its CSC.  The
+        # dispatcher picks it only where the pattern exists; without one it
+        # runs batched CELF and expands nothing from the words.
         matrix = random_boolean_csr(8, n_cols=640, density=0.02)
         pool = np.arange(10)
         reference = greedy_max_coverage_reference(matrix, pool, 4)
         bare = PackedAdjacency(PackedAdjacency.from_csr(matrix).words, matrix.shape)
         assert_same_result(greedy_max_coverage(bare, pool, 4), reference)
-        assert bare.source is None and not bare.derived_forms()
+        assert bare.kept_pattern is None and not bare.derived_forms()
         kept = PackedAdjacency.from_csr(matrix)
         assert_same_result(greedy_max_coverage(kept, pool, 4), reference)
-        assert kept.source is matrix and kept.derived_forms()  # the CSC it walked
+        assert kept.to_csr() is matrix and kept.derived_forms()  # the CSC it walked
 
     @pytest.mark.parametrize(
         "n_cols, density, decremental",
@@ -290,9 +305,9 @@ class TestKernelCacheStaleness:
         matrix = random_boolean_csr(22)
         packed = PackedAdjacency.from_csr(matrix)
         greedy_max_coverage_decremental(packed, np.arange(5), 2)
-        csc = packed.to_csc()
+        csc = packed.column_pattern()
         greedy_max_coverage_decremental(packed, np.arange(5), 2)
-        assert packed.to_csc() is csc
+        assert packed.column_pattern() is csc
         assert packed.to_csr() is matrix
 
 
@@ -343,7 +358,7 @@ class TestContextPackedCache:
 
         def kernel_index(path):
             packed = context.packed_receptive_field(path)
-            return [packed, packed.source, *packed.derived_forms().values()]
+            return [packed, packed.kept_pattern, *packed.derived_forms().values()]
 
         cached = [kernel_index(path) for path in context.metapaths()]
         assert any(len(index) > 2 for index in cached)  # a CSC was built

@@ -1,5 +1,7 @@
 """Packed composition, popcount Jaccard and the father-chain PPR against their oracles."""
 
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,19 +11,24 @@ from hypothesis import strategies as st
 import repro.core.coverage_kernels as kernels_module
 import repro.core.metapaths as metapaths_module
 from repro import obs
-from repro.core import FreeHGC
-from repro.core.coverage_kernels import PackedAdjacency
+from repro.core import CondensationContext, FreeHGC
+from repro.core.coverage_kernels import PackedAdjacency, _csc
 from repro.core.metapaths import (
     MetaPath,
     compose_packed,
     compose_packed_rows,
     enumerate_metapaths,
 )
-from repro.core.neighbor_influence import bipartite_pagerank
+from repro.core.neighbor_influence import _scaled_adjacency, bipartite_pagerank
 from repro.core.similarity import metapath_similarity_scores, row_jaccard
 from repro.datasets import load_dataset
 from repro.hetero import HeteroGraphBuilder, HeteroSchema, Relation
-from tests.oracles import block_pagerank, compose_matmul, csr_row_jaccard
+from tests.oracles import (
+    block_pagerank,
+    compose_matmul,
+    csr_row_jaccard,
+    scaled_adjacency_dense,
+)
 
 
 def random_hin(seed: int, *, n_author: int = 65, empty_relation: bool = False):
@@ -74,6 +81,29 @@ def assert_same_pattern(packed: PackedAdjacency, expected: sp.csr_matrix) -> Non
     np.testing.assert_array_equal(csr.data, expected.data)
 
 
+def mixed_rows(rng, n_cols: int) -> np.ndarray:
+    """A boolean matrix of dense, sparse (about 0.3 set bits per word) and empty rows."""
+    n_rows = int(rng.integers(1, 30))
+    density = rng.choice([0.0, 0.005, 0.6], size=(n_rows, 1))
+    return rng.random((n_rows, n_cols)) < density
+
+
+def words_only(dense: np.ndarray) -> PackedAdjacency:
+    """The packed words of ``dense`` without a source CSR, so the pattern is expanded."""
+    packed = PackedAdjacency.from_csr(sp.csr_matrix(dense.astype(float)))
+    return PackedAdjacency(packed.words, packed.shape)
+
+
+def assert_pattern_is_nonzero(packed: PackedAdjacency, dtype) -> None:
+    """``packed.pattern()`` is ``np.nonzero(packed.unpack())`` in CSR form."""
+    indptr, indices = packed.pattern()
+    rows, cols = np.nonzero(packed.unpack())
+    assert indptr.dtype == indices.dtype == dtype
+    assert indptr[0] == 0
+    np.testing.assert_array_equal(np.repeat(np.arange(packed.shape[0]), np.diff(indptr)), rows)
+    np.testing.assert_array_equal(indices, cols)
+
+
 def all_paths(graph, max_hops=3):
     return enumerate_metapaths(
         graph.schema, graph.schema.target_type, max_hops, max_paths=64
@@ -115,17 +145,27 @@ class TestPackedComposition:
             for path in all_paths(graph):
                 assert_same_pattern(compose_packed(graph, path), compose_matmul(graph, path))
 
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 200))
-    @settings(max_examples=30, deadline=None)
-    def test_dense_and_sparse_expansion_agree(self, seed, n_cols):
-        rng = np.random.default_rng(seed)
-        dense = rng.random((int(rng.integers(1, 30)), n_cols)) < rng.uniform(0, 0.6)
-        matrix = sp.csr_matrix(dense.astype(float))
-        words = PackedAdjacency.from_csr(matrix).words
-        # nnz >= words.size selects the whole-row unpack, 0 the sparse one.
-        for nnz in (words.size, 0):
-            columns = kernels_module._set_bit_columns(words, nnz)
-            np.testing.assert_array_equal(columns, matrix.indices)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 200), st.sampled_from([1, 2, 3, 7, 0]))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_and_sparse_expansion_agree(self, seed, n_cols, rows_per_block):
+        # Dense (whole-row unpack), sparse (non-zero words only) and empty
+        # rows side by side, expanded ``rows_per_block`` rows at a time (0:
+        # one block), so both branches meet block boundaries in every mix.
+        packed = words_only(mixed_rows(np.random.default_rng(seed), n_cols))
+        block_bytes = rows_per_block * 64 * packed.num_words or 1 << 30
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels_module, "_UNPACK_BLOCK_BYTES", block_bytes)
+            assert_pattern_is_nonzero(packed, np.int32)
+
+    @pytest.mark.parametrize("headroom, dtype", [(0, np.int32), (-1, np.int64)])
+    def test_expansion_switches_to_int64_indices(self, monkeypatch, headroom, dtype):
+        # SciPy's rule: int32 until the shape or the entry count passes the
+        # int32 limit, here lowered to the largest of them.
+        packed = words_only(mixed_rows(np.random.default_rng(3), 640))
+        largest = max(*packed.shape, packed.nnz)
+        monkeypatch.setattr(kernels_module, "_INT32_MAX", largest + headroom)
+        monkeypatch.setattr(kernels_module, "_UNPACK_BLOCK_BYTES", 2 * 64 * packed.num_words)
+        assert_pattern_is_nonzero(packed, dtype)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
@@ -312,3 +352,69 @@ class TestFatherChainPagerank:
             spans = [span for span in tracer.drain_spans() if span.name == "core.ppr"]
         assert spans
         assert {span.attrs["iterations"] for span in spans} == {30}
+
+
+def held_arrays(packed: PackedAdjacency) -> list[np.ndarray]:
+    """Every array ``packed`` holds, through its slots, containers and matrices."""
+    stack, arrays = [packed], []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, (PackedAdjacency, dict, tuple, list)) or sp.issparse(item):
+            stack.extend(gc.get_referents(item))
+    return arrays
+
+
+def assert_no_unit_data(packed: PackedAdjacency, key) -> set:
+    """No all-ones float array is reachable from ``packed``; returns its derived builders."""
+    unit = [
+        array for array in held_arrays(packed)
+        if array.dtype == np.float64 and array.size and (array == 1.0).all()
+    ]
+    assert not unit, key
+    return set(packed.derived_forms())
+
+
+def assert_same_bytes(matrix: sp.csr_matrix, expected: sp.csr_matrix) -> None:
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(matrix, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+class TestScaledOperator:
+    """NIM's operator ``S`` is built on the kept index pattern, no unit CSR."""
+
+    @pytest.mark.parametrize("dataset", ["acm", "dblp", "imdb"])
+    def test_every_nim_path_matches_the_dense_oracle(self, dataset):
+        condenser = FreeHGC(max_hops=3)
+        condenser.condense(load_dataset(dataset, scale=1), ratio=0.024, seed=0)
+        context = condenser.last_context
+        checked = 0
+        for father in context.hierarchy.fathers:
+            for path in context.metapaths_to(father):
+                packed = context.packed_receptive_field(path)
+                if packed.nnz:
+                    expected = scaled_adjacency_dense(packed.unpack())
+                    assert_same_bytes(packed.derived(_scaled_adjacency), expected)
+                    checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("expand_first", [False, True])
+    def test_cold_condense_keeps_no_unit_csr_on_multi_hop_paths(self, expand_first):
+        # ``expand_first`` serves every path's unit CSR before the condense,
+        # as a traced perfbench replay does: multi-hop coverage paths then
+        # hold a pattern and take the decremental kernel and its CSC index.
+        graph = load_dataset("acm", scale=1)
+        condenser = FreeHGC(max_hops=3)
+        context = CondensationContext(graph, max_hops=3, max_paths=condenser.max_paths)
+        if expand_first:
+            for path in context.metapaths():
+                context.receptive_field(path)
+        condenser.condense(graph, ratio=0.024, seed=0, context=context)
+        forms = set()
+        for key in context.cached_path_keys():
+            if len(key) > 2:  # a 1-hop path's source CSR is the graph's own
+                forms |= assert_no_unit_data(context.cached_packed(key), key)
+        assert _scaled_adjacency in forms
+        assert (_csc in forms) == expand_first

@@ -156,6 +156,23 @@ def normalized_block(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
+def scaled_adjacency_dense(dense: np.ndarray) -> sp.csr_matrix:
+    """NIM's Eq. 11 operator ``S`` from a dense boolean matrix, entry by entry.
+
+    Over ``rows, cols = np.nonzero(dense)``, entry ``(i, j)`` is
+    ``r_inv[i] * c_inv[j]``: one multiply of the inverse square roots of
+    row ``i``'s and column ``j``'s entry counts.
+    """
+    rows, cols = np.nonzero(dense)
+    row_counts, col_counts = dense.sum(axis=1), dense.sum(axis=0)
+    r_inv = np.zeros(row_counts.size)
+    c_inv = np.zeros(col_counts.size)
+    r_inv[row_counts > 0] = 1.0 / np.sqrt(row_counts[row_counts > 0])
+    c_inv[col_counts > 0] = 1.0 / np.sqrt(col_counts[col_counts > 0])
+    indptr = np.concatenate([[0], np.cumsum(row_counts)])
+    return sp.csr_matrix((r_inv[rows] * c_inv[cols], cols, indptr), shape=dense.shape)
+
+
 def block_pagerank(
     adjacency: sp.csr_matrix,
     anchor: np.ndarray,

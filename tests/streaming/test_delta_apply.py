@@ -179,14 +179,14 @@ class TestContextRefresh:
     def test_untouched_paths_survive(self, graph):
         context = self._context_with_all_paths(graph)
         survivors = {
-            path.node_types: context.cached_packed(path.node_types).source
+            path.node_types: context.cached_packed(path.node_types).kept_pattern
             for path in context.metapaths()
             if not any({"paper", "term"} == set(hop) for hop in path.hops())
         }
         delta = edge_delta(graph, "paper-term", n=5)
         DeltaApplier().apply(graph, delta, context=context)
-        for key, matrix in survivors.items():
-            assert context.cached_packed(key).source is matrix
+        for key, pattern in survivors.items():
+            assert context.cached_packed(key).kept_pattern is pattern
 
     def test_refreshed_paths_match_recomposition(self, graph):
         context = self._context_with_all_paths(graph)

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import FreeHGC
 from repro.core.metapaths import MetaPath
@@ -173,10 +174,17 @@ class TestStepScopedMemory:
         )
         incremental.condense()
         path = MetaPath(("paper", "author", "paper"))
-        replaced = weakref.ref(incremental.context.receptive_field(path))
+
+        def indices():
+            # Lives exactly as long as the adjacency that keeps its pattern
+            # (a PackedAdjacency itself takes no weak reference).
+            return incremental.context.packed_receptive_field(path).pattern()[1]
+
+        replaced = weakref.ref(indices())
+        assert replaced() is not None
         report = incremental.step(schedule[0])
         assert path.node_types in report.apply_report.patched_paths
-        assert incremental.context.receptive_field(path) is not replaced()
+        assert indices() is not replaced()
         incremental.step(schedule[1])
         gc.collect()
         assert replaced() is None
@@ -226,8 +234,10 @@ class TestDerivedFormOwnership:
         matrices = []
         for key in context.cached_path_keys():
             packed = context.cached_packed(key)
-            matrices.append(packed.source)
-            matrices.extend(packed.derived_forms().values())
+            # The CSC index pattern is a tuple of arrays: no attributes.
+            matrices.extend(
+                form for form in packed.derived_forms().values() if sp.issparse(form)
+            )
         for _deps, combined, pinned in graph.__dict__["_typed_adjacency_cache"].values():
             matrices.append(combined)
             matrices.extend(pinned)
